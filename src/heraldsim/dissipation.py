@@ -112,6 +112,22 @@ def _survivor(amps: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return kept / np.linalg.norm(kept)
 
 
+def _segments(p: float, selectivity: float) -> list[tuple[float, bool]]:
+    """(probability, flagged) of each branch, in the fixed order flagged
+    target, flagged false positive, survivor; those not above PROB_FLOOR are
+    dropped."""
+    segments: list[tuple[float, bool]] = []
+    if p > PROB_FLOOR:
+        segments.append((p, True))
+    false_pos = (1.0 - selectivity) * (1.0 - p)
+    if false_pos > PROB_FLOOR:
+        segments.append((false_pos, True))
+    survive = selectivity * (1.0 - p)
+    if survive > PROB_FLOOR:
+        segments.append((survive, False))
+    return segments
+
+
 def cleanout_branches(state: PureState, ch: CleanoutChannel) -> list[CleanoutBranch]:
     """All branches of the channel as (state, probability, flagged) triples.
 
@@ -120,19 +136,12 @@ def cleanout_branches(state: PureState, ch: CleanoutChannel) -> list[CleanoutBra
     branches below PROB_FLOOR are dropped.
     """
     p, mask = _target_weight(state.amplitudes, state.space, ch)
-    s = ch.selectivity
-    branches: list[CleanoutBranch] = []
-    if p > PROB_FLOOR:
-        branches.append((None, p, True))
-    false_pos = (1.0 - s) * (1.0 - p)
-    if false_pos > PROB_FLOOR:
-        branches.append((None, false_pos, True))
-    survive = s * (1.0 - p)
-    if survive > PROB_FLOOR:
-        branches.append(
-            (PureState(state.space, _survivor(state.amplitudes, mask)), survive, False)
-        )
-    return branches
+    return [
+        (None, prob, True)
+        if flagged
+        else (PureState(state.space, _survivor(state.amplitudes, mask)), prob, False)
+        for prob, flagged in _segments(p, ch.selectivity)
+    ]
 
 
 def _sample_raw(
@@ -144,16 +153,7 @@ def _sample_raw(
     """Sample one branch on raw amplitudes; same branch layout and floor as
     :func:`cleanout_branches`."""
     p, mask = _target_weight(amps, space, ch)
-    s = ch.selectivity
-    segments: list[tuple[float, bool]] = []
-    if p > PROB_FLOOR:
-        segments.append((p, True))
-    false_pos = (1.0 - s) * (1.0 - p)
-    if false_pos > PROB_FLOOR:
-        segments.append((false_pos, True))
-    survive = s * (1.0 - p)
-    if survive > PROB_FLOOR:
-        segments.append((survive, False))
+    segments = _segments(p, ch.selectivity)
     u = rng.random()
     acc = 0.0
     prob, flagged = segments[-1]

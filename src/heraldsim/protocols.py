@@ -49,7 +49,6 @@ from .statespace import (
     StateSpace,
     _apply_matrix,
     _apply_matrix_raw,
-    _embed_matrix,
     fidelity_up_to_global_phase,
     fock_population,
     level_mask,
@@ -116,28 +115,15 @@ class ProtocolOutcome:
 
 @dataclass(frozen=True)
 class _Step:
-    """One transfer (as prevalidated (matrix, targets) pairs) followed by
-    its clean-outs, in fixed order."""
+    """One transfer followed by its clean-outs, in fixed order.
+
+    The transfer is a sequence of prevalidated per-factor (matrix, targets)
+    pairs, applied in order to the state tensor: a 5x5 ion operator on
+    ``(ion,)`` or an ion-and-mode sideband product on ``(ion, motion_axis)``.
+    """
 
     unitaries: tuple[tuple[np.ndarray, tuple[int, ...]], ...]
     cleanouts: tuple[CleanoutChannel, ...]
-
-
-def _composed(
-    pairs: Sequence[tuple[np.ndarray, tuple[int, ...]]], space: StateSpace
-) -> tuple[tuple[np.ndarray, tuple[int, ...]], ...]:
-    """Compose simultaneous tone groups into one full-register matrix.
-
-    Keeps the per-trajectory work to a single product per step; the groups
-    commute, but composition is written for sequential application anyway.
-    """
-    full: np.ndarray | None = None
-    for u, targets in pairs:
-        m = _embed_matrix(u, targets, space)
-        full = m if full is None else m @ full
-    if full is None:
-        return ()
-    return ((full, tuple(range(len(space.factor_dims)))),)
 
 
 def _branch_sort_key(branch: Branch):
@@ -326,7 +312,7 @@ def single_qubit_steps(
     u1 = five_level(transfer_unitary(TransferPulse(tones, math.pi + d1)))
     u2 = five_level(
         transfer_unitary(
-            TransferPulse(tones, math.pi + d2, chi_plus, chi_minus), "aux_to_qubit"
+            TransferPulse(tones, math.pi + d2, chi_plus, chi_minus)
         )
     )
     return (
@@ -456,19 +442,19 @@ def cz_steps(
         return _sideband("carrier", g_up, area, 0, space)
 
     return (
-        _Step(_composed([(on_m(a1), (0, f))], space), (qubit_cleanout(0, s),)),
+        _Step(((on_m(a1), (0, f)),), (qubit_cleanout(0, s),)),
         _Step(
-            _composed([(carrier_m(a2), (0, f)), (on_n(a2), (1, f))], space),
+            ((carrier_m(a2), (0, f)), (on_n(a2), (1, f))),
             (
                 level_cleanout(0, {IonLevel.AUX_MINUS}, s),
                 level_cleanout(1, QUBIT_MANIFOLD, s, fock={1}),
             ),
         ),
         _Step(
-            _composed([(carrier_m(a3), (0, f)), (on_n(a3, e_phase=math.pi), (1, f))], space),
+            ((carrier_m(a3), (0, f)), (on_n(a3, e_phase=math.pi), (1, f))),
             (aux_cleanout(1, s), level_cleanout(0, {IonLevel.Q0}, s)),
         ),
-        _Step(_composed([(on_m(a4), (0, f))], space), (aux_cleanout(0, s),)),
+        _Step(((on_m(a4), (0, f)),), (aux_cleanout(0, s),)),
     )
 
 
@@ -534,8 +520,6 @@ def addressed_steps(
     tones = ToneSet(spec.axis)
     chi_plus, chi_minus = gate_phase_shifts(spec.theta_gate)
 
-    space = StateSpace(n_ions)
-
     def rotations(delta: float, cp: float, cm: float):
         pairs = []
         for j, r in enumerate(crosstalk.ratios):
@@ -545,7 +529,7 @@ def addressed_steps(
                 transfer_unitary(TransferPulse(tones, (math.pi + delta) * r, cp, cm))
             )
             pairs.append((u, (j,)))
-        return _composed(pairs, space)
+        return tuple(pairs)
 
     neighbors = [j for j in range(n_ions) if j != target]
     s = selectivity

@@ -132,15 +132,13 @@ def hamiltonian_matrix(
     return h + h.conj().T
 
 
-def transfer_unitary(pulse: TransferPulse, direction: str = "qubit_to_aux") -> np.ndarray:
+def transfer_unitary(pulse: TransferPulse) -> np.ndarray:
     """Exact 4x4 transfer unitary on (Q0, Q1, AUX_PLUS, AUX_MINUS).
 
     Rotates each of the two axis-aligned 2D subspaces by the full pulse area.
-    The drive couples both manifolds symmetrically, so both directions give
-    the same matrix; the argument records intent and is validated only.
+    The drive couples both manifolds symmetrically, so the same matrix serves
+    transfers out of the qubit manifold and back into it.
     """
-    if direction not in ("qubit_to_aux", "aux_to_qubit"):
-        raise ValueError(f"unknown transfer direction {direction!r}")
     plus, minus = plus_minus_n_vectors(pulse.tones.axis)
     c = math.cos(0.5 * pulse.area)
     s = math.sin(0.5 * pulse.area)

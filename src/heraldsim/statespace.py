@@ -206,11 +206,13 @@ def _apply_matrix_raw(
     amps: np.ndarray, space: StateSpace, u: np.ndarray, targets: tuple[int, ...]
 ) -> np.ndarray:
     # No unitarity check: callers validate matrices once and reuse them.
-    dims = space.factor_dims
-    d = math.prod(dims[t] for t in targets)
-    if targets == tuple(range(len(targets))):
-        return (u @ amps.reshape(d, -1)).reshape(-1)
-    psi = amps.reshape(dims)
+    d = u.shape[0]
+    first = targets[0] if targets else 0
+    if targets == tuple(range(first, first + len(targets))):
+        # One ascending run of factors: only the Fock mode follows the ions,
+        # so every factor before the run is a five-level ion.
+        return (u @ amps.reshape(N_LEVELS**first, d, -1)).reshape(-1)
+    psi = amps.reshape(space.factor_dims)
     psi = np.moveaxis(psi, targets, range(len(targets)))
     moved_shape = psi.shape
     psi = u @ psi.reshape(d, -1)
@@ -222,21 +224,6 @@ def _apply_matrix(
     state: PureState, u: np.ndarray, targets: tuple[int, ...]
 ) -> PureState:
     return PureState(state.space, _apply_matrix_raw(state.amplitudes, state.space, u, targets))
-
-
-def _embed_matrix(u: np.ndarray, targets: tuple[int, ...], space: StateSpace) -> np.ndarray:
-    """Lift an operator on the target factors to the full register."""
-    dims = space.factor_dims
-    n = len(dims)
-    rest = tuple(a for a in range(n) if a not in targets)
-    d_rest = math.prod(dims[a] for a in rest) if rest else 1
-    big = np.kron(u, np.eye(d_rest, dtype=np.complex128))
-    perm = targets + rest
-    inv = np.argsort(perm)
-    axes = [dims[p] for p in perm]
-    big = big.reshape(axes + axes)
-    big = big.transpose(list(inv) + [n + i for i in inv])
-    return np.ascontiguousarray(big.reshape(space.dim, space.dim))
 
 
 def apply_unitary(

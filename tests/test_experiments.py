@@ -17,8 +17,14 @@ from heraldsim.experiments import (
     sweep,
 )
 from heraldsim.noise import AmplitudeErrorModel
-from heraldsim.protocols import GateSpec
-from heraldsim.statespace import BlochAxis, IonLevel
+from heraldsim.protocols import (
+    CrosstalkProfile,
+    GateSpec,
+    certified_addressed_gate,
+    ideal_addressed_output,
+    no_flag_branch,
+)
+from heraldsim.statespace import BlochAxis, IonLevel, fidelity_up_to_global_phase
 
 
 GATE = GateSpec(BlochAxis(1.0471975511965976, 0.5), 2.1)
@@ -86,6 +92,39 @@ class TestHeraldFormula:
         assert 1 - target_survival == pytest.approx(
             herald_probability_analytic([d, d]), abs=1e-10
         )
+
+
+class TestRegisterSize:
+    # Six ions (dim 15 625) need per-factor operators: one full-register
+    # step matrix would take ~3.9 GB.
+    CROSSTALK = (0.02, 0.05, 1.0, 0.1, 0.05, 0.02)
+
+    def spec(self, **overrides):
+        base = dict(
+            protocol="addressing",
+            error_model=AmplitudeErrorModel.gaussian_iid(0.05),
+            input_state=InputSpec("basis", "0+1-+0"),
+            trials=20,
+            master_seed=6,
+            gate=GATE,
+            crosstalk=self.CROSSTALK,
+            target=2,
+        )
+        base.update(overrides)
+        return ExperimentSpec(**base)
+
+    def test_six_ion_chain(self):
+        chain = prepare_input(self.spec())
+        assert chain.space.dim == 15_625
+        out = certified_addressed_gate(
+            chain, 2, GATE, CrosstalkProfile(self.CROSSTALK), (0.3, -0.2)
+        )
+        survivor = no_flag_branch(out)
+        ideal = ideal_addressed_output(chain, 2, GATE)
+        assert fidelity_up_to_global_phase(survivor.state, ideal) >= 1 - 1e-10
+        assert sum(b.probability for b in out.branches) == pytest.approx(1.0, abs=1e-12)
+        stats = run_ensemble(self.spec(mode="mc"))
+        assert stats.conditional_fidelity >= 1 - 1e-9
 
 
 class TestPrepareInput:

@@ -134,11 +134,6 @@ class TestTransferUnitary:
         u = transfer_unitary(TransferPulse(ToneSet(axis), math.pi))
         assert np.max(np.abs(u[:2, :2])) < 1e-12
 
-    def test_direction_validation(self):
-        pulse = TransferPulse(ToneSet(BlochAxis(1.0, 0.0)))
-        with pytest.raises(ValueError):
-            transfer_unitary(pulse, "sideways")
-
     def test_delta_pi_recoverable(self):
         pulse = TransferPulse(ToneSet(BlochAxis(1.0, 0.0)), math.pi + 0.125)
         assert pulse.delta_pi == 0.125
@@ -176,8 +171,7 @@ class TestCompositionIdentity:
                     u1 = transfer_unitary(TransferPulse(tones, math.pi))
                     chi_plus, chi_minus = gate_phase_shifts(big_theta)
                     u2 = transfer_unitary(
-                        TransferPulse(tones, math.pi, chi_plus, chi_minus),
-                        "aux_to_qubit",
+                        TransferPulse(tones, math.pi, chi_plus, chi_minus)
                     )
                     comp = (u2 @ u1)[:2, :2]
                     n = axis.unit_vector

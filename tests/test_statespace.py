@@ -198,6 +198,36 @@ class TestApplyUnitary:
         with pytest.raises(ValueError):
             apply_unitary(state2, np.eye(25), (0, 0))
 
+    @pytest.mark.parametrize(
+        "space,targets",
+        [
+            (StateSpace(3), (0,)),
+            (StateSpace(3), (1,)),
+            (StateSpace(3), (2,)),
+            (StateSpace(2, 3), (0, 2)),
+            (StateSpace(2, 3), (1, 2)),
+            (StateSpace(2, 3), (2, 1)),
+        ],
+    )
+    def test_lands_on_the_target_factors(self, space, targets):
+        # Oracle: the operator is kron'ed with the identity in target-first
+        # factor order, then each basis index is mapped back to its place in
+        # the register's own order.
+        rng = np.random.default_rng(sum(targets) + 10 * space.n_ions)
+        dims = space.factor_dims
+        d = math.prod(dims[t] for t in targets)
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        rest = [a for a in range(len(dims)) if a not in targets]
+        order = list(targets) + rest
+        permuted = np.kron(q, np.eye(space.dim // d))
+        place = np.arange(space.dim).reshape(dims).transpose(order).reshape(-1)
+        dense = np.empty_like(permuted)
+        dense[np.ix_(place, place)] = permuted
+        v = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+        state = PureState(space, v / np.linalg.norm(v))
+        out = apply_unitary(state, q, targets)
+        np.testing.assert_allclose(out.amplitudes, dense @ state.amplitudes, rtol=0, atol=1e-12)
+
     def test_two_ion_random_unitary_norm(self):
         rng = np.random.default_rng(3)
         space = StateSpace(2)
