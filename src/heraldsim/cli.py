@@ -54,12 +54,12 @@ def _apply_overrides(resolved: ResolvedConfig, args: argparse.Namespace) -> Reso
     if args.seed is not None:
         spec = replace(spec, master_seed=args.seed)
     if args.trials is not None:
-        if args.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {args.trials}", "--trials")
         spec = replace(spec, trials=args.trials)
     if args.mode is not None:
         spec = replace(spec, mode=args.mode)
     output = resolved.output
+    if output.write_branches and args.command != "sweep" and spec.mode != "branch":
+        raise ConfigError("branch tables require mode 'branch'", "$.output.write_branches")
     if args.out is not None:
         output = replace(output, directory=args.out)
     return ResolvedConfig(spec, output, resolved.sweep)
@@ -107,10 +107,6 @@ def _run_ensemble_command(resolved: ResolvedConfig, args) -> dict:
     else:
         stats = run_ensemble(resolved.spec, args.workers)
     if resolved.output.write_branches:
-        if resolved.spec.mode != "branch":
-            raise ConfigError(
-                "branch tables require mode 'branch'", "$.output.write_branches"
-            )
         outcome = enumerate_trajectory(resolved.spec, 0)
         rows = []
         for b_idx, branch in enumerate(outcome.branches):
@@ -200,9 +196,6 @@ def main(argv: list[str] | None = None) -> int:
             summary = _run_sweep_command(resolved, args)
         else:
             summary = _run_ensemble_command(resolved, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # runtime failures map to exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1

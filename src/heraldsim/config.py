@@ -1,9 +1,11 @@
 """Experiment configuration documents: loading, validation, resolution.
 
 Configs are JSON key-value trees mirroring :class:`ExperimentSpec` plus
-output options. Validation is strict: unknown keys are rejected with the
-offending path, and every reported problem carries its location so a config
-error names exactly what to fix.
+output options. This module checks the document's shape: unknown keys are
+rejected with the offending path, and types, required keys and defaults are
+resolved here. Value ranges and cross-field consistency are invariants of
+:class:`ExperimentSpec`, which reports them as :class:`ConfigError` with the
+same paths, so a config error names exactly what to fix.
 """
 
 from __future__ import annotations
@@ -15,23 +17,17 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .experiments import (
+    SWEEPABLE,
+    ConfigError,
     ExperimentSpec,
     InputSpec,
-    SWEEPABLE,
     _error_model_from_dict,
+    _with_parameter,
 )
 from .protocols import GateSpec
 from .statespace import BlochAxis
 
 ENV_OUT_DIR = "HERALDSIM_OUT"
-
-
-class ConfigError(Exception):
-    """Invalid configuration; carries the JSON path of the problem."""
-
-    def __init__(self, message: str, path: str = "$"):
-        self.path = path
-        super().__init__(f"{path}: {message}")
 
 
 @dataclass(frozen=True)
@@ -176,10 +172,7 @@ def _parse_input_state(doc, path: str) -> InputSpec:
                     "each amplitude must be a [re, im] pair", f"{path}.amplitudes[{i}]"
                 )
             amps.append(complex(pair[0], pair[1]))
-    try:
-        return InputSpec(kind, label, tuple(amps) if amps is not None else None)
-    except ValueError as exc:
-        raise ConfigError(str(exc), path) from exc
+    return InputSpec(kind, label, tuple(amps) if amps is not None else None)
 
 
 def _parse_crosstalk(doc, path: str) -> tuple[float, ...]:
@@ -208,7 +201,7 @@ def _parse_output(doc, path: str, command: str) -> OutputOptions:
     return OutputOptions(directory, prefix, bool(write_traj), bool(write_branches))
 
 
-def _parse_sweep(doc, path: str) -> SweepSettings:
+def _parse_sweep(doc, path: str, spec: ExperimentSpec) -> SweepSettings:
     if not isinstance(doc, dict):
         raise ConfigError("sweep must be an object", path)
     _reject_unknown(doc, {"parameter", "values"}, path)
@@ -225,6 +218,10 @@ def _parse_sweep(doc, path: str) -> SweepSettings:
     for i, v in enumerate(values):
         if not isinstance(v, (int, float)):
             raise ConfigError("expected a number", f"{path}.values[{i}]")
+        try:
+            _with_parameter(spec, parameter, float(v))
+        except ValueError as exc:
+            raise ConfigError(str(exc), f"{path}.values[{i}]") from exc
         out.append(float(v))
     return SweepSettings(parameter, tuple(out))
 
@@ -275,101 +272,43 @@ def parse_config(doc: dict, command: str) -> ResolvedConfig:
     if protocol not in ("single", "cz", "addressing"):
         raise ConfigError(f"unknown protocol {protocol!r}", "$.protocol")
 
-    gate = None
-    if protocol in ("single", "addressing"):
-        if "gate" not in doc:
-            raise ConfigError(f"protocol {protocol!r} requires a gate", "$")
-        gate = _parse_gate(doc["gate"], "$.gate")
-    elif "gate" in doc:
-        raise ConfigError("the cz protocol takes no gate", "$.gate")
-
+    for key, owner in (("fock_cutoff", "cz"), ("target", "addressing")):
+        if key in doc and protocol != owner:
+            raise ConfigError(f"{key} applies to the {owner} protocol only", f"$.{key}")
+    gate = _parse_gate(doc["gate"], "$.gate") if "gate" in doc else None
     if "error_model" not in doc:
         raise ConfigError("missing required key 'error_model'", "$")
     error_model = _parse_error_model(doc["error_model"], "$.error_model")
-
-    selectivity = float(_get(doc, "selectivity", (int, float), "$", default=1.0))
-    if not 0.0 <= selectivity <= 1.0:
-        raise ConfigError(
-            f"selectivity must lie in [0, 1], got {selectivity}", "$.selectivity"
-        )
-
-    trials = _get(doc, "trials", int, "$", required=True)
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}", "$.trials")
-    master_seed = _get(doc, "master_seed", int, "$", required=True)
-    mode = _get(doc, "mode", str, "$", default="branch")
-    if mode not in ("branch", "mc"):
-        raise ConfigError(f"mode must be 'branch' or 'mc', got {mode!r}", "$.mode")
-
-    fock_cutoff = 3
-    if protocol == "cz":
-        fock_cutoff = _get(doc, "fock_cutoff", int, "$", default=3)
-        if fock_cutoff < 2:
-            raise ConfigError(
-                f"fock_cutoff {fock_cutoff} is too small: the entangling protocol "
-                "populates Fock 1 and needs headroom above it; use at least 2",
-                "$.fock_cutoff",
-            )
-    elif "fock_cutoff" in doc:
-        raise ConfigError("fock_cutoff applies to the cz protocol only", "$.fock_cutoff")
-
     crosstalk = None
-    target = 0
-    if protocol == "addressing":
-        if "crosstalk" not in doc:
-            raise ConfigError("the addressing protocol requires crosstalk ratios", "$")
+    if "crosstalk" in doc:
         crosstalk = _parse_crosstalk(doc["crosstalk"], "$.crosstalk")
-        target = _get(doc, "target", int, "$", default=0)
-        if not 0 <= target < len(crosstalk):
-            raise ConfigError(
-                f"target {target} out of range for {len(crosstalk)} ions", "$.target"
-            )
-        if crosstalk[target] != 1.0:
-            raise ConfigError(
-                "the addressed ion must have crosstalk ratio 1.0", "$.crosstalk.ratios"
-            )
-        for j, r in enumerate(crosstalk):
-            if j != target and not 0.0 <= r < 1.0:
-                raise ConfigError(
-                    f"neighbor ratio must lie in [0, 1), got {r}",
-                    f"$.crosstalk.ratios[{j}]",
-                )
-    else:
-        for key in ("crosstalk", "target"):
-            if key in doc:
-                raise ConfigError(
-                    f"{key} applies to the addressing protocol only", f"$.{key}"
-                )
 
     if "input_state" in doc:
         input_state = _parse_input_state(doc["input_state"], "$.input_state")
     elif protocol == "addressing":
-        input_state = InputSpec("basis", "0" * len(crosstalk))
+        input_state = InputSpec("basis", "0" * len(crosstalk or ()))
     else:
         input_state = _DEFAULT_INPUT[protocol]
+
+    spec = ExperimentSpec(
+        protocol=protocol,
+        error_model=error_model,
+        input_state=input_state,
+        trials=_get(doc, "trials", int, "$", required=True),
+        master_seed=_get(doc, "master_seed", int, "$", required=True),
+        gate=gate,
+        selectivity=float(_get(doc, "selectivity", (int, float), "$", default=1.0)),
+        mode=_get(doc, "mode", str, "$", default="branch"),
+        fock_cutoff=_get(doc, "fock_cutoff", int, "$", default=3),
+        crosstalk=crosstalk,
+        target=_get(doc, "target", int, "$", default=0),
+    )
 
     sweep_settings = None
     if "sweep" in doc:
         if command != "sweep":
             raise ConfigError("sweep settings are only used by the sweep command", "$.sweep")
-        sweep_settings = _parse_sweep(doc["sweep"], "$.sweep")
-
-    try:
-        spec = ExperimentSpec(
-            protocol=protocol,
-            error_model=error_model,
-            input_state=input_state,
-            trials=trials,
-            master_seed=master_seed,
-            gate=gate,
-            selectivity=selectivity,
-            mode=mode,
-            fock_cutoff=fock_cutoff,
-            crosstalk=crosstalk,
-            target=target,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), "$") from exc
+        sweep_settings = _parse_sweep(doc["sweep"], "$.sweep", spec)
 
     output = _parse_output(doc.get("output"), "$.output", command)
     return ResolvedConfig(spec, output, sweep_settings)

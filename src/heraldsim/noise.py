@@ -38,6 +38,9 @@ class AmplitudeErrorModel:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown error model kind {self.kind!r}")
+        for name in ("value", "sigma", "slope"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
 

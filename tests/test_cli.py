@@ -99,7 +99,134 @@ class TestSingleCommand:
         assert len(lines) == 51
 
 
+def cz_doc(out_dir, **extra):
+    doc = {
+        "protocol": "cz",
+        "error_model": {"kind": "constant", "delta_pi": 0.0},
+        "input_state": {"kind": "bell"},
+        "trials": 5,
+        "master_seed": 0,
+        "output": {"dir": str(out_dir)},
+    }
+    doc.update(extra)
+    return doc
+
+
+def addressing_doc(out_dir, n_ions=2, **extra):
+    doc = {
+        "protocol": "addressing",
+        "gate": {"theta": 0.8, "phi": 0.3, "theta_gate": 1.9},
+        "error_model": {"kind": "constant", "delta_pi": 0.0},
+        "crosstalk": {"ratios": [1.0] + [0.1] * (n_ions - 1)},
+        "trials": 5,
+        "master_seed": 0,
+        "output": {"dir": str(out_dir)},
+    }
+    doc.update(extra)
+    return doc
+
+
+def with_input(make, **input_state):
+    return lambda out: make(out, input_state=input_state)
+
+
+def with_model(**model):
+    return lambda out: single_doc(out, error_model=model)
+
+
+def with_sweep(make, parameter, value):
+    def doc(out_dir):
+        d = make(out_dir)
+        d["sweep"] = {"parameter": parameter, "values": [0.1, value]}
+        return d
+
+    return doc
+
+
+def branch_table(make, **extra):
+    def doc(out_dir):
+        d = make(out_dir, **extra)
+        d["output"].update(write_trajectories=True, write_branches=True)
+        return d
+
+    return doc
+
+
+# case: (command, config builder, extra arguments, JSON path the error names)
+INVALID_CONFIGS = {
+    "basis-label-chars": (
+        "single", with_input(single_doc, kind="basis", label="xy"), [], "$.input_state"
+    ),
+    "basis-label-length": (
+        "addressing", with_input(addressing_doc, kind="basis", label="0"), [],
+        "$.input_state",
+    ),
+    "plus-n-on-cz": ("cz", with_input(cz_doc, kind="plus_n"), [], "$.input_state"),
+    "bell-on-single": ("single", with_input(single_doc, kind="bell"), [], "$.input_state"),
+    "amplitude-count": (
+        "single",
+        with_input(single_doc, kind="amplitudes", amplitudes=[[1, 0], [0, 0], [0, 0]]),
+        [],
+        "$.input_state",
+    ),
+    "amplitudes-all-zero": (
+        "single",
+        with_input(single_doc, kind="amplitudes", amplitudes=[[0, 0], [0, 0]]),
+        [],
+        "$.input_state",
+    ),
+    "amplitude-nan": (
+        "single",
+        with_input(single_doc, kind="amplitudes", amplitudes=[[math.nan, 0], [1, 0]]),
+        [],
+        "$.input_state",
+    ),
+    "negative-seed": (
+        "single", lambda out: single_doc(out, master_seed=-1), [], "$.master_seed"
+    ),
+    "seed-override": ("single", single_doc, ["--seed", "-1"], "$.master_seed"),
+    "trials-override": ("single", single_doc, ["--trials", "0"], "$.trials"),
+    "r-neighbor-on-single": (
+        "sweep", with_sweep(single_doc, "r_neighbor", 0.2), [], "$.sweep.values[0]"
+    ),
+    "r-neighbor-above-one": (
+        "sweep", with_sweep(addressing_doc, "r_neighbor", 1.5), [], "$.sweep.values[1]"
+    ),
+    "sweep-value-nan": (
+        "sweep", with_sweep(single_doc, "delta_pi", math.nan), [], "$.sweep.values[1]"
+    ),
+    "branches-in-mc": (
+        "single", branch_table(single_doc, mode="mc"), [], "$.output.write_branches"
+    ),
+    "branches-mode-override": (
+        "cz", branch_table(cz_doc), ["--mode", "mc"], "$.output.write_branches"
+    ),
+    "sigma-nan": (
+        "single", with_model(kind="gaussian_iid", sigma=math.nan), [], "$.error_model"
+    ),
+    # 1e400 is what json.loads makes of the literal 1e400: inf
+    "delta-pi-overflow": (
+        "single", with_model(kind="constant", delta_pi=1e400), [], "$.error_model"
+    ),
+    "chain-too-large": (
+        "addressing", lambda out: addressing_doc(out, n_ions=13), [], "$.crosstalk.ratios"
+    ),
+    "fock-cutoff-too-large": (
+        "cz", lambda out: cz_doc(out, fock_cutoff=10**4), [], "$.fock_cutoff"
+    ),
+}
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("case", sorted(INVALID_CONFIGS))
+    def test_exit_2_before_output(self, tmp_path, capsys, case):
+        command, make, extra, path = INVALID_CONFIGS[case]
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, make(out))
+        assert main([command, cfg, "--quiet"] + extra) == 2
+        assert f"{path}:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_key_exit_2(self, tmp_path, capsys):
         out = tmp_path / "out"
         doc = single_doc(out)

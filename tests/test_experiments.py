@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from heraldsim.config import parse_config
 from heraldsim.experiments import (
     CertifiedVsBare,
+    ConfigError,
     EnsembleStatistics,
     ExperimentSpec,
     InputSpec,
@@ -287,7 +289,7 @@ class TestSerialization:
             selectivity=0.953,
         )
         doc = json.loads(json.dumps(spec.to_dict()))
-        restored = ExperimentSpec.from_dict(doc)
+        restored = parse_config(doc, "single").spec
         assert restored == spec
         assert run_ensemble(restored, workers=1) == run_ensemble(spec, workers=1)
 
@@ -302,7 +304,8 @@ class TestSerialization:
             crosstalk=(1.0, 0.125),
             target=0,
         )
-        assert ExperimentSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+        doc = json.loads(json.dumps(spec.to_dict()))
+        assert parse_config(doc, "addressing").spec == spec
 
     def test_statistics_to_dict(self):
         stats = run_ensemble(single_spec(trials=10))
@@ -437,3 +440,35 @@ class TestSpecValidation:
     def test_trials_positive(self):
         with pytest.raises(ValueError):
             single_spec(trials=0)
+
+    def test_memory_guard_boundary(self):
+        # Construction allocates nothing, so oversize specs are cheap to try.
+        def chain(n_ions):
+            return ExperimentSpec(
+                protocol="addressing",
+                error_model=AmplitudeErrorModel.gaussian_iid(0.05),
+                input_state=InputSpec("plus_n"),
+                trials=1,
+                master_seed=0,
+                gate=GATE,
+                crosstalk=(1.0,) + (0.1,) * (n_ions - 1),
+            )
+
+        def cz(fock_cutoff):
+            return ExperimentSpec(
+                protocol="cz",
+                error_model=AmplitudeErrorModel.gaussian_iid(0.05),
+                input_state=InputSpec("bell"),
+                trials=1,
+                master_seed=0,
+                fock_cutoff=fock_cutoff,
+            )
+
+        chain(10)
+        cz(117)
+        with pytest.raises(ConfigError) as err:
+            chain(11)
+        assert err.value.path == "$.crosstalk.ratios"
+        with pytest.raises(ConfigError) as err:
+            cz(118)
+        assert err.value.path == "$.fock_cutoff"

@@ -48,6 +48,12 @@ class TestModels:
         with pytest.raises(ValueError):
             AmplitudeErrorModel.gaussian_iid(-1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["value", "sigma", "slope"])
+    def test_non_finite_parameter(self, field, bad):
+        with pytest.raises(ValueError):
+            AmplitudeErrorModel("linear_drift", **{field: bad})
+
     def test_n_steps_validation(self):
         with pytest.raises(ValueError):
             sample_errors(AmplitudeErrorModel.constant(0.0), 0, np.random.default_rng(0))
