@@ -109,6 +109,22 @@ def _get(doc: dict, key: str, kinds, path: str, default=None, required: bool = F
     return value
 
 
+def _number(value, path: str) -> float:
+    """A JSON number as a float. ``json`` reads integers exactly, so one
+    beyond float range is refused here rather than overflowing later."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"expected a number, got {type(value).__name__}", path)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError("number out of float range", path) from None
+
+
+def _get_number(doc: dict, key: str, path: str, default=None, required: bool = False):
+    value = _get(doc, key, (int, float), path, default, required)
+    return _number(value, f"{path}.{key}") if key in doc else value
+
+
 _ERROR_MODEL_KEYS = {
     "constant": {"kind", "delta_pi"},
     "gaussian_iid": {"kind", "sigma"},
@@ -128,9 +144,11 @@ def _parse_error_model(doc, path: str):
             f"{path}.kind",
         )
     _reject_unknown(doc, _ERROR_MODEL_KEYS[kind], path)
+    # The model keeps each number as written, so the summary echoes it
+    # unchanged; it only has to fit a float.
     for key, value in doc.items():
-        if key != "kind" and not isinstance(value, (int, float)):
-            raise ConfigError("expected a number", f"{path}.{key}")
+        if key != "kind":
+            _number(value, f"{path}.{key}")
     try:
         return _error_model_from_dict(doc)
     except (KeyError, ValueError) as exc:
@@ -141,11 +159,11 @@ def _parse_gate(doc, path: str) -> GateSpec:
     if not isinstance(doc, dict):
         raise ConfigError("gate must be an object", path)
     _reject_unknown(doc, {"theta", "phi", "theta_gate"}, path)
-    theta = _get(doc, "theta", (int, float), path, required=True)
-    phi = _get(doc, "phi", (int, float), path, default=0.0)
-    theta_gate = _get(doc, "theta_gate", (int, float), path, required=True)
+    theta = _get_number(doc, "theta", path, required=True)
+    phi = _get_number(doc, "phi", path, default=0.0)
+    theta_gate = _get_number(doc, "theta_gate", path, required=True)
     try:
-        return GateSpec(BlochAxis(float(theta), float(phi)), float(theta_gate))
+        return GateSpec(BlochAxis(theta, phi), theta_gate)
     except ValueError as exc:
         raise ConfigError(str(exc), path) from exc
 
@@ -163,15 +181,10 @@ def _parse_input_state(doc, path: str) -> InputSpec:
             raise ConfigError("amplitudes must be a list of [re, im] pairs", f"{path}.amplitudes")
         amps = []
         for i, pair in enumerate(raw):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(isinstance(v, (int, float)) for v in pair)
-            ):
-                raise ConfigError(
-                    "each amplitude must be a [re, im] pair", f"{path}.amplitudes[{i}]"
-                )
-            amps.append(complex(pair[0], pair[1]))
+            where = f"{path}.amplitudes[{i}]"
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ConfigError("each amplitude must be a [re, im] pair", where)
+            amps.append(complex(_number(pair[0], where), _number(pair[1], where)))
     return InputSpec(kind, label, tuple(amps) if amps is not None else None)
 
 
@@ -180,12 +193,7 @@ def _parse_crosstalk(doc, path: str) -> tuple[float, ...]:
         raise ConfigError("crosstalk must be an object", path)
     _reject_unknown(doc, {"ratios"}, path)
     ratios = _get(doc, "ratios", list, path, required=True)
-    out = []
-    for i, r in enumerate(ratios):
-        if not isinstance(r, (int, float)):
-            raise ConfigError("expected a number", f"{path}.ratios[{i}]")
-        out.append(float(r))
-    return tuple(out)
+    return tuple(_number(r, f"{path}.ratios[{i}]") for i, r in enumerate(ratios))
 
 
 def _parse_output(doc, path: str, command: str) -> OutputOptions:
@@ -216,13 +224,12 @@ def _parse_sweep(doc, path: str, spec: ExperimentSpec) -> SweepSettings:
         raise ConfigError("values must be a non-empty list", f"{path}.values")
     out = []
     for i, v in enumerate(values):
-        if not isinstance(v, (int, float)):
-            raise ConfigError("expected a number", f"{path}.values[{i}]")
+        value = _number(v, f"{path}.values[{i}]")
         try:
-            _with_parameter(spec, parameter, float(v))
+            _with_parameter(spec, parameter, value)
         except ValueError as exc:
             raise ConfigError(str(exc), f"{path}.values[{i}]") from exc
-        out.append(float(v))
+        out.append(value)
     return SweepSettings(parameter, tuple(out))
 
 
@@ -297,7 +304,7 @@ def parse_config(doc: dict, command: str) -> ResolvedConfig:
         trials=_get(doc, "trials", int, "$", required=True),
         master_seed=_get(doc, "master_seed", int, "$", required=True),
         gate=gate,
-        selectivity=float(_get(doc, "selectivity", (int, float), "$", default=1.0)),
+        selectivity=_get_number(doc, "selectivity", "$", default=1.0),
         mode=_get(doc, "mode", str, "$", default="branch"),
         fock_cutoff=_get(doc, "fock_cutoff", int, "$", default=3),
         crosstalk=crosstalk,

@@ -93,39 +93,84 @@ class HeraldRecord:
     branch_probability: float
 
 
-def _target_weight(
+def _target_weights(
     amps: np.ndarray, space: StateSpace, ch: CleanoutChannel
-) -> tuple[float, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
+    """Target population of each row of a ``(block, dim)`` array, and the mask."""
     mask = level_mask(space, ch.ion, ch.levels, ch.fock)
     probs = amps.real**2 + amps.imag**2
-    total = float(probs.sum())
-    if abs(total - 1.0) > NORM_CHECK_ATOL:
+    total = probs.sum(axis=-1)
+    off = total[np.abs(total - 1.0) > NORM_CHECK_ATOL]
+    if off.size:
         raise ValueError(
-            f"clean-out requires a normalized state (norm {math.sqrt(total)})"
+            f"clean-out requires a normalized state (norm {math.sqrt(off[0])})"
         )
-    p = float(probs[mask].sum() / total)
-    return min(max(p, 0.0), 1.0), mask
+    # compress keeps each row contiguous, so each row sums on its own.
+    p = probs.compress(mask, axis=-1).sum(axis=-1) / total
+    return np.minimum(np.maximum(p, 0.0), 1.0), mask
 
 
-def _survivor(amps: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def _survivor_rows(amps: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Each row projected off the mask and renormalized: the one
+    normalization of surviving states."""
     kept = np.where(mask, 0.0, amps)
-    return kept / np.linalg.norm(kept)
+    # Each row's norm as np.linalg.norm takes it for one state: a dot product
+    # of the real parts plus one of the imaginary parts, one matmul per row.
+    re, im = kept.real[:, None], kept.imag[:, None]
+    norms = np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))
+    return kept / norms[:, 0]
+
+
+def _segment_table(p: np.ndarray, selectivity: float) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities of each row's branches, in the fixed order flagged
+    target, flagged false positive, survivor, shape ``(block, 3)``; and
+    which of them lie above PROB_FLOOR and are kept."""
+    segments = np.empty((p.shape[0], 3))
+    segments[:, 0] = p
+    q = 1.0 - p
+    segments[:, 1] = (1.0 - selectivity) * q
+    segments[:, 2] = selectivity * q
+    return segments, segments > PROB_FLOOR
+
+
+_SEGMENT_FLAGGED = (True, True, False)
 
 
 def _segments(p: float, selectivity: float) -> list[tuple[float, bool]]:
-    """(probability, flagged) of each branch, in the fixed order flagged
-    target, flagged false positive, survivor; those not above PROB_FLOOR are
-    dropped."""
-    segments: list[tuple[float, bool]] = []
-    if p > PROB_FLOOR:
-        segments.append((p, True))
-    false_pos = (1.0 - selectivity) * (1.0 - p)
-    if false_pos > PROB_FLOOR:
-        segments.append((false_pos, True))
-    survive = selectivity * (1.0 - p)
-    if survive > PROB_FLOOR:
-        segments.append((survive, False))
-    return segments
+    """(probability, flagged) of each kept branch of one state, in order."""
+    segments, kept = _segment_table(np.array([p]), selectivity)
+    return [
+        (prob, flagged)
+        for prob, keep, flagged in zip(segments[0].tolist(), kept[0], _SEGMENT_FLAGGED)
+        if keep
+    ]
+
+
+def survival_probability(p: np.ndarray, selectivity: float) -> np.ndarray:
+    """Survivor branch probability s(1 - p) of each row; 0.0 where it is
+    dropped below PROB_FLOOR."""
+    segments, kept = _segment_table(p, selectivity)
+    return np.where(kept[:, 2], segments[:, 2], 0.0)
+
+
+def _sample_rows(
+    p: np.ndarray, selectivity: float, uniforms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample one branch per row: the first kept segment whose running sum
+    exceeds the row's uniform, else the last kept segment. Returns the taken
+    branch's probability and whether it flagged."""
+    segments, kept = _segment_table(p, selectivity)
+    target, false_pos, survive = segments.T
+    # Running sums over the kept segments; a dropped segment adds nothing,
+    # and a uniform (>= 0) never falls below a sum it did not pass already.
+    after_target = np.where(kept[:, 0], target, 0.0)
+    after_false_pos = after_target + np.where(kept[:, 1], false_pos, 0.0)
+    survived = kept[:, 2] & (uniforms >= after_false_pos)
+    # A flagged row took the false positive unless the target segment caught
+    # its uniform or the false positive was dropped.
+    took_target = (uniforms < after_target) | ~kept[:, 1]
+    taken = np.where(survived, survive, np.where(took_target, target, false_pos))
+    return taken, ~survived
 
 
 def cleanout_branches(state: PureState, ch: CleanoutChannel) -> list[CleanoutBranch]:
@@ -135,36 +180,14 @@ def cleanout_branches(state: PureState, ch: CleanoutChannel) -> list[CleanoutBra
     branch (selectivity < 1 only), surviving branch. Probabilities sum to 1;
     branches below PROB_FLOOR are dropped.
     """
-    p, mask = _target_weight(state.amplitudes, state.space, ch)
+    amps = state.amplitudes[None]
+    p, mask = _target_weights(amps, state.space, ch)
     return [
         (None, prob, True)
         if flagged
-        else (PureState(state.space, _survivor(state.amplitudes, mask)), prob, False)
-        for prob, flagged in _segments(p, ch.selectivity)
+        else (PureState(state.space, _survivor_rows(amps, mask)[0]), prob, False)
+        for prob, flagged in _segments(float(p[0]), ch.selectivity)
     ]
-
-
-def _sample_raw(
-    amps: np.ndarray,
-    space: StateSpace,
-    ch: CleanoutChannel,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray | None, float, bool]:
-    """Sample one branch on raw amplitudes; same branch layout and floor as
-    :func:`cleanout_branches`."""
-    p, mask = _target_weight(amps, space, ch)
-    segments = _segments(p, ch.selectivity)
-    u = rng.random()
-    acc = 0.0
-    prob, flagged = segments[-1]
-    for seg_prob, seg_flagged in segments:
-        acc += seg_prob
-        if u < acc:
-            prob, flagged = seg_prob, seg_flagged
-            break
-    if flagged:
-        return None, prob, True
-    return _survivor(amps, mask), prob, False
 
 
 def cleanout_sample(
@@ -174,6 +197,8 @@ def cleanout_sample(
     step_index: int = 0,
 ) -> tuple[PureState | None, HeraldRecord]:
     """Sample one branch of the channel; statistically matches enumeration."""
-    amps, prob, flagged = _sample_raw(state.amplitudes, state.space, ch, rng)
-    out = PureState(state.space, amps) if amps is not None else None
-    return out, HeraldRecord(step_index, ch.ion, flagged, prob)
+    amps = state.amplitudes[None]
+    p, mask = _target_weights(amps, state.space, ch)
+    taken, flagged = _sample_rows(p, ch.selectivity, rng.random(1))
+    out = None if flagged[0] else PureState(state.space, _survivor_rows(amps, mask)[0])
+    return out, HeraldRecord(step_index, ch.ion, bool(flagged[0]), float(taken[0]))

@@ -14,32 +14,33 @@ import cmath
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .noise import AmplitudeErrorModel, sample_errors_counted, trajectory_rng
+from .noise import AmplitudeErrorModel, sample_errors_block, trajectory_rng
 from .protocols import (
     CrosstalkProfile,
     GateSpec,
-    addressed_steps,
-    bare_single_qubit,
+    addressed_builder,
+    cleanout_sites,
+    cz_builder,
     cz_space,
-    cz_steps,
     ideal_addressed_output,
     ideal_cz_output,
     ideal_single_qubit_output,
-    no_flag_branch,
+    _row_of,
     run_protocol,
-    single_qubit_steps,
+    single_qubit_builder,
+    survivor_paths,
 )
 from .statespace import (
     N_LEVELS,
     IonLevel,
     PureState,
     StateSpace,
-    fidelity_up_to_global_phase,
+    _apply_block,
+    _row_fidelities,
     make_state,
     plus_minus_n_vectors,
 )
@@ -51,10 +52,15 @@ _WILSON_Z = 1.96  # 95% interval
 
 # Largest estimated peak memory of one run that a spec accepts.
 MEMORY_BUDGET = 2 * 2**30
-# Peak RSS of a 9-ion addressing ensemble is ~10 state vectors (input,
-# ideal output, kernel temporaries, clean-out masks).
+# Peak RSS of an 8- or 9-ion addressing ensemble is ~9 state vectors per
+# block row (input, ideal output, kernel temporaries, clean-out masks) over
+# that of the process before it runs (~40 MB with numpy loaded).
 _STATE_COPIES = 10
-_STEP_CACHE_SIZE = 64
+_PROCESS_BYTES = 64 * 2**20
+# A block runs at most _BLOCK_ROWS trajectories, and fewer when one row's
+# amplitudes or operators times the row count would pass _BLOCK_BYTES.
+_BLOCK_ROWS = 64
+_BLOCK_BYTES = 4 * 2**20
 
 
 class ConfigError(ValueError):
@@ -145,8 +151,10 @@ class ExperimentSpec:
             raise ConfigError(problem, "$.input_state")
         need = _estimated_bytes(self.protocol, space)
         if need > MEMORY_BUDGET:
+            # A JSON fock_cutoff can make the estimate exceed float range.
+            gib = f"{need / 2**30:.3g}" if need < 2**1000 else f"2^{need.bit_length() - 31}"
             raise ConfigError(
-                f"the run needs about {need / 2**30:.3g} GiB, over the "
+                f"the run needs about {gib} GiB, over the "
                 f"{MEMORY_BUDGET / 2**30:.3g} GiB budget",
                 "$.fock_cutoff" if self.protocol == "cz" else "$.crosstalk.ratios",
             )
@@ -256,13 +264,24 @@ def _space_for(spec: ExperimentSpec) -> StateSpace:
     return StateSpace(len(spec.crosstalk))
 
 
-def _estimated_bytes(protocol: str, space: StateSpace) -> int:
-    """Rough peak memory of one run: a few state vectors plus a full step
-    cache, each cached draw holding six sideband products (cz) or one
-    transfer per ion and step."""
+def _operator_entries(protocol: str, space: StateSpace) -> int:
+    """Matrix entries of one trajectory's step operators: six sideband
+    products (cz) or one transfer per ion and step."""
     n_operators = 6 if protocol == "cz" else 2 * space.n_ions
-    operator_entries = n_operators * (N_LEVELS * space.fock_dim) ** 2
-    return 16 * (_STATE_COPIES * space.dim + _STEP_CACHE_SIZE * operator_entries)
+    return n_operators * (N_LEVELS * space.fock_dim) ** 2
+
+
+def _block_size(protocol: str, space: StateSpace) -> int:
+    """Trajectories per block: derived from the register, never configured."""
+    row_bytes = 16 * max(space.dim, _operator_entries(protocol, space))
+    return max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // row_bytes))
+
+
+def _estimated_bytes(protocol: str, space: StateSpace) -> int:
+    """Rough peak memory of one run: the process, plus a few state vectors
+    and the step operators of every row of one block."""
+    per_row = _STATE_COPIES * space.dim + _operator_entries(protocol, space)
+    return _PROCESS_BYTES + 16 * _block_size(protocol, space) * per_row
 
 
 def _input_problem(spec: ExperimentSpec, n_ions: int) -> str | None:
@@ -330,24 +349,21 @@ def _ideal_output(spec: ExperimentSpec, state: PureState) -> PureState:
     return ideal_addressed_output(state, spec.target, spec.gate)
 
 
-def _step_builder(spec: ExperimentSpec) -> Callable[[tuple[float, ...]], tuple]:
+def _block_builder(spec: ExperimentSpec):
+    """The spec's block builder: errors of shape (block, n_steps) to steps."""
     if spec.protocol == "single":
-        gate, s = spec.gate, spec.selectivity
-        build = lambda errs: single_qubit_steps(gate, errs, s)
-    elif spec.protocol == "cz":
-        s, space = spec.selectivity, _space_for(spec)
-        build = lambda errs: cz_steps(errs, s, space)
-    else:
-        gate, s = spec.gate, spec.selectivity
-        xtalk, target = CrosstalkProfile(spec.crosstalk), spec.target
-        build = lambda errs: addressed_steps(gate, xtalk, target, errs, s)
-    return lru_cache(maxsize=_STEP_CACHE_SIZE)(build)
+        return single_qubit_builder(spec.gate, spec.selectivity)
+    if spec.protocol == "cz":
+        return cz_builder(spec.selectivity, _space_for(spec))
+    return addressed_builder(
+        spec.gate, CrosstalkProfile(spec.crosstalk), spec.target, spec.selectivity
+    )
 
 
 # --- trajectory execution ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrajectoryRow:
     """Per-trajectory record, identical across worker layouts."""
 
@@ -361,53 +377,112 @@ class TrajectoryRow:
     n_errors: int
 
 
-def _run_one(
-    spec: ExperimentSpec,
-    index: int,
-    state: PureState,
-    ideal: PureState,
-    build_steps: Callable,
-) -> TrajectoryRow:
-    rng = trajectory_rng(spec.master_seed, index)
-    errors, clamps = sample_errors_counted(spec.error_model, spec.n_steps, rng)
-    steps = build_steps(tuple(errors))
-    outcome = run_protocol(
-        state,
-        steps,
-        spec.mode,
-        rng=rng if spec.mode == "mc" else None,
-        monitor_top_fock=(spec.protocol == "cz"),
-    )
-    sumsq = sum(v * v for v in errors)
-    if spec.mode == "branch":
-        survivor = no_flag_branch(outcome)
-        if survivor is None:
-            return TrajectoryRow(index, 0.0, 0.0, None, (), clamps, sumsq, len(errors))
-        fid = fidelity_up_to_global_phase(survivor.state, ideal)
-        flags = tuple(
-            (r.step_index, r.ion, 1.0 - r.branch_probability) for r in survivor.records
-        )
-        return TrajectoryRow(
-            index, survivor.probability, fid, None, flags, clamps, sumsq, len(errors)
-        )
-    branch = outcome.branches[0]
-    flagged = branch.flagged
-    fid = (
-        fidelity_up_to_global_phase(branch.state, ideal) if branch.state is not None else 0.0
-    )
-    flags = tuple(
-        (r.step_index, r.ion, 1.0 if r.flagged else 0.0) for r in branch.records
-    )
-    return TrajectoryRow(
-        index, 0.0 if flagged else 1.0, fid, flagged, flags, clamps, sumsq, len(errors)
-    )
+def _run_batch(
+    spec: ExperimentSpec, start: int, stop: int, bare: bool = False
+) -> tuple[list[TrajectoryRow], list[float]]:
+    """Rows of trajectories start..stop-1, run block by block.
 
-
-def _run_batch(spec: ExperimentSpec, start: int, stop: int) -> list[TrajectoryRow]:
+    With ``bare`` (single protocol) it also returns each trajectory's
+    fidelity after the same two transfers without clean-outs.
+    """
     state = prepare_input(spec)
     ideal = _ideal_output(spec, state)
-    build_steps = _step_builder(spec)
-    return [_run_one(spec, i, state, ideal, build_steps) for i in range(start, stop)]
+    build = _block_builder(spec)
+    size = _block_size(spec.protocol, state.space)
+    rows: list[TrajectoryRow] = []
+    bare_fids: list[float] = []
+    for first in range(start, stop, size):
+        block_rows, block_bare = _run_block(
+            spec, range(first, min(first + size, stop)), state, ideal, build, bare
+        )
+        rows += block_rows
+        bare_fids += block_bare
+    return rows, bare_fids
+
+
+def _run_block(spec, indices, state, ideal, build, bare):
+    space, n = state.space, len(indices)
+    # A fixed error sequence in branch mode draws nothing at random.
+    rngs = [None] * n
+    if spec.mode == "mc" or spec.error_model.draws_random:
+        rngs = [trajectory_rng(spec.master_seed, i) for i in indices]
+    errors, clamps = sample_errors_block(spec.error_model, spec.n_steps, rngs)
+    steps = build(errors)
+    sites = cleanout_sites(steps)
+    draw = None
+    if spec.mode == "mc":
+        # Each trajectory's clean-out uniforms continue its own stream.
+        uniforms = np.array([rng.random(len(sites)) for rng in rngs])
+        draw = lambda col, live: uniforms[live, col]
+    start = np.repeat(state.amplitudes[None], n, axis=0)
+    paths = survivor_paths(
+        start, space, steps, draw, monitor_top_fock=(spec.protocol == "cz")
+    )
+    alive = paths.alive.tolist()
+    final_fids = iter(_row_fidelities(paths.final, ideal.amplitudes))
+    fids = [next(final_fids) if a else 0.0 for a in alive]
+    site_steps, site_ions = (tuple(col) for col in zip(*sites)) if sites else ((), ())
+    if spec.mode == "branch":
+        step_flags = [
+            tuple(zip(site_steps, site_ions, values)) if a else ()
+            for a, values in zip(alive, (1.0 - paths.probs).tolist())
+        ]
+        flagged = [None] * n
+    else:
+        # A row's flag values are 0.0 at every clean-out it passed but the
+        # last, which holds its flag; rows with the same path share a tuple.
+        shared: dict[tuple[int, bool], tuple] = {}
+        step_flags = []
+        for passed, a in zip(paths.done.tolist(), alive):
+            if (passed, a) not in shared:
+                values = [0.0] * (passed - 1) + [0.0 if a else 1.0]
+                shared[passed, a] = tuple(zip(site_steps[:passed], site_ions, values))
+            step_flags.append(shared[passed, a])
+        flagged = [not a for a in alive]
+    # Python's sum(v * v for v in errs), column by column.
+    sumsq = np.zeros(n)
+    for k in range(spec.n_steps):
+        sumsq = sumsq + errors[:, k] * errors[:, k]
+    rows = [
+        TrajectoryRow(index, weight, fid, flag, path, n_clamped, sq, spec.n_steps)
+        for index, weight, fid, flag, path, n_clamped, sq in zip(
+            indices,
+            paths.weight.tolist(),
+            fids,
+            flagged,
+            step_flags,
+            clamps.tolist(),
+            sumsq.tolist(),
+        )
+    ]
+    bare_fids = []
+    if bare:
+        amps = start
+        for step in steps:
+            for u, targets in step.unitaries:
+                amps = _apply_block(amps, space, u, targets)
+        bare_fids = _row_fidelities(amps, ideal.amplitudes)
+    return rows, bare_fids
+
+
+def _run_rows(
+    spec: ExperimentSpec, workers: int, bare: bool = False
+) -> tuple[list[TrajectoryRow], list[float]]:
+    """Every trajectory's row in index order, over ``workers`` processes."""
+    if workers <= 1 or spec.trials < 2 * workers:
+        return _run_batch(spec, 0, spec.trials, bare)
+    bounds = np.linspace(0, spec.trials, workers + 1, dtype=int)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [
+            pool.submit(_run_batch, spec, int(a), int(b), bare)
+            for a, b in zip(bounds[:-1], bounds[1:])
+            if b > a
+        ]
+        parts = [fut.result() for fut in futures]
+    return (
+        [row for rows, _ in parts for row in rows],
+        [fid for _, fids in parts for fid in fids],
+    )
 
 
 # --- statistics --------------------------------------------------------------
@@ -535,18 +610,7 @@ def run_ensemble(
     With ``return_rows`` the sorted per-trajectory rows are returned next to
     the statistics (used for trajectory tables).
     """
-    if workers <= 1 or spec.trials < 2 * workers:
-        rows = _run_batch(spec, 0, spec.trials)
-    else:
-        bounds = np.linspace(0, spec.trials, workers + 1, dtype=int)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_batch, spec, int(a), int(b))
-                for a, b in zip(bounds[:-1], bounds[1:])
-                if b > a
-            ]
-            rows = [row for fut in futures for row in fut.result()]
-    rows = sorted(rows, key=lambda r: r.index)
+    rows, _ = _run_rows(spec, workers)
     stats = _reduce(spec, rows)
     if return_rows:
         return stats, rows
@@ -560,9 +624,10 @@ def enumerate_trajectory(spec: ExperimentSpec, index: int = 0):
     surviving final state for the errors of the given trajectory index.
     """
     state = prepare_input(spec)
-    rng = trajectory_rng(spec.master_seed, index)
-    errors, _ = sample_errors_counted(spec.error_model, spec.n_steps, rng)
-    steps = _step_builder(spec)(tuple(errors))
+    errors, _ = sample_errors_block(
+        spec.error_model, spec.n_steps, [trajectory_rng(spec.master_seed, index)]
+    )
+    steps = _row_of(_block_builder(spec)(errors), 0)
     return run_protocol(
         state, steps, "branch", monitor_top_fock=(spec.protocol == "cz")
     )
@@ -643,14 +708,9 @@ def compare_certified_vs_bare(spec: ExperimentSpec, workers: int = 1) -> Certifi
     """
     if spec.protocol != "single":
         raise ValueError("certified-vs-bare comparison is defined for protocol 'single'")
-    stats = run_ensemble(spec, workers)
-    state = prepare_input(spec)
-    fids = np.empty(spec.trials)
-    for i in range(spec.trials):
-        rng = trajectory_rng(spec.master_seed, i)
-        errors, _ = sample_errors_counted(spec.error_model, spec.n_steps, rng)
-        _, fids[i] = bare_single_qubit(state, spec.gate, tuple(errors))
-    bare_infidelity = float(np.mean(1.0 - fids))
+    rows, fids = _run_rows(spec, workers, bare=True)
+    stats = _reduce(spec, rows)
+    bare_infidelity = float(np.mean(1.0 - np.array(fids)))
     cond = stats.conditional_fidelity
     certified_infidelity = (1.0 - cond) if cond is not None else math.nan
     ratio = (

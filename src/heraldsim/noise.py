@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -44,6 +45,11 @@ class AmplitudeErrorModel:
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
 
+    @property
+    def draws_random(self) -> bool:
+        """Whether the sequence is drawn from the generator at all."""
+        return self.kind in ("gaussian_iid", "random_walk")
+
     @classmethod
     def constant(cls, delta_pi: float) -> "AmplitudeErrorModel":
         return cls("constant", value=delta_pi)
@@ -74,16 +80,28 @@ def _raw_sequence(
     return model.value + np.cumsum(rng.normal(0.0, model.sigma, size=n_steps))
 
 
+def sample_errors_block(
+    model: AmplitudeErrorModel, n_steps: int, rngs: Sequence[np.random.Generator]
+) -> tuple[np.ndarray, np.ndarray]:
+    """One error sequence per generator, as rows of a ``(block, n_steps)``
+    array, and each row's clamp count. Models that draw nothing at random
+    ignore the generators, which may then be None."""
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if model.draws_random:
+        raw = np.array([_raw_sequence(model, n_steps, rng) for rng in rngs])
+    else:
+        raw = np.tile(_raw_sequence(model, n_steps, None), (len(rngs), 1))
+    clamps = np.sum(np.abs(raw) > _CLAMP_MAX, axis=1)
+    return np.clip(raw, -_CLAMP_MAX, _CLAMP_MAX), clamps
+
+
 def sample_errors_counted(
     model: AmplitudeErrorModel, n_steps: int, rng: np.random.Generator
 ) -> tuple[list[float], int]:
     """Draw a length-n_steps error sequence; returns (values, clamp count)."""
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    raw = _raw_sequence(model, n_steps, rng)
-    clamped = np.clip(raw, -_CLAMP_MAX, _CLAMP_MAX)
-    n_clamped = int(np.sum(np.abs(raw) > _CLAMP_MAX))
-    return [float(v) for v in clamped], n_clamped
+    errors, clamps = sample_errors_block(model, n_steps, [rng])
+    return errors[0].tolist(), int(clamps[0])
 
 
 def sample_errors(

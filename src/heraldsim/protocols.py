@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -26,29 +27,24 @@ import numpy as np
 from .dissipation import (
     CleanoutChannel,
     HeraldRecord,
-    _sample_raw,
+    _sample_rows,
+    _survivor_rows,
+    _target_weights,
     aux_cleanout,
     cleanout_branches,
     level_cleanout,
     qubit_cleanout,
+    survival_probability,
 )
-from .pulses import (
-    SidebandPulse,
-    ToneSet,
-    TransferPulse,
-    five_level,
-    gate_phase_shifts,
-    sideband_unitary,
-    transfer_unitary,
-)
+from .pulses import gate_phase_shifts, sideband_fill, transfer_fill
 from .statespace import (
     BlochAxis,
     IonLevel,
     PureState,
     QUBIT_MANIFOLD,
     StateSpace,
+    _apply_block,
     _apply_matrix,
-    _apply_matrix_raw,
     fidelity_up_to_global_phase,
     fock_population,
     level_mask,
@@ -61,6 +57,9 @@ DEFAULT_FOCK_CUTOFF = 3
 
 MODES = ("branch", "mc")
 FLAG_QUERIES = ("immediate", "end")
+# Block builders hold only error-independent tables, so one per spec and
+# selectivity serves every draw; the most recent ones are kept.
+_BUILDERS_KEPT = 32
 
 
 class LeakageError(RuntimeError):
@@ -120,10 +119,33 @@ class _Step:
     The transfer is a sequence of prevalidated per-factor (matrix, targets)
     pairs, applied in order to the state tensor: a 5x5 ion operator on
     ``(ion,)`` or an ion-and-mode sideband product on ``(ion, motion_axis)``.
+    Steps of one trajectory hold ``(d, d)`` matrices; steps of a block of
+    trajectories hold ``(block, d, d)`` stacks, one matrix per row.
     """
 
     unitaries: tuple[tuple[np.ndarray, tuple[int, ...]], ...]
     cleanouts: tuple[CleanoutChannel, ...]
+
+
+def _row_of(steps: Sequence[_Step], row: int) -> tuple[_Step, ...]:
+    """The steps of one row of a block."""
+    return tuple(
+        _Step(tuple((u[row], t) for u, t in step.unitaries), step.cleanouts)
+        for step in steps
+    )
+
+
+def _as_block(steps: Sequence[_Step]) -> tuple[_Step, ...]:
+    """One trajectory's steps as a block of one row."""
+    return tuple(
+        _Step(tuple((u[None], t) for u, t in step.unitaries), step.cleanouts)
+        for step in steps
+    )
+
+
+def cleanout_sites(steps: Sequence[_Step]) -> tuple[tuple[int, int], ...]:
+    """(step index, ion) of every clean-out, in the order they run."""
+    return tuple((si, ch.ion) for si, step in enumerate(steps) for ch in step.cleanouts)
 
 
 def _branch_sort_key(branch: Branch):
@@ -132,13 +154,15 @@ def _branch_sort_key(branch: Branch):
     )
 
 
-def _check_top_fock_raw(amps: np.ndarray, space: StateSpace) -> None:
+def _check_top_fock(amps: np.ndarray, space: StateSpace) -> None:
+    """Raise if any row of a ``(block, dim)`` array reached the top Fock state."""
     if space.has_motion:
-        top = amps.reshape(-1, space.fock_dim)[:, space.fock_cutoff]
-        leak = float(np.sum(top.real**2 + top.imag**2))
-        if leak > LEAK_ATOL:
+        top = amps.reshape(amps.shape[0], -1, space.fock_dim)[:, :, space.fock_cutoff]
+        leak = np.sum(top.real**2 + top.imag**2, axis=-1)
+        over = leak[leak > LEAK_ATOL]
+        if over.size:
             raise LeakageError(
-                f"population {leak:.3e} at the Fock cutoff; raise fock_cutoff"
+                f"population {over[0]:.3e} at the Fock cutoff; raise fock_cutoff"
             )
 
 
@@ -165,7 +189,19 @@ def run_protocol(
     if mode == "mc":
         if rng is None:
             raise ValueError("mc mode requires a random generator")
-        return _run_mc(state, steps, rng, monitor_top_fock)
+        paths = survivor_paths(
+            state.amplitudes[None],
+            state.space,
+            _as_block(steps),
+            draw=lambda col, rows: rng.random(1),
+            monitor_top_fock=monitor_top_fock,
+        )
+        records = tuple(
+            HeraldRecord(si, ion, bool(paths.flags[0, c]), float(paths.probs[0, c]))
+            for c, (si, ion) in enumerate(cleanout_sites(steps)[: paths.done[0]])
+        )
+        final = PureState(state.space, paths.final[0]) if paths.alive[0] else None
+        return ProtocolOutcome((Branch(final, 1.0, records),), "mc")
     return _run_branches(state, steps, flag_query, monitor_top_fock, keep_intermediate)
 
 
@@ -188,7 +224,7 @@ def _run_branches(
                 for u, targets in step.unitaries:
                     st = _apply_matrix(st, u, targets)
                 if monitor:
-                    _check_top_fock_raw(st.amplitudes, st.space)
+                    _check_top_fock(st.amplitudes[None], st.space)
             evolved.append((st, p, recs))
         live = evolved
         for ch in step.cleanouts:
@@ -216,29 +252,84 @@ def _run_branches(
     )
 
 
-def _run_mc(
-    state: PureState,
+@dataclass(frozen=True)
+class SurvivorPaths:
+    """The unflagged path of every row of a block, as :func:`survivor_paths`
+    leaves it.
+
+    ``probs[b, c]`` is the probability of the branch row b took at clean-out
+    c: the survivor's in branch mode, the sampled one in mc mode, where
+    ``flags[b, c]`` tells whether it flagged and ``done[b]`` counts the
+    clean-outs the row passed, its flag included. ``weight`` is the
+    unflagged probability (branch mode) or 1.0/0.0 (mc mode). ``final``
+    holds the end states of the rows with ``alive`` set, in row order.
+    """
+
+    weight: np.ndarray
+    alive: np.ndarray
+    final: np.ndarray
+    probs: np.ndarray
+    flags: np.ndarray
+    done: np.ndarray
+
+
+def survivor_paths(
+    amps: np.ndarray,
+    space: StateSpace,
     steps: Sequence[_Step],
-    rng: np.random.Generator,
-    monitor: bool,
-) -> ProtocolOutcome:
-    space = state.space
-    amps: np.ndarray | None = state.amplitudes
-    records: list[HeraldRecord] = []
-    for si, step in enumerate(steps):
-        if amps is None:
+    draw=None,
+    monitor_top_fock: bool = False,
+) -> SurvivorPaths:
+    """Drive a ``(block, dim)`` array of normalized states along their
+    unflagged path: the one propagation kernel of both modes.
+
+    Flagged branches are terminal, so each row carries at most one live
+    state. Branch mode (``draw`` None) multiplies each row's weight by the
+    survivor probability s(1 - p) of every clean-out and drops a row whose
+    survivor falls below the probability floor. mc mode compares
+    ``draw(column, rows)``, the uniforms of clean-out ``column`` for the
+    live rows (a slice or an index array into the block), with the same
+    branch segments and freezes the rows that flag. Every row goes through
+    its own matrix products and row-wise reductions, so its result does not
+    depend on the other rows.
+    """
+    block = amps.shape[0]
+    n_cleanouts = sum(len(step.cleanouts) for step in steps)
+    rows = slice(None)  # the live rows: all of them until one drops out
+    weight = np.ones(block)
+    probs = np.zeros((block, n_cleanouts))
+    flags = np.zeros((block, n_cleanouts), dtype=bool)
+    col = 0
+    for step in steps:
+        if amps.shape[0] == 0:
             break
         for u, targets in step.unitaries:
-            amps = _apply_matrix_raw(amps, space, u, targets)
-        if monitor:
-            _check_top_fock_raw(amps, space)
+            amps = _apply_block(amps, space, u[rows], targets)
+        if monitor_top_fock:
+            _check_top_fock(amps, space)
         for ch in step.cleanouts:
-            amps, prob, flagged = _sample_raw(amps, space, ch, rng)
-            records.append(HeraldRecord(si, ch.ion, flagged, prob))
-            if flagged:
-                break
-    final = PureState(space, amps) if amps is not None else None
-    return ProtocolOutcome((Branch(final, 1.0, tuple(records)),), "mc")
+            p, mask = _target_weights(amps, space, ch)
+            if draw is None:
+                taken = survival_probability(p, ch.selectivity)
+                live = taken > 0.0
+                weight[rows] *= taken
+            else:
+                taken, flagged = _sample_rows(p, ch.selectivity, draw(col, rows))
+                flags[rows, col] = flagged
+                live = ~flagged
+            probs[rows, col] = taken
+            col += 1
+            if not live.all():
+                rows = np.arange(block)[rows][live]
+                amps = amps[live]
+                if rows.size == 0:
+                    break
+            amps = _survivor_rows(amps, mask)
+    alive = np.zeros(block, dtype=bool)
+    alive[rows] = True
+    weight[~alive] = 0.0
+    done = np.where(flags.any(axis=1), flags.argmax(axis=1) + 1, n_cleanouts)
+    return SurvivorPaths(weight, alive, amps, probs, flags, done)
 
 
 def no_flag_branch(outcome: ProtocolOutcome) -> Branch | None:
@@ -302,23 +393,35 @@ def _require_qubit_manifold(state: PureState, ion: int) -> None:
         )
 
 
+def _error_row(errors, n_steps: int) -> np.ndarray:
+    row = np.array([errors], dtype=float)
+    if row.shape != (1, n_steps):
+        raise ValueError(f"expected {n_steps} per-transfer errors, got {len(errors)}")
+    return row
+
+
+@lru_cache(maxsize=_BUILDERS_KEPT)
+def single_qubit_builder(spec: GateSpec, selectivity: float = 1.0):
+    """Block builder of the certified rotation: maps errors of shape
+    ``(block, 2)`` to the two transfer/clean-out steps of every row."""
+    first = transfer_fill(spec.axis)
+    second = transfer_fill(spec.axis, *gate_phase_shifts(spec.theta_gate))
+    cleanouts = ((qubit_cleanout(0, selectivity),), (aux_cleanout(0, selectivity),))
+
+    def build(errors: np.ndarray) -> tuple[_Step, ...]:
+        return (
+            _Step(((first(math.pi + errors[:, 0]), (0,)),), cleanouts[0]),
+            _Step(((second(math.pi + errors[:, 1]), (0,)),), cleanouts[1]),
+        )
+
+    return build
+
+
 def single_qubit_steps(
     spec: GateSpec, errors: tuple[float, float], selectivity: float = 1.0
 ) -> tuple[_Step, ...]:
     """The two transfer/clean-out steps of the certified rotation."""
-    d1, d2 = errors
-    tones = ToneSet(spec.axis)
-    chi_plus, chi_minus = gate_phase_shifts(spec.theta_gate)
-    u1 = five_level(transfer_unitary(TransferPulse(tones, math.pi + d1)))
-    u2 = five_level(
-        transfer_unitary(
-            TransferPulse(tones, math.pi + d2, chi_plus, chi_minus)
-        )
-    )
-    return (
-        _Step(((u1, (0,)),), (qubit_cleanout(0, selectivity),)),
-        _Step(((u2, (0,)),), (aux_cleanout(0, selectivity),)),
-    )
+    return _row_of(single_qubit_builder(spec, selectivity)(_error_row(errors, 2)), 0)
 
 
 def certified_single_qubit(
@@ -394,27 +497,14 @@ def ideal_cz_output(state: PureState) -> PureState:
     return PureState(space, state.amplitudes * signs)
 
 
-def _sideband(
-    kind: str,
-    levels: tuple[IonLevel, IonLevel],
-    area: float,
-    ion: int,
-    space: StateSpace,
-    phase: float = 0.0,
-) -> np.ndarray:
-    return sideband_unitary(SidebandPulse(kind, levels, area, phase, ion), space)
-
-
-def cz_steps(
-    errors: tuple[float, float, float, float],
-    selectivity: float = 1.0,
-    space: StateSpace | None = None,
-) -> tuple[_Step, ...]:
-    """The four transfers of the entangling gate, with their clean-outs.
+@lru_cache(maxsize=_BUILDERS_KEPT)
+def cz_builder(selectivity: float = 1.0, space: StateSpace | None = None):
+    """Block builder of the entangling gate: maps errors of shape
+    ``(block, 4)`` to the four transfers of every row, with their clean-outs.
 
     Simultaneous tones of one transfer touch disjoint level pairs, so each
     transfer is the product of commuting two-level rotations sharing one
-    area error.
+    area error, filled into one matrix.
     """
     if space is None:
         space = cz_space()
@@ -422,40 +512,45 @@ def cz_steps(
     g_up = (IonLevel.Q0, IonLevel.AUX_MINUS)
     f = space.motion_axis
     s = selectivity
-    a1, a2, a3, a4 = (math.pi + d for d in errors)
-
-    def on_m(area: float) -> np.ndarray:
-        # Blue sideband out of the excited state plus carrier out of the
-        # ground state, both on ion m.
-        return _sideband("blue", e_up, area, 0, space) @ _sideband(
-            "carrier", g_up, area, 0, space
-        )
-
-    def on_n(area: float, e_phase: float = 0.0) -> np.ndarray:
-        # Red sidebands bringing both of ion n's qubit levels down one
-        # motional quantum into its auxiliaries.
-        return _sideband("red", e_up, area, 1, space, e_phase) @ _sideband(
-            "red", g_up, area, 1, space
-        )
-
-    def carrier_m(area: float) -> np.ndarray:
-        return _sideband("carrier", g_up, area, 0, space)
-
-    return (
-        _Step(((on_m(a1), (0, f)),), (qubit_cleanout(0, s),)),
-        _Step(
-            ((carrier_m(a2), (0, f)), (on_n(a2), (1, f))),
-            (
-                level_cleanout(0, {IonLevel.AUX_MINUS}, s),
-                level_cleanout(1, QUBIT_MANIFOLD, s, fock={1}),
-            ),
+    fdim = space.fock_dim
+    # Blue sideband out of the excited state plus carrier out of the ground
+    # state, both on ion m.
+    on_m = sideband_fill((("blue", e_up, 0.0), ("carrier", g_up, 0.0)), fdim)
+    carrier_m = sideband_fill((("carrier", g_up, 0.0),), fdim)
+    # Red sidebands bringing both of ion n's qubit levels down one motional
+    # quantum into its auxiliaries; the third transfer flips the excited
+    # tone's phase.
+    on_n = sideband_fill((("red", e_up, 0.0), ("red", g_up, 0.0)), fdim)
+    on_n_flipped = sideband_fill((("red", e_up, math.pi), ("red", g_up, 0.0)), fdim)
+    cleanouts = (
+        (qubit_cleanout(0, s),),
+        (
+            level_cleanout(0, {IonLevel.AUX_MINUS}, s),
+            level_cleanout(1, QUBIT_MANIFOLD, s, fock={1}),
         ),
-        _Step(
-            ((carrier_m(a3), (0, f)), (on_n(a3, e_phase=math.pi), (1, f))),
-            (aux_cleanout(1, s), level_cleanout(0, {IonLevel.Q0}, s)),
-        ),
-        _Step(((on_m(a4), (0, f)),), (aux_cleanout(0, s),)),
+        (aux_cleanout(1, s), level_cleanout(0, {IonLevel.Q0}, s)),
+        (aux_cleanout(0, s),),
     )
+
+    def build(errors: np.ndarray) -> tuple[_Step, ...]:
+        a1, a2, a3, a4 = (math.pi + errors[:, k] for k in range(4))
+        return (
+            _Step(((on_m(a1), (0, f)),), cleanouts[0]),
+            _Step(((carrier_m(a2), (0, f)), (on_n(a2), (1, f))), cleanouts[1]),
+            _Step(((carrier_m(a3), (0, f)), (on_n_flipped(a3), (1, f))), cleanouts[2]),
+            _Step(((on_m(a4), (0, f)),), cleanouts[3]),
+        )
+
+    return build
+
+
+def cz_steps(
+    errors: tuple[float, float, float, float],
+    selectivity: float = 1.0,
+    space: StateSpace | None = None,
+) -> tuple[_Step, ...]:
+    """The four transfers of the entangling gate, with their clean-outs."""
+    return _row_of(cz_builder(selectivity, space)(_error_row(errors, 4)), 0)
 
 
 def certified_cz(
@@ -502,6 +597,44 @@ def certified_cz(
 # --- addressed gate on a chain -----------------------------------------------
 
 
+@lru_cache(maxsize=_BUILDERS_KEPT)
+def addressed_builder(
+    spec: GateSpec,
+    crosstalk: CrosstalkProfile,
+    target: int,
+    selectivity: float = 1.0,
+):
+    """Block builder of the addressed gate: maps errors of shape
+    ``(block, 2)`` to both halves of every row.
+
+    Every ion sees the same waveform scaled by its crosstalk ratio. After
+    the first half the target's qubit manifold and each neighbor's auxiliary
+    manifold are cleaned; after the second half every auxiliary manifold is.
+    """
+    n_ions = len(crosstalk.ratios)
+    driven = [(j, r) for j, r in enumerate(crosstalk.ratios) if r != 0.0]
+    first = transfer_fill(spec.axis)
+    second = transfer_fill(spec.axis, *gate_phase_shifts(spec.theta_gate))
+    neighbors = [j for j in range(n_ions) if j != target]
+    s = selectivity
+    cleanouts = (
+        (qubit_cleanout(target, s),) + tuple(aux_cleanout(j, s) for j in neighbors),
+        tuple(aux_cleanout(j, s) for j in range(n_ions)),
+    )
+
+    def rotations(fill, delta: np.ndarray):
+        area = math.pi + delta
+        return tuple((fill(area * r), (j,)) for j, r in driven)
+
+    def build(errors: np.ndarray) -> tuple[_Step, ...]:
+        return (
+            _Step(rotations(first, errors[:, 0]), cleanouts[0]),
+            _Step(rotations(second, errors[:, 1]), cleanouts[1]),
+        )
+
+    return build
+
+
 def addressed_steps(
     spec: GateSpec,
     crosstalk: CrosstalkProfile,
@@ -509,40 +642,9 @@ def addressed_steps(
     errors: tuple[float, float],
     selectivity: float = 1.0,
 ) -> tuple[_Step, ...]:
-    """Both halves of the addressed gate on a chain.
-
-    Every ion sees the same waveform scaled by its crosstalk ratio. After
-    the first half the target's qubit manifold and each neighbor's auxiliary
-    manifold are cleaned; after the second half every auxiliary manifold is.
-    """
-    d1, d2 = errors
-    n_ions = len(crosstalk.ratios)
-    tones = ToneSet(spec.axis)
-    chi_plus, chi_minus = gate_phase_shifts(spec.theta_gate)
-
-    def rotations(delta: float, cp: float, cm: float):
-        pairs = []
-        for j, r in enumerate(crosstalk.ratios):
-            if r == 0.0:
-                continue
-            u = five_level(
-                transfer_unitary(TransferPulse(tones, (math.pi + delta) * r, cp, cm))
-            )
-            pairs.append((u, (j,)))
-        return tuple(pairs)
-
-    neighbors = [j for j in range(n_ions) if j != target]
-    s = selectivity
-    return (
-        _Step(
-            rotations(d1, 0.0, 0.0),
-            (qubit_cleanout(target, s),) + tuple(aux_cleanout(j, s) for j in neighbors),
-        ),
-        _Step(
-            rotations(d2, chi_plus, chi_minus),
-            tuple(aux_cleanout(j, s) for j in range(n_ions)),
-        ),
-    )
+    """Both halves of the addressed gate on a chain."""
+    build = addressed_builder(spec, crosstalk, target, selectivity)
+    return _row_of(build(_error_row(errors, 2)), 0)
 
 
 def ideal_addressed_output(chain: PureState, target: int, spec: GateSpec) -> PureState:

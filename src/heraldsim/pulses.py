@@ -139,18 +139,52 @@ def transfer_unitary(pulse: TransferPulse) -> np.ndarray:
     The drive couples both manifolds symmetrically, so the same matrix serves
     transfers out of the qubit manifold and back into it.
     """
-    plus, minus = plus_minus_n_vectors(pulse.tones.axis)
-    c = math.cos(0.5 * pulse.area)
-    s = math.sin(0.5 * pulse.area)
-    u = np.zeros((4, 4), dtype=np.complex128)
-    u[0, 0] = u[1, 1] = u[2, 2] = u[3, 3] = c
-    for vec, aux, chi in (
-        (plus, 2, pulse.pair_phase_plus),
-        (minus, 3, pulse.pair_phase_minus),
-    ):
-        u[aux, :2] = -1j * s * cmath.exp(-1j * chi) * vec.conj()
-        u[:2, aux] = -1j * s * cmath.exp(1j * chi) * vec
-    return u
+    fill = transfer_fill(
+        pulse.tones.axis, pulse.pair_phase_plus, pulse.pair_phase_minus
+    )
+    return fill(np.array([pulse.area]))[0, :4, :4].copy()
+
+
+def _minus_i_times(s: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``-1j * s * z`` for real ``s`` of shape ``(block, n)`` or ``(block, 1)``
+    and complex ``z`` of shape ``(n,)``, elementwise, rounded exactly as that
+    Python expression rounds it for scalars: ``-1j * s`` is
+    ``complex(0.0, -s)``, and the product with ``z`` rounds each real
+    product once (numpy's complex product may fuse them)."""
+    out = np.empty((s.shape[0], z.shape[0]), dtype=np.complex128)
+    out.real = 0.0 * z.real + s * z.imag
+    out.imag = 0.0 * z.imag - s * z.real
+    return out
+
+
+def transfer_fill(axis: BlochAxis, chi_plus: float = 0.0, chi_minus: float = 0.0):
+    """Five-level transfer unitaries for a block of pulse areas.
+
+    The axis eigenvectors and pair-phase factors are computed here, once;
+    the returned function maps areas of shape ``(block,)`` to a
+    ``(block, 5, 5)`` stack, leaving only the cos/sin fill per area.
+    """
+    plus, minus = plus_minus_n_vectors(axis)
+    # Each coupling entry: flat index, phase factor, eigenvector component.
+    entries = []
+    for vec, aux, chi in ((plus, 2, chi_plus), (minus, 3, chi_minus)):
+        for q in range(2):
+            entries.append((aux * N_LEVELS + q, cmath.exp(-1j * chi), vec[q].conjugate()))
+            entries.append((q * N_LEVELS + aux, cmath.exp(1j * chi), vec[q]))
+    flat, phases, components = (np.array(col) for col in zip(*entries))
+    diag = np.arange(4) * (N_LEVELS + 1)
+    bright = IonLevel.BRIGHT * (N_LEVELS + 1)
+
+    def fill(areas: np.ndarray) -> np.ndarray:
+        half = 0.5 * areas
+        c, s = np.cos(half), np.sin(half)
+        u = np.zeros((areas.shape[0], N_LEVELS * N_LEVELS), dtype=np.complex128)
+        u[:, diag] = c[:, None]
+        u[:, bright] = 1.0
+        u[:, flat] = _minus_i_times(s[:, None], phases) * components
+        return u.reshape(-1, N_LEVELS, N_LEVELS)
+
+    return fill
 
 
 def evolve_numeric(h: np.ndarray, duration: float) -> np.ndarray:
@@ -192,18 +226,45 @@ def sideband_unitary(pulse: SidebandPulse, space: StateSpace) -> np.ndarray:
         raise ValueError(
             f"{pulse.kind} sideband requires fock_cutoff >= 1, got {space.fock_cutoff}"
         )
-    fdim = space.fock_dim
-    lo, up = (int(lv) for lv in pulse.levels)
-    u = np.eye(N_LEVELS * fdim, dtype=np.complex128)
-    for k_lo, k_up, scale in _fock_pairs(pulse.kind, fdim):
-        i = lo * fdim + k_lo
-        j = up * fdim + k_up
-        half = 0.5 * pulse.area * scale
-        c, s = math.cos(half), math.sin(half)
-        u[i, i] = u[j, j] = c
-        u[j, i] = -1j * s * cmath.exp(-1j * pulse.phase)
-        u[i, j] = -1j * s * cmath.exp(1j * pulse.phase)
-    return u
+    fill = sideband_fill(((pulse.kind, pulse.levels, pulse.phase),), space.fock_dim)
+    return fill(np.array([pulse.area]))[0]
+
+
+def sideband_fill(tones, fock_dim: int):
+    """Ion-and-mode unitaries of simultaneous sideband tones sharing one area,
+    for a block of areas.
+
+    ``tones`` holds ``(kind, (lower, upper), phase)`` triples driving
+    disjoint level pairs, so their rotations commute and fill one matrix.
+    The Fock pair tables and phase factors are computed here, once; the
+    returned function maps areas of shape ``(block,)`` to a
+    ``(block, 5 * fock_dim, 5 * fock_dim)`` stack.
+    """
+    rows, cols, scales, phases = [], [], [], []
+    for kind, levels, phase in tones:
+        lo, up = (int(lv) for lv in levels)
+        for k_lo, k_up, scale in _fock_pairs(kind, fock_dim):
+            rows.append(lo * fock_dim + k_lo)
+            cols.append(up * fock_dim + k_up)
+            scales.append(scale)
+            phases.append(phase)
+    i, j, scales = np.array(rows, dtype=int), np.array(cols, dtype=int), np.array(scales)
+    raising = np.array([cmath.exp(-1j * phase) for phase in phases])
+    lowering = np.array([cmath.exp(1j * phase) for phase in phases])
+    diag = np.arange(N_LEVELS * fock_dim)
+
+    def fill(areas: np.ndarray) -> np.ndarray:
+        half = (0.5 * areas)[:, None] * scales
+        c, s = np.cos(half), np.sin(half)
+        u = np.zeros((areas.shape[0], diag.size, diag.size), dtype=np.complex128)
+        u[:, diag, diag] = 1.0
+        u[:, i, i] = c
+        u[:, j, j] = c
+        u[:, j, i] = _minus_i_times(s, raising)
+        u[:, i, j] = _minus_i_times(s, lowering)
+        return u
+
+    return fill
 
 
 def sideband_hamiltonian(pulse: SidebandPulse, space: StateSpace, omega: float = 1.0) -> np.ndarray:

@@ -202,28 +202,35 @@ def _check_unitary(u: np.ndarray, atol: float = UNITARY_ATOL) -> None:
         raise ValueError(f"matrix is not unitary (deviation {err:.2e} > {atol:.0e})")
 
 
-def _apply_matrix_raw(
+def _apply_block(
     amps: np.ndarray, space: StateSpace, u: np.ndarray, targets: tuple[int, ...]
 ) -> np.ndarray:
-    # No unitarity check: callers validate matrices once and reuse them.
-    d = u.shape[0]
+    """Apply row b's operator ``u[b]`` to row b of a ``(block, dim)`` array.
+
+    Each row goes through its own matrix products, so a row's result does
+    not depend on the other rows or on the block size. No unitarity check:
+    callers validate matrices once and reuse them.
+    """
+    block, d = u.shape[0], u.shape[1]
     first = targets[0] if targets else 0
     if targets == tuple(range(first, first + len(targets))):
         # One ascending run of factors: only the Fock mode follows the ions,
         # so every factor before the run is a five-level ion.
-        return (u @ amps.reshape(N_LEVELS**first, d, -1)).reshape(-1)
-    psi = amps.reshape(space.factor_dims)
-    psi = np.moveaxis(psi, targets, range(len(targets)))
+        psi = amps.reshape(block, N_LEVELS**first, d, -1)
+        return (u[:, None] @ psi).reshape(block, -1)
+    axes = tuple(t + 1 for t in targets)
+    front = range(1, len(targets) + 1)
+    psi = np.moveaxis(amps.reshape((block,) + space.factor_dims), axes, front)
     moved_shape = psi.shape
-    psi = u @ psi.reshape(d, -1)
-    psi = np.moveaxis(psi.reshape(moved_shape), range(len(targets)), targets)
-    return psi.reshape(-1)
+    psi = u @ psi.reshape(block, d, -1)
+    return np.moveaxis(psi.reshape(moved_shape), front, axes).reshape(block, -1)
 
 
 def _apply_matrix(
     state: PureState, u: np.ndarray, targets: tuple[int, ...]
 ) -> PureState:
-    return PureState(state.space, _apply_matrix_raw(state.amplitudes, state.space, u, targets))
+    amps = _apply_block(state.amplitudes[None], state.space, u[None], targets)
+    return PureState(state.space, amps[0])
 
 
 def apply_unitary(
@@ -316,3 +323,9 @@ def overlap(a: PureState, b: PureState) -> complex:
 def fidelity_up_to_global_phase(a: PureState, b: PureState) -> float:
     """Squared overlap |<a|b>|^2, insensitive to global phase."""
     return abs(overlap(a, b)) ** 2
+
+
+def _row_fidelities(rows: np.ndarray, ideal: np.ndarray) -> list[float]:
+    """|<row|ideal>|^2 of each row of a ``(block, dim)`` array, computed as
+    :func:`fidelity_up_to_global_phase` computes it for one state."""
+    return [abs(complex(np.vdot(row, ideal))) ** 2 for row in rows]

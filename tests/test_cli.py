@@ -152,6 +152,8 @@ def branch_table(make, **extra):
     return doc
 
 
+HUGE = 10**400
+
 # case: (command, config builder, extra arguments, JSON path the error names)
 INVALID_CONFIGS = {
     "basis-label-chars": (
@@ -213,6 +215,37 @@ INVALID_CONFIGS = {
     ),
     "fock-cutoff-too-large": (
         "cz", lambda out: cz_doc(out, fock_cutoff=10**4), [], "$.fock_cutoff"
+    ),
+    # json reads an integer literal exactly, however large; HUGE has no float.
+    "selectivity-huge": (
+        "single", lambda out: single_doc(out, selectivity=HUGE), [], "$.selectivity"
+    ),
+    "gate-angle-huge": (
+        "single",
+        lambda out: single_doc(out, gate={"theta": 1.0, "theta_gate": HUGE}),
+        [],
+        "$.gate.theta_gate",
+    ),
+    "crosstalk-ratio-huge": (
+        "addressing",
+        lambda out: addressing_doc(out, crosstalk={"ratios": [1.0, HUGE]}),
+        [],
+        "$.crosstalk.ratios[1]",
+    ),
+    "sweep-value-huge": (
+        "sweep", with_sweep(single_doc, "delta_pi", HUGE), [], "$.sweep.values[1]"
+    ),
+    "amplitude-huge": (
+        "single",
+        with_input(single_doc, kind="amplitudes", amplitudes=[[1, 0], [0, HUGE]]),
+        [],
+        "$.input_state.amplitudes[1]",
+    ),
+    "error-model-huge": (
+        "single", with_model(kind="constant", delta_pi=HUGE), [], "$.error_model.delta_pi"
+    ),
+    "fock-cutoff-huge": (
+        "cz", lambda out: cz_doc(out, fock_cutoff=HUGE), [], "$.fock_cutoff"
     ),
 }
 

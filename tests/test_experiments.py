@@ -465,10 +465,10 @@ class TestSpecValidation:
             )
 
         chain(10)
-        cz(117)
+        cz(929)
         with pytest.raises(ConfigError) as err:
             chain(11)
         assert err.value.path == "$.crosstalk.ratios"
         with pytest.raises(ConfigError) as err:
-            cz(118)
+            cz(930)
         assert err.value.path == "$.fock_cutoff"
