@@ -23,6 +23,7 @@ from .experiments import (
     enumerate_trajectory,
     run_ensemble,
     sweep,
+    worker_processes,
 )
 
 
@@ -62,6 +63,7 @@ def _apply_overrides(resolved: ResolvedConfig, args: argparse.Namespace) -> Reso
         raise ConfigError("branch tables require mode 'branch'", "$.output.write_branches")
     if args.out is not None:
         output = replace(output, directory=args.out)
+    worker_processes(spec, args.workers)
     return ResolvedConfig(spec, output, resolved.sweep)
 
 

@@ -21,9 +21,9 @@ from .experiments import (
     ConfigError,
     ExperimentSpec,
     InputSpec,
-    _error_model_from_dict,
     _with_parameter,
 )
+from .noise import FORMAT, AmplitudeErrorModel
 from .protocols import GateSpec
 from .statespace import BlochAxis
 
@@ -125,33 +125,24 @@ def _get_number(doc: dict, key: str, path: str, default=None, required: bool = F
     return _number(value, f"{path}.{key}") if key in doc else value
 
 
-_ERROR_MODEL_KEYS = {
-    "constant": {"kind", "delta_pi"},
-    "gaussian_iid": {"kind", "sigma"},
-    "linear_drift": {"kind", "start", "slope"},
-    "random_walk": {"kind", "start", "sigma_step"},
-}
-
-
-def _parse_error_model(doc, path: str):
+def _parse_error_model(doc, path: str) -> AmplitudeErrorModel:
     if not isinstance(doc, dict):
         raise ConfigError("error_model must be an object", path)
     kind = _get(doc, "kind", str, path, required=True)
-    if kind not in _ERROR_MODEL_KEYS:
+    if kind not in FORMAT:
         raise ConfigError(
-            f"unknown error model kind {kind!r}; "
-            f"choose from {sorted(_ERROR_MODEL_KEYS)}",
+            f"unknown error model kind {kind!r}; choose from {sorted(FORMAT)}",
             f"{path}.kind",
         )
-    _reject_unknown(doc, _ERROR_MODEL_KEYS[kind], path)
+    _reject_unknown(doc, {"kind", *FORMAT[kind]}, path)
     # The model keeps each number as written, so the summary echoes it
     # unchanged; it only has to fit a float.
     for key, value in doc.items():
         if key != "kind":
             _number(value, f"{path}.{key}")
     try:
-        return _error_model_from_dict(doc)
-    except (KeyError, ValueError) as exc:
+        return AmplitudeErrorModel.from_dict(doc)
+    except ValueError as exc:
         raise ConfigError(str(exc), path) from exc
 
 

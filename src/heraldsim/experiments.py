@@ -20,6 +20,7 @@ import numpy as np
 
 from .noise import AmplitudeErrorModel, sample_errors_block, trajectory_rng
 from .protocols import (
+    ONE_ION,
     CrosstalkProfile,
     GateSpec,
     addressed_builder,
@@ -28,10 +29,8 @@ from .protocols import (
     cz_space,
     ideal_addressed_output,
     ideal_cz_output,
-    ideal_single_qubit_output,
     _row_of,
     run_protocol,
-    single_qubit_builder,
     survivor_paths,
 )
 from .statespace import (
@@ -50,7 +49,7 @@ N_STEPS = {"single": 2, "cz": 4, "addressing": 2}
 
 _WILSON_Z = 1.96  # 95% interval
 
-# Largest estimated peak memory of one run that a spec accepts.
+# Largest estimated peak memory of one run, over all its processes.
 MEMORY_BUDGET = 2 * 2**30
 # Peak RSS of an 8- or 9-ion addressing ensemble is ~9 state vectors per
 # block row (input, ideal output, kernel temporaries, clean-out masks) over
@@ -145,19 +144,15 @@ class ExperimentSpec:
             raise ConfigError(
                 "crosstalk applies to the addressing protocol only", "$.crosstalk"
             )
+        elif self.target != 0:
+            # single runs with target 0 on its one-ion chain; cz has none.
+            raise ConfigError("target applies to the addressing protocol only", "$.target")
         space = _space_for(self)
         problem = _input_problem(self, space.n_ions)
         if problem is not None:
             raise ConfigError(problem, "$.input_state")
-        need = _estimated_bytes(self.protocol, space)
-        if need > MEMORY_BUDGET:
-            # A JSON fock_cutoff can make the estimate exceed float range.
-            gib = f"{need / 2**30:.3g}" if need < 2**1000 else f"2^{need.bit_length() - 31}"
-            raise ConfigError(
-                f"the run needs about {gib} GiB, over the "
-                f"{MEMORY_BUDGET / 2**30:.3g} GiB budget",
-                "$.fock_cutoff" if self.protocol == "cz" else "$.crosstalk.ratios",
-            )
+        size = "$.fock_cutoff" if self.protocol == "cz" else "$.crosstalk.ratios"
+        _check_memory(self, space, 1, size)
 
     def _check_crosstalk(self) -> None:
         if self.crosstalk is None:
@@ -188,7 +183,7 @@ class ExperimentSpec:
     def to_dict(self) -> dict:
         doc: dict = {
             "protocol": self.protocol,
-            "error_model": _error_model_to_dict(self.error_model),
+            "error_model": self.error_model.to_dict(),
             "input_state": _input_to_dict(self.input_state),
             "trials": self.trials,
             "master_seed": self.master_seed,
@@ -207,34 +202,6 @@ class ExperimentSpec:
             doc["crosstalk"] = {"ratios": list(self.crosstalk)}
             doc["target"] = self.target
         return doc
-
-
-def _error_model_to_dict(model: AmplitudeErrorModel) -> dict:
-    doc = {"kind": model.kind}
-    if model.kind == "constant":
-        doc["delta_pi"] = model.value
-    elif model.kind == "gaussian_iid":
-        doc["sigma"] = model.sigma
-    elif model.kind == "linear_drift":
-        doc["start"] = model.value
-        doc["slope"] = model.slope
-    else:
-        doc["start"] = model.value
-        doc["sigma_step"] = model.sigma
-    return doc
-
-
-def _error_model_from_dict(doc: dict) -> AmplitudeErrorModel:
-    kind = doc["kind"]
-    if kind == "constant":
-        return AmplitudeErrorModel.constant(doc.get("delta_pi", 0.0))
-    if kind == "gaussian_iid":
-        return AmplitudeErrorModel.gaussian_iid(doc["sigma"])
-    if kind == "linear_drift":
-        return AmplitudeErrorModel.linear_drift(doc.get("start", 0.0), doc.get("slope", 0.0))
-    if kind == "random_walk":
-        return AmplitudeErrorModel.random_walk(doc["sigma_step"], doc.get("start", 0.0))
-    raise ValueError(f"unknown error model kind {kind!r}")
 
 
 def _input_to_dict(inp: InputSpec) -> dict:
@@ -256,12 +223,15 @@ _CHAR_AMPS = {
 }
 
 
+def _crosstalk(spec: ExperimentSpec) -> CrosstalkProfile:
+    """The chain of a chain protocol: single runs on a one-ion chain."""
+    return ONE_ION if spec.crosstalk is None else CrosstalkProfile(spec.crosstalk)
+
+
 def _space_for(spec: ExperimentSpec) -> StateSpace:
-    if spec.protocol == "single":
-        return StateSpace(1)
     if spec.protocol == "cz":
         return cz_space(spec.fock_cutoff)
-    return StateSpace(len(spec.crosstalk))
+    return StateSpace(len(_crosstalk(spec).ratios))
 
 
 def _operator_entries(protocol: str, space: StateSpace) -> int:
@@ -282,6 +252,33 @@ def _estimated_bytes(protocol: str, space: StateSpace) -> int:
     and the step operators of every row of one block."""
     per_row = _STATE_COPIES * space.dim + _operator_entries(protocol, space)
     return _PROCESS_BYTES + 16 * _block_size(protocol, space) * per_row
+
+
+def _check_memory(spec: ExperimentSpec, space: StateSpace, processes: int, path: str) -> None:
+    """Refuse a run whose processes together would pass the memory budget."""
+    need = processes * _estimated_bytes(spec.protocol, space)
+    if need > MEMORY_BUDGET:
+        # A JSON fock_cutoff can make the estimate exceed float range.
+        gib = f"{need / 2**30:.3g}" if need < 2**1000 else f"2^{need.bit_length() - 31}"
+        where = f" in {processes} worker processes" if processes > 1 else ""
+        raise ConfigError(
+            f"the run needs about {gib} GiB{where}, over the "
+            f"{MEMORY_BUDGET / 2**30:.3g} GiB budget",
+            path,
+        )
+
+
+def worker_processes(spec: ExperimentSpec, workers: int) -> int:
+    """The processes that run ``spec`` over ``workers``: a pool of
+    ``workers`` when each gets at least two trials, else the caller alone.
+    Raises :class:`ConfigError` for fewer than one worker, or when those
+    processes, each with its own state and blocks, would together pass the
+    memory budget."""
+    if workers < 1:
+        raise ConfigError(f"must be >= 1, got {workers}", "--workers")
+    processes = workers if spec.trials >= 2 * workers else 1
+    _check_memory(spec, _space_for(spec), processes, "--workers")
+    return processes
 
 
 def _input_problem(spec: ExperimentSpec, n_ions: int) -> str | None:
@@ -342,8 +339,6 @@ def prepare_input(spec: ExperimentSpec) -> PureState:
 
 
 def _ideal_output(spec: ExperimentSpec, state: PureState) -> PureState:
-    if spec.protocol == "single":
-        return ideal_single_qubit_output(state, spec.gate)
     if spec.protocol == "cz":
         return ideal_cz_output(state)
     return ideal_addressed_output(state, spec.target, spec.gate)
@@ -351,13 +346,9 @@ def _ideal_output(spec: ExperimentSpec, state: PureState) -> PureState:
 
 def _block_builder(spec: ExperimentSpec):
     """The spec's block builder: errors of shape (block, n_steps) to steps."""
-    if spec.protocol == "single":
-        return single_qubit_builder(spec.gate, spec.selectivity)
     if spec.protocol == "cz":
         return cz_builder(spec.selectivity, _space_for(spec))
-    return addressed_builder(
-        spec.gate, CrosstalkProfile(spec.crosstalk), spec.target, spec.selectivity
-    )
+    return addressed_builder(spec.gate, _crosstalk(spec), spec.target, spec.selectivity)
 
 
 # --- trajectory execution ----------------------------------------------------
@@ -415,9 +406,7 @@ def _run_block(spec, indices, state, ideal, build, bare):
         uniforms = np.array([rng.random(len(sites)) for rng in rngs])
         draw = lambda col, live: uniforms[live, col]
     start = np.repeat(state.amplitudes[None], n, axis=0)
-    paths = survivor_paths(
-        start, space, steps, draw, monitor_top_fock=(spec.protocol == "cz")
-    )
+    paths = survivor_paths(start, space, steps, draw, monitor_top_fock=space.has_motion)
     alive = paths.alive.tolist()
     final_fids = iter(_row_fidelities(paths.final, ideal.amplitudes))
     fids = [next(final_fids) if a else 0.0 for a in alive]
@@ -469,10 +458,11 @@ def _run_rows(
     spec: ExperimentSpec, workers: int, bare: bool = False
 ) -> tuple[list[TrajectoryRow], list[float]]:
     """Every trajectory's row in index order, over ``workers`` processes."""
-    if workers <= 1 or spec.trials < 2 * workers:
+    processes = worker_processes(spec, workers)
+    if processes == 1:
         return _run_batch(spec, 0, spec.trials, bare)
-    bounds = np.linspace(0, spec.trials, workers + 1, dtype=int)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    bounds = np.linspace(0, spec.trials, processes + 1, dtype=int)
+    with ProcessPoolExecutor(max_workers=processes) as pool:
         futures = [
             pool.submit(_run_batch, spec, int(a), int(b), bare)
             for a, b in zip(bounds[:-1], bounds[1:])
@@ -628,9 +618,7 @@ def enumerate_trajectory(spec: ExperimentSpec, index: int = 0):
         spec.error_model, spec.n_steps, [trajectory_rng(spec.master_seed, index)]
     )
     steps = _row_of(_block_builder(spec)(errors), 0)
-    return run_protocol(
-        state, steps, "branch", monitor_top_fock=(spec.protocol == "cz")
-    )
+    return run_protocol(state, steps, "branch", monitor_top_fock=state.space.has_motion)
 
 
 def herald_probability_analytic(errors: Sequence[float]) -> float:

@@ -15,7 +15,16 @@ from typing import Sequence
 
 import numpy as np
 
-KINDS = ("constant", "gaussian_iid", "linear_drift", "random_walk")
+# The JSON form of each kind: key -> (model field, default). REQUIRED marks
+# a key without a default. Numbers keep their JSON type, so a config echoes
+# an integer as written.
+REQUIRED = None
+FORMAT = {
+    "constant": {"delta_pi": ("value", 0.0)},
+    "gaussian_iid": {"sigma": ("sigma", REQUIRED)},
+    "linear_drift": {"start": ("value", 0.0), "slope": ("slope", 0.0)},
+    "random_walk": {"start": ("value", 0.0), "sigma_step": ("sigma", REQUIRED)},
+}
 
 _CLAMP_MAX = float(np.nextafter(np.pi, 0.0))
 
@@ -24,11 +33,9 @@ _CLAMP_MAX = float(np.nextafter(np.pi, 0.0))
 class AmplitudeErrorModel:
     """Per-step pulse-area error process.
 
-    Field use by kind:
-      constant      value
-      gaussian_iid  sigma
-      linear_drift  value (start), slope (increment per step)
-      random_walk   value (start), sigma (per-step std)
+    ``FORMAT`` maps each kind's JSON keys to the fields it uses: ``value``
+    (the constant offset, or the start of a drift or walk), ``sigma`` (the
+    Gaussian or per-step std) and ``slope`` (the increment per step).
     """
 
     kind: str
@@ -37,7 +44,7 @@ class AmplitudeErrorModel:
     slope: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
+        if self.kind not in FORMAT:
             raise ValueError(f"unknown error model kind {self.kind!r}")
         for name in ("value", "sigma", "slope"):
             if not math.isfinite(getattr(self, name)):
@@ -51,20 +58,36 @@ class AmplitudeErrorModel:
         return self.kind in ("gaussian_iid", "random_walk")
 
     @classmethod
+    def from_dict(cls, doc: dict) -> "AmplitudeErrorModel":
+        """The model of a JSON object ``{"kind": ..., <keys of FORMAT>}``."""
+        kind = doc["kind"]
+        fields = {}
+        for key, (name, default) in FORMAT.get(kind, {}).items():
+            if key not in doc and default is REQUIRED:
+                raise ValueError(f"missing required key {key!r}")
+            fields[name] = doc.get(key, default)
+        return cls(kind, **fields)
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind} | {
+            key: getattr(self, name) for key, (name, _) in FORMAT[self.kind].items()
+        }
+
+    @classmethod
     def constant(cls, delta_pi: float) -> "AmplitudeErrorModel":
-        return cls("constant", value=delta_pi)
+        return cls.from_dict({"kind": "constant", "delta_pi": delta_pi})
 
     @classmethod
     def gaussian_iid(cls, sigma: float) -> "AmplitudeErrorModel":
-        return cls("gaussian_iid", sigma=sigma)
+        return cls.from_dict({"kind": "gaussian_iid", "sigma": sigma})
 
     @classmethod
     def linear_drift(cls, start: float, slope: float) -> "AmplitudeErrorModel":
-        return cls("linear_drift", value=start, slope=slope)
+        return cls.from_dict({"kind": "linear_drift", "start": start, "slope": slope})
 
     @classmethod
     def random_walk(cls, sigma_step: float, start: float = 0.0) -> "AmplitudeErrorModel":
-        return cls("random_walk", value=start, sigma=sigma_step)
+        return cls.from_dict({"kind": "random_walk", "sigma_step": sigma_step, "start": start})
 
 
 def _raw_sequence(

@@ -9,6 +9,11 @@ Three protocols are provided, each with an ideal reference:
   crosstalk partially rotates the neighbors and is caught by cleaning
   their auxiliary manifolds.
 
+With no neighbors the addressed gate is the single-qubit rotation: the
+same two transfers, phase shifts and clean-outs. The rotation is therefore
+built as the addressed gate on a one-ion chain (crosstalk ``ONE_ION``,
+target 0), and :func:`addressed_builder` serves both.
+
 Protocols run in two modes: exact branch enumeration over all herald
 outcomes, or Monte Carlo sampling of a single trajectory. Flagged branches
 are terminal aggregates (state ``None``): flagged runs are discarded, so
@@ -89,6 +94,10 @@ class CrosstalkProfile:
         for j, r in enumerate(self.ratios):
             if not 0.0 <= r <= 1.0:
                 raise ValueError(f"crosstalk ratio for ion {j} must lie in [0, 1], got {r}")
+
+
+# The single-qubit rotation is the addressed gate on a chain of one ion.
+ONE_ION = CrosstalkProfile((1.0,))
 
 
 @dataclass(frozen=True)
@@ -382,7 +391,7 @@ def ideal_single_qubit(spec: GateSpec) -> np.ndarray:
 
 def ideal_single_qubit_output(state: PureState, spec: GateSpec) -> PureState:
     """Reference output of the ideal gate applied to a one-ion state."""
-    return _apply_matrix(state, _qubit_embed(ideal_single_qubit(spec)), (0,))
+    return ideal_addressed_output(state, 0, spec)
 
 
 def _require_qubit_manifold(state: PureState, ion: int) -> None:
@@ -400,28 +409,12 @@ def _error_row(errors, n_steps: int) -> np.ndarray:
     return row
 
 
-@lru_cache(maxsize=_BUILDERS_KEPT)
-def single_qubit_builder(spec: GateSpec, selectivity: float = 1.0):
-    """Block builder of the certified rotation: maps errors of shape
-    ``(block, 2)`` to the two transfer/clean-out steps of every row."""
-    first = transfer_fill(spec.axis)
-    second = transfer_fill(spec.axis, *gate_phase_shifts(spec.theta_gate))
-    cleanouts = ((qubit_cleanout(0, selectivity),), (aux_cleanout(0, selectivity),))
-
-    def build(errors: np.ndarray) -> tuple[_Step, ...]:
-        return (
-            _Step(((first(math.pi + errors[:, 0]), (0,)),), cleanouts[0]),
-            _Step(((second(math.pi + errors[:, 1]), (0,)),), cleanouts[1]),
-        )
-
-    return build
-
-
 def single_qubit_steps(
     spec: GateSpec, errors: tuple[float, float], selectivity: float = 1.0
 ) -> tuple[_Step, ...]:
-    """The two transfer/clean-out steps of the certified rotation."""
-    return _row_of(single_qubit_builder(spec, selectivity)(_error_row(errors, 2)), 0)
+    """The two transfer/clean-out steps of the certified rotation: the
+    addressed gate on a one-ion chain."""
+    return addressed_steps(spec, ONE_ION, 0, errors, selectivity)
 
 
 def certified_single_qubit(

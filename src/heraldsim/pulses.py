@@ -95,7 +95,6 @@ class SidebandPulse:
     levels: tuple[IonLevel, IonLevel]
     area: float = math.pi
     phase: float = 0.0
-    ion: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in ("carrier", "red", "blue"):

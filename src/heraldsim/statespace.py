@@ -21,7 +21,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-NORM_ATOL = 1e-12
 UNITARY_ATOL = 1e-10
 
 N_LEVELS = 5
@@ -138,9 +137,6 @@ class PureState:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def is_normalized(self, atol: float = 1e-8) -> bool:
-        return abs(self.norm - 1.0) <= atol
 
 
 def make_state(

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from heraldsim import experiments
 from heraldsim.cli import main
 
 
@@ -247,6 +248,8 @@ INVALID_CONFIGS = {
     "fock-cutoff-huge": (
         "cz", lambda out: cz_doc(out, fock_cutoff=HUGE), [], "$.fock_cutoff"
     ),
+    "workers-zero": ("single", single_doc, ["--workers", "0"], "--workers"),
+    "workers-negative": ("single", single_doc, ["--workers", "-3"], "--workers"),
 }
 
 
@@ -259,6 +262,28 @@ class TestExitCodes:
         assert main([command, cfg, "--quiet"] + extra) == 2
         assert f"{path}:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind,key", [("gaussian_iid", "sigma"), ("random_walk", "sigma_step")]
+    )
+    def test_missing_error_model_key(self, tmp_path, capsys, kind, key):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, with_model(kind=kind)(out))
+        assert main(["single", cfg, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: $.error_model: missing required key {key!r}\n"
+        assert not out.exists()
+
+    def test_worker_processes_share_the_memory_budget(self, tmp_path, capsys, monkeypatch):
+        # A one-ion run is estimated at a little over 64 MiB per process:
+        # one process fits in 100 MiB, the two that 50 trials start do not.
+        monkeypatch.setattr(experiments, "MEMORY_BUDGET", 100 * 2**20)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, single_doc(out))
+        assert main(["single", cfg, "--quiet", "--workers", "2"]) == 2
+        assert "--workers: the run needs about" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["single", cfg, "--quiet"]) == 0
 
     def test_malformed_key_exit_2(self, tmp_path, capsys):
         out = tmp_path / "out"

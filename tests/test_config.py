@@ -151,12 +151,16 @@ class TestParse:
 
     def test_error_model_kinds(self):
         for model in (
+            {"kind": "constant", "delta_pi": 0},
             {"kind": "gaussian_iid", "sigma": 0.1},
             {"kind": "linear_drift", "start": 0.0, "slope": 0.01},
-            {"kind": "random_walk", "start": 0.0, "sigma_step": 0.02},
+            {"kind": "random_walk", "start": 1, "sigma_step": 0.02},
         ):
             resolved = parse_config(base_single(error_model=model), "single")
             assert resolved.spec.error_model.kind == model["kind"]
+            # echoed as written, integers included
+            echoed = resolved.to_dict()["error_model"]
+            assert json.dumps(echoed) == json.dumps(model)
         with pytest.raises(ConfigError):
             parse_config(base_single(error_model={"kind": "telegraph"}), "single")
 

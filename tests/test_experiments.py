@@ -1,9 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from heraldsim import experiments
 from heraldsim.config import parse_config
 from heraldsim.experiments import (
     CertifiedVsBare,
@@ -11,6 +13,7 @@ from heraldsim.experiments import (
     EnsembleStatistics,
     ExperimentSpec,
     InputSpec,
+    worker_processes,
     compare_certified_vs_bare,
     enumerate_trajectory,
     herald_probability_analytic,
@@ -441,6 +444,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             single_spec(trials=0)
 
+    def test_target_only_on_chains(self):
+        with pytest.raises(ConfigError) as err:
+            single_spec(target=1)
+        assert err.value.path == "$.target"
+
     def test_memory_guard_boundary(self):
         # Construction allocates nothing, so oversize specs are cheap to try.
         def chain(n_ions):
@@ -472,3 +480,47 @@ class TestSpecValidation:
         with pytest.raises(ConfigError) as err:
             cz(930)
         assert err.value.path == "$.fock_cutoff"
+
+
+class TestWorkerGuard:
+    """The memory budget counts every process a run starts."""
+
+    def chain(self, trials):
+        return ExperimentSpec(
+            protocol="addressing",
+            error_model=AmplitudeErrorModel.gaussian_iid(0.05),
+            input_state=InputSpec("plus_n"),
+            trials=trials,
+            master_seed=0,
+            gate=GATE,
+            crosstalk=(1.0,) + (0.1,) * 9,
+        )
+
+    def test_ten_ion_chain_fits_one_process(self):
+        # Checking allocates nothing, so oversize runs are cheap to try.
+        assert worker_processes(self.chain(4), 1) == 1
+        assert worker_processes(self.chain(3), 2) == 1  # too few trials to split
+        with pytest.raises(ConfigError) as err:
+            worker_processes(self.chain(4), 2)
+        assert err.value.path == "--workers"
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one(self, workers):
+        with pytest.raises(ConfigError) as err:
+            run_ensemble(single_spec(), workers)
+        assert err.value.path == "--workers"
+
+    def test_refused_before_a_pool_starts(self, monkeypatch):
+        # A one-ion run is estimated at a little over 64 MiB per process.
+        monkeypatch.setattr(experiments, "MEMORY_BUDGET", 100 * 2**20)
+        spec = single_spec(trials=8)
+        run_ensemble(spec, workers=1)
+        run_ensemble(replace(spec, trials=3), workers=2)
+        for run in (
+            lambda: run_ensemble(spec, 2),
+            lambda: sweep(spec, "sigma", [0.1], 2),
+            lambda: compare_certified_vs_bare(spec, 2),
+        ):
+            with pytest.raises(ConfigError) as err:
+                run()
+            assert err.value.path == "--workers"

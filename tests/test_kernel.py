@@ -173,6 +173,18 @@ def test_rows_equal_the_scalar_path(protocol, mode, data):
     assert ensemble_rows(spec) == scalar_rows(spec)
 
 
+# --- single is the addressed gate on a one-ion chain -------------------------
+
+
+@pytest.mark.parametrize("mode", ["branch", "mc"])
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_single_rows_equal_one_ion_chain_rows(mode, data):
+    spec = data.draw(specs("single", mode, trials=70))
+    chain = dataclasses.replace(spec, protocol="addressing", crosstalk=(1.0,), target=0)
+    assert ensemble_rows(chain) == ensemble_rows(spec)
+
+
 # --- (b) an independent closed form ------------------------------------------
 
 
