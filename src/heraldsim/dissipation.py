@@ -3,35 +3,38 @@
 A clean-out pumps all population of a target manifold of one ion to that
 ion's Bright sink. The pumped branch is an aggregate terminal outcome (the
 flag); its internal state is decoherent and never used downstream, so it is
-represented by ``None``. The surviving branch is the renormalized projection
-onto the complement.
+represented by ``None``. The surviving branch is the projection onto the
+complement, renormalized.
 
 Imperfect selectivity s < 1 adds a false-positive branch: with probability
 (1 - s) the protected population is pumped too. Target population is always
 pumped, so the channel never produces a false negative.
+
+The kernel :func:`heraldsim.protocols.survivor_paths` carries the survivor
+unnormalized, as the no-jump state of the quantum-jump picture: a clean-out
+reads the target population off a strided view of the state and zeroes the
+target in place. :func:`cleanout_branches` and :func:`cleanout_sample` run
+that kernel over one clean-out.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
 
 from .statespace import (
     AUX_MANIFOLD,
+    N_LEVELS,
     IonLevel,
     PureState,
     QUBIT_MANIFOLD,
     StateSpace,
-    level_mask,
 )
 
 PROB_FLOOR = 1e-14
-NORM_CHECK_ATOL = 1e-8
-
-CleanoutBranch = tuple["PureState | None", float, bool]
 
 
 @dataclass(frozen=True)
@@ -93,57 +96,63 @@ class HeraldRecord:
     branch_probability: float
 
 
-def _target_weights(
+def _as_index(values: frozenset[int]) -> slice | list[int]:
+    """The sorted values as a slice when they are evenly spaced, else as a list."""
+    v = sorted(values)
+    start, stop = v[0], v[-1] + 1
+    stride = v[1] - start if len(v) > 1 else 1
+    return slice(start, stop, stride) if v == list(range(start, stop, stride)) else v
+
+
+@lru_cache(maxsize=256)
+def _target_index(space: StateSpace, ch: CleanoutChannel):
+    """The shape ``(5**ion, 5, rest, fock_dim)`` that gives a clean-out's ion
+    level and the Fock index an axis each after the row axis, and the
+    target's index along those two axes."""
+    if not 0 <= ch.ion < space.n_ions:
+        raise ValueError(f"ion index {ch.ion} out of range [0, {space.n_ions})")
+    if ch.fock is not None and not space.has_motion:
+        raise ValueError("Fock-resolved clean-out requested but space has no motion")
+    fock = slice(None) if ch.fock is None else _as_index(ch.fock)
+    return (N_LEVELS**ch.ion, N_LEVELS, -1, space.fock_dim), _as_index(ch.levels), fock
+
+
+def _target_population(
     amps: np.ndarray, space: StateSpace, ch: CleanoutChannel
+) -> np.ndarray:
+    """Population of the clean-out's target in each row of a ``(block, dim)``
+    array, read off a strided view of the rows."""
+    shape, levels, fock = _target_index(space, ch)
+    view = amps.reshape((amps.shape[0],) + shape)[:, :, levels][..., fock]
+    # A contiguous copy of each row, so each row sums on its own.
+    rows = np.ascontiguousarray(view).reshape(amps.shape[0], -1)
+    return (rows.real**2 + rows.imag**2).sum(axis=-1)
+
+
+def _zero_target(amps: np.ndarray, space: StateSpace, ch: CleanoutChannel) -> None:
+    """Zero the clean-out's target in every row of a C-contiguous
+    ``(block, dim)`` array, in place."""
+    shape, levels, fock = _target_index(space, ch)
+    # Reshaping a C-contiguous array gives a view, so the writes land in amps.
+    view = amps.reshape((amps.shape[0],) + shape)
+    # One index list at a time: two would be paired, not crossed.
+    for level in levels if isinstance(levels, list) else (levels,):
+        view[:, :, level, :, fock] = 0.0
+
+
+def _segment_table(
+    p: np.ndarray, selectivity: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Target population of each row of a ``(block, dim)`` array, and the mask."""
-    mask = level_mask(space, ch.ion, ch.levels, ch.fock)
-    probs = amps.real**2 + amps.imag**2
-    total = probs.sum(axis=-1)
-    off = total[np.abs(total - 1.0) > NORM_CHECK_ATOL]
-    if off.size:
-        raise ValueError(
-            f"clean-out requires a normalized state (norm {math.sqrt(off[0])})"
-        )
-    # compress keeps each row contiguous, so each row sums on its own.
-    p = probs.compress(mask, axis=-1).sum(axis=-1) / total
-    return np.minimum(np.maximum(p, 0.0), 1.0), mask
-
-
-def _survivor_rows(amps: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Each row projected off the mask and renormalized: the one
-    normalization of surviving states."""
-    kept = np.where(mask, 0.0, amps)
-    # Each row's norm as np.linalg.norm takes it for one state: a dot product
-    # of the real parts plus one of the imaginary parts, one matmul per row.
-    re, im = kept.real[:, None], kept.imag[:, None]
-    norms = np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))
-    return kept / norms[:, 0]
-
-
-def _segment_table(p: np.ndarray, selectivity: float) -> tuple[np.ndarray, np.ndarray]:
     """Probabilities of each row's branches, in the fixed order flagged
     target, flagged false positive, survivor, shape ``(block, 3)``; and
-    which of them lie above PROB_FLOOR and are kept."""
+    which of them lie above PROB_FLOOR and are kept. ``selectivity`` is one
+    value, or one per row."""
     segments = np.empty((p.shape[0], 3))
     segments[:, 0] = p
     q = 1.0 - p
     segments[:, 1] = (1.0 - selectivity) * q
     segments[:, 2] = selectivity * q
     return segments, segments > PROB_FLOOR
-
-
-_SEGMENT_FLAGGED = (True, True, False)
-
-
-def _segments(p: float, selectivity: float) -> list[tuple[float, bool]]:
-    """(probability, flagged) of each kept branch of one state, in order."""
-    segments, kept = _segment_table(np.array([p]), selectivity)
-    return [
-        (prob, flagged)
-        for prob, keep, flagged in zip(segments[0].tolist(), kept[0], _SEGMENT_FLAGGED)
-        if keep
-    ]
 
 
 def survival_probability(p: np.ndarray, selectivity: float) -> np.ndarray:
@@ -173,21 +182,20 @@ def _sample_rows(
     return taken, ~survived
 
 
-def cleanout_branches(state: PureState, ch: CleanoutChannel) -> list[CleanoutBranch]:
+def cleanout_branches(
+    state: PureState, ch: CleanoutChannel
+) -> list[tuple[PureState | None, float, bool]]:
     """All branches of the channel as (state, probability, flagged) triples.
 
     Branch order is fixed: flagged target branch, flagged false-positive
     branch (selectivity < 1 only), surviving branch. Probabilities sum to 1;
     branches below PROB_FLOOR are dropped.
     """
-    amps = state.amplitudes[None]
-    p, mask = _target_weights(amps, state.space, ch)
-    return [
-        (None, prob, True)
-        if flagged
-        else (PureState(state.space, _survivor_rows(amps, mask)[0]), prob, False)
-        for prob, flagged in _segments(float(p[0]), ch.selectivity)
-    ]
+    # The kernel lives in protocols, which builds on this module.
+    from .protocols import _Step, _branches
+
+    branches, _ = _branches(state, (_Step((), (ch,)),))
+    return [(b.state, b.probability, b.flagged) for b in branches]
 
 
 def cleanout_sample(
@@ -196,9 +204,10 @@ def cleanout_sample(
     rng: np.random.Generator,
     step_index: int = 0,
 ) -> tuple[PureState | None, HeraldRecord]:
-    """Sample one branch of the channel; statistically matches enumeration."""
-    amps = state.amplitudes[None]
-    p, mask = _target_weights(amps, state.space, ch)
-    taken, flagged = _sample_rows(p, ch.selectivity, rng.random(1))
-    out = None if flagged[0] else PureState(state.space, _survivor_rows(amps, mask)[0])
-    return out, HeraldRecord(step_index, ch.ion, bool(flagged[0]), float(taken[0]))
+    """Sample one branch of the channel; statistically matches
+    :func:`cleanout_branches`."""
+    from .protocols import _Step, run_protocol
+
+    (branch,) = run_protocol(state, (_Step((), (ch,)),), "mc", rng).branches
+    (record,) = branch.records
+    return branch.state, replace(record, step_index=step_index)

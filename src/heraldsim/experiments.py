@@ -51,9 +51,9 @@ _WILSON_Z = 1.96  # 95% interval
 
 # Largest estimated peak memory of one run, over all its processes.
 MEMORY_BUDGET = 2 * 2**30
-# Peak RSS of an 8- or 9-ion addressing ensemble is ~9 state vectors per
-# block row (input, ideal output, kernel temporaries, clean-out masks) over
-# that of the process before it runs (~40 MB with numpy loaded).
+# Peak RSS of an 8- or 9-ion addressing ensemble is 5-6 state vectors per
+# block row (input, ideal output, kernel temporaries) over that of the
+# process before it runs (~40 MB with numpy loaded); 10 leaves headroom.
 _STATE_COPIES = 10
 _PROCESS_BYTES = 64 * 2**20
 # A block runs at most _BLOCK_ROWS trajectories, and fewer when one row's
@@ -446,7 +446,7 @@ def _run_block(spec, indices, state, ideal, build, bare):
     ]
     bare_fids = []
     if bare:
-        amps = start
+        amps = start  # survivor_paths never writes into its input
         for step in steps:
             for u, targets in step.unitaries:
                 amps = _apply_block(amps, space, u, targets)
@@ -608,7 +608,7 @@ def run_ensemble(
 
 
 def enumerate_trajectory(spec: ExperimentSpec, index: int = 0):
-    """Exact branch enumeration for one trajectory's error draw.
+    """Exact branch table for one trajectory's error draw.
 
     Used for branch tables: the outcome lists every herald branch and the
     surviving final state for the errors of the given trajectory index.

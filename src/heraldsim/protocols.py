@@ -14,10 +14,14 @@ same two transfers, phase shifts and clean-outs. The rotation is therefore
 built as the addressed gate on a one-ion chain (crosstalk ``ONE_ION``,
 target 0), and :func:`addressed_builder` serves both.
 
-Protocols run in two modes: exact branch enumeration over all herald
-outcomes, or Monte Carlo sampling of a single trajectory. Flagged branches
-are terminal aggregates (state ``None``): flagged runs are discarded, so
-their internal state is never tracked.
+Protocols run in two modes: the exact table of all herald outcomes, or
+Monte Carlo sampling of a single trajectory. Flagged branches are terminal
+aggregates (state ``None``): flagged runs are discarded, so their internal
+state is never tracked. Each state therefore has one survivor path, and
+:func:`survivor_paths`, the one propagation kernel, drives blocks of states
+along it, unnormalized, as the no-jump states of the quantum-jump picture
+(Dalibard, Castin & Mølmer 1992). Both modes of :func:`run_protocol` are
+that kernel at block size 1; branch tables are read off the survivor path.
 """
 
 from __future__ import annotations
@@ -33,13 +37,13 @@ from .dissipation import (
     CleanoutChannel,
     HeraldRecord,
     _sample_rows,
-    _survivor_rows,
-    _target_weights,
+    _segment_table,
     aux_cleanout,
-    cleanout_branches,
     level_cleanout,
     qubit_cleanout,
     survival_probability,
+    _target_population,
+    _zero_target,
 )
 from .pulses import gate_phase_shifts, sideband_fill, transfer_fill
 from .statespace import (
@@ -58,6 +62,7 @@ from .statespace import (
 
 POP_ATOL = 1e-12
 LEAK_ATOL = 1e-12
+NORM_CHECK_ATOL = 1e-8
 DEFAULT_FOCK_CUTOFF = 3
 
 MODES = ("branch", "mc")
@@ -163,11 +168,14 @@ def _branch_sort_key(branch: Branch):
     )
 
 
-def _check_top_fock(amps: np.ndarray, space: StateSpace) -> None:
-    """Raise if any row of a ``(block, dim)`` array reached the top Fock state."""
+def _check_top_fock(amps: np.ndarray, space: StateSpace, norm2: np.ndarray) -> None:
+    """Raise if any row of a ``(block, dim)`` array of unnormalized states
+    with squared norms ``norm2`` has reached the top Fock state."""
     if space.has_motion:
         top = amps.reshape(amps.shape[0], -1, space.fock_dim)[:, :, space.fock_cutoff]
-        leak = np.sum(top.real**2 + top.imag**2, axis=-1)
+        # Relative to each row's norm: a raw population would understate the
+        # leak of a row whose survivor has lost most of its norm.
+        leak = np.sum(top.real**2 + top.imag**2, axis=-1) / norm2
         over = leak[leak > LEAK_ATOL]
         if over.size:
             raise LeakageError(
@@ -184,12 +192,15 @@ def run_protocol(
     monitor_top_fock: bool = False,
     keep_intermediate: bool = False,
 ) -> ProtocolOutcome:
-    """Drive a prepared state through transfer/clean-out steps.
+    """Drive a prepared state through transfer/clean-out steps: the kernel
+    :func:`survivor_paths` at block size 1.
 
-    Branch mode enumerates every herald outcome exactly; mc mode samples one
-    trajectory (``rng`` required). ``flag_query`` controls whether flagged
+    Branch mode gives every herald outcome exactly; mc mode samples one
+    trajectory (``rng`` required). ``flag_query`` says whether flagged
     branches are finalized as they occur or carried as aggregates and
-    partitioned only at the end; both give identical outcomes.
+    partitioned only at the end; flagged branches are terminal, so both give
+    the same table. ``keep_intermediate`` (branch mode) also returns the
+    survivor after each step.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -211,54 +222,65 @@ def run_protocol(
         )
         final = PureState(state.space, paths.final[0]) if paths.alive[0] else None
         return ProtocolOutcome((Branch(final, 1.0, records),), "mc")
-    return _run_branches(state, steps, flag_query, monitor_top_fock, keep_intermediate)
+    branches, intermediates = _branches(state, steps, monitor_top_fock, keep_intermediate)
+    branches.sort(key=_branch_sort_key)
+    return ProtocolOutcome(tuple(branches), "branch", intermediates)
 
 
-def _run_branches(
+def _branches(
     state: PureState,
     steps: Sequence[_Step],
-    flag_query: str,
-    monitor: bool,
-    keep_intermediate: bool,
-) -> ProtocolOutcome:
-    live: list[tuple[PureState | None, float, tuple[HeraldRecord, ...]]] = [
-        (state, 1.0, ())
-    ]
-    done: list[Branch] = []
-    intermediates: list[PureState | None] = []
-    for si, step in enumerate(steps):
-        evolved = []
-        for st, p, recs in live:
-            if st is not None:
-                for u, targets in step.unitaries:
-                    st = _apply_matrix(st, u, targets)
-                if monitor:
-                    _check_top_fock(st.amplitudes[None], st.space)
-            evolved.append((st, p, recs))
-        live = evolved
-        for ch in step.cleanouts:
-            split = []
-            for st, p, recs in live:
-                if st is None:
-                    split.append((st, p, recs))
-                    continue
-                for bst, bp, flagged in cleanout_branches(st, ch):
-                    child = (bst, p * bp, recs + (HeraldRecord(si, ch.ion, flagged, bp),))
-                    if flagged and flag_query == "immediate":
-                        done.append(Branch(None, child[1], child[2]))
-                    else:
-                        split.append(child)
-            live = split
-        if keep_intermediate:
-            survivors = [st for st, _, _ in live if st is not None]
-            intermediates.append(survivors[0] if survivors else None)
-    branches = done + [Branch(st, p, recs) for st, p, recs in live]
-    branches.sort(key=_branch_sort_key)
-    return ProtocolOutcome(
-        tuple(branches),
-        "branch",
-        tuple(intermediates) if keep_intermediate else None,
+    monitor_top_fock: bool = False,
+    keep_intermediate: bool = False,
+) -> tuple[list[Branch], tuple[PureState | None, ...] | None]:
+    """The branch table of one state in the order the branches arise, and
+    the survivor after each step if asked (None once it has dropped out).
+
+    Flagged branches are terminal aggregates, so the table is the survivor
+    path plus, at each clean-out c, the flagged target W(c-1)·p_c and false
+    positive W(c-1)·(1-s)(1-p_c), where W(c-1) is the survivor's
+    probability before c; branches at or below PROB_FLOOR are dropped.
+    """
+    paths = survivor_paths(
+        state.amplitudes[None],
+        state.space,
+        _as_block(steps),
+        monitor_top_fock=monitor_top_fock,
+        keep_intermediate=keep_intermediate,
     )
+    channels = [(si, ch) for si, step in enumerate(steps) for ch in step.cleanouts]
+    selectivity = np.array([ch.selectivity for _, ch in channels])
+    segments, kept = _segment_table(paths.target[0], selectivity)
+    branches = []
+    weight, records = 1.0, ()
+    for (si, ch), (target, false_pos, survive), keep in zip(
+        channels, segments.tolist(), kept.tolist()
+    ):
+        for prob, flag_kept in ((target, keep[0]), (false_pos, keep[1])):
+            if flag_kept:
+                flag = HeraldRecord(si, ch.ion, True, prob)
+                branches.append(Branch(None, weight * prob, records + (flag,)))
+        if not keep[2]:
+            break
+        weight *= survive
+        records += (HeraldRecord(si, ch.ion, False, survive),)
+    if paths.alive[0]:
+        branches.append(Branch(PureState(state.space, paths.final[0]), weight, records))
+    intermediates = None
+    if keep_intermediate:
+        after = [PureState(state.space, a[0]) if len(a) else None for a in paths.after_step]
+        intermediates = tuple(after + [None] * (len(steps) - len(after)))
+    return branches, intermediates
+
+
+def _row_norm2(amps: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of a ``(block, dim)`` array; the squares are
+    a new contiguous array, so each row sums on its own."""
+    return (amps.real**2 + amps.imag**2).sum(axis=-1)
+
+
+def _normalized(amps: np.ndarray) -> np.ndarray:
+    return amps / np.sqrt(_row_norm2(amps))[:, None]
 
 
 @dataclass(frozen=True)
@@ -266,20 +288,26 @@ class SurvivorPaths:
     """The unflagged path of every row of a block, as :func:`survivor_paths`
     leaves it.
 
-    ``probs[b, c]`` is the probability of the branch row b took at clean-out
-    c: the survivor's in branch mode, the sampled one in mc mode, where
+    ``target[b, c]`` is row b's target fraction p at clean-out c, and
+    ``probs[b, c]`` the probability of the branch the row took there: the
+    survivor's in branch mode, the sampled one in mc mode, where
     ``flags[b, c]`` tells whether it flagged and ``done[b]`` counts the
-    clean-outs the row passed, its flag included. ``weight`` is the
-    unflagged probability (branch mode) or 1.0/0.0 (mc mode). ``final``
-    holds the end states of the rows with ``alive`` set, in row order.
+    clean-outs the row passed, its flag included. ``target`` and ``probs``
+    are 0.0 past a row's last clean-out. ``weight`` is the unflagged
+    probability (branch mode) or 1.0/0.0 (mc mode). ``final`` holds the
+    normalized end states of the rows with ``alive`` set, in row order;
+    ``after_step``, when asked for, the normalized states of the live rows
+    after each step the block reached.
     """
 
     weight: np.ndarray
     alive: np.ndarray
     final: np.ndarray
+    target: np.ndarray
     probs: np.ndarray
     flags: np.ndarray
     done: np.ndarray
+    after_step: tuple[np.ndarray, ...] = ()
 
 
 def survivor_paths(
@@ -288,36 +316,51 @@ def survivor_paths(
     steps: Sequence[_Step],
     draw=None,
     monitor_top_fock: bool = False,
+    keep_intermediate: bool = False,
 ) -> SurvivorPaths:
     """Drive a ``(block, dim)`` array of normalized states along their
     unflagged path: the one propagation kernel of both modes.
 
-    Flagged branches are terminal, so each row carries at most one live
-    state. Branch mode (``draw`` None) multiplies each row's weight by the
-    survivor probability s(1 - p) of every clean-out and drops a row whose
-    survivor falls below the probability floor. mc mode compares
-    ``draw(column, rows)``, the uniforms of clean-out ``column`` for the
-    live rows (a slice or an index array into the block), with the same
-    branch segments and freezes the rows that flag. Every row goes through
-    its own matrix products and row-wise reductions, so its result does not
-    depend on the other rows.
+    Flagged branches are terminal, so each row carries one live state: its
+    no-jump state, unnormalized, with its squared norm. A clean-out divides
+    the target population by the norm for p, zeroes the target in place and
+    takes the population off the norm. Branch mode (``draw`` None)
+    multiplies each row's weight by the survivor probability s(1 - p) and
+    drops a row whose survivor falls below the probability floor. mc mode
+    compares ``draw(column, rows)``, the uniforms of clean-out ``column``
+    for the live rows (a slice or an index array into the block), with the
+    same branch segments and freezes the rows that flag. ``amps`` is never
+    written to. Every row goes through its own matrix products and row-wise
+    reductions, so its result does not depend on the other rows.
     """
+    norm2 = _row_norm2(amps)
+    off = norm2[np.abs(norm2 - 1.0) > NORM_CHECK_ATOL]
+    if off.size:
+        norm = math.sqrt(off[0])
+        raise ValueError(f"survivor paths start from normalized states (norm {norm})")
+    entry = amps
     block = amps.shape[0]
     n_cleanouts = sum(len(step.cleanouts) for step in steps)
     rows = slice(None)  # the live rows: all of them until one drops out
     weight = np.ones(block)
+    target = np.zeros((block, n_cleanouts))
     probs = np.zeros((block, n_cleanouts))
     flags = np.zeros((block, n_cleanouts), dtype=bool)
+    after_step = []
     col = 0
     for step in steps:
         if amps.shape[0] == 0:
             break
         for u, targets in step.unitaries:
             amps = _apply_block(amps, space, u[rows], targets)
+        if amps is entry:
+            # A step with no transfer must not zero the caller's array.
+            amps = amps.copy()
         if monitor_top_fock:
-            _check_top_fock(amps, space)
+            _check_top_fock(amps, space, norm2)
         for ch in step.cleanouts:
-            p, mask = _target_weights(amps, space, ch)
+            pop = _target_population(amps, space, ch)
+            p = np.minimum(pop / norm2, 1.0)
             if draw is None:
                 taken = survival_probability(p, ch.selectivity)
                 live = taken > 0.0
@@ -326,19 +369,29 @@ def survivor_paths(
                 taken, flagged = _sample_rows(p, ch.selectivity, draw(col, rows))
                 flags[rows, col] = flagged
                 live = ~flagged
+            target[rows, col] = p
             probs[rows, col] = taken
             col += 1
+            _zero_target(amps, space, ch)
+            norm2 = norm2 - pop
             if not live.all():
                 rows = np.arange(block)[rows][live]
-                amps = amps[live]
+                amps, norm2, pop = amps[live], norm2[live], pop[live]
                 if rows.size == 0:
                     break
-            amps = _survivor_rows(amps, mask)
+            # Taking off more than half the norm cancels bits; recount it.
+            lost = pop > norm2
+            if lost.any():
+                norm2[lost] = _row_norm2(amps[lost])
+        if keep_intermediate:
+            after_step.append(_normalized(amps))
     alive = np.zeros(block, dtype=bool)
     alive[rows] = True
     weight[~alive] = 0.0
     done = np.where(flags.any(axis=1), flags.argmax(axis=1) + 1, n_cleanouts)
-    return SurvivorPaths(weight, alive, amps, probs, flags, done)
+    return SurvivorPaths(
+        weight, alive, _normalized(amps), target, probs, flags, done, tuple(after_step)
+    )
 
 
 def no_flag_branch(outcome: ProtocolOutcome) -> Branch | None:
@@ -355,7 +408,7 @@ def flag_probability(outcome: ProtocolOutcome) -> float:
 
 def step_flag_rates(outcome: ProtocolOutcome) -> dict[tuple[int, int], float]:
     """Conditional flag probability of each (step, ion) clean-out, read off
-    the surviving branch of an enumerated outcome."""
+    the surviving branch of a branch-mode outcome."""
     survivor = no_flag_branch(outcome)
     if survivor is None:
         return {}
