@@ -141,34 +141,37 @@ def _zero_target(amps: np.ndarray, space: StateSpace, ch: CleanoutChannel) -> No
 
 
 def _segment_table(
-    p: np.ndarray, selectivity: float | np.ndarray
+    p: np.ndarray, selectivity: float | np.ndarray, q: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Probabilities of each row's branches, in the fixed order flagged
     target, flagged false positive, survivor, shape ``(block, 3)``; and
     which of them lie above PROB_FLOOR and are kept. ``selectivity`` is one
-    value, or one per row."""
+    value, or one per row. ``q`` is the fraction the clean-out leaves, 1 - p
+    unless given: where p is close to 1, 1 - p has lost the digits that a
+    count of what is left keeps."""
     segments = np.empty((p.shape[0], 3))
     segments[:, 0] = p
-    q = 1.0 - p
+    if q is None:
+        q = 1.0 - p
     segments[:, 1] = (1.0 - selectivity) * q
     segments[:, 2] = selectivity * q
     return segments, segments > PROB_FLOOR
 
 
-def survival_probability(p: np.ndarray, selectivity: float) -> np.ndarray:
-    """Survivor branch probability s(1 - p) of each row; 0.0 where it is
-    dropped below PROB_FLOOR."""
-    segments, kept = _segment_table(p, selectivity)
+def survival_probability(p: np.ndarray, selectivity: float, q: np.ndarray) -> np.ndarray:
+    """Survivor branch probability s·q of each row, for target fractions p
+    that leave fractions q; 0.0 where it is dropped below PROB_FLOOR."""
+    segments, kept = _segment_table(p, selectivity, q)
     return np.where(kept[:, 2], segments[:, 2], 0.0)
 
 
 def _sample_rows(
-    p: np.ndarray, selectivity: float, uniforms: np.ndarray
+    p: np.ndarray, selectivity: float, uniforms: np.ndarray, q: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample one branch per row: the first kept segment whose running sum
     exceeds the row's uniform, else the last kept segment. Returns the taken
     branch's probability and whether it flagged."""
-    segments, kept = _segment_table(p, selectivity)
+    segments, kept = _segment_table(p, selectivity, q)
     target, false_pos, survive = segments.T
     # Running sums over the kept segments; a dropped segment adds nothing,
     # and a uniform (>= 0) never falls below a sum it did not pass already.

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .noise import AmplitudeErrorModel, sample_errors_block, trajectory_rng
+from .noise import AmplitudeErrorModel, draw_block
 from .protocols import (
     ONE_ION,
     CrosstalkProfile,
@@ -379,31 +379,31 @@ def _run_batch(
     state = prepare_input(spec)
     ideal = _ideal_output(spec, state)
     build = _block_builder(spec)
+    # The clean-outs are fixed by the protocol, not by the errors.
+    sites = cleanout_sites(build(np.zeros((1, spec.n_steps))))
     size = _block_size(spec.protocol, state.space)
     rows: list[TrajectoryRow] = []
     bare_fids: list[float] = []
     for first in range(start, stop, size):
         block_rows, block_bare = _run_block(
-            spec, range(first, min(first + size, stop)), state, ideal, build, bare
+            spec, range(first, min(first + size, stop)), state, ideal, build, sites, bare
         )
         rows += block_rows
         bare_fids += block_bare
     return rows, bare_fids
 
 
-def _run_block(spec, indices, state, ideal, build, bare):
+def _run_block(spec, indices, state, ideal, build, sites, bare):
     space, n = state.space, len(indices)
-    # A fixed error sequence in branch mode draws nothing at random.
-    rngs = [None] * n
-    if spec.mode == "mc" or spec.error_model.draws_random:
-        rngs = [trajectory_rng(spec.master_seed, i) for i in indices]
-    errors, clamps = sample_errors_block(spec.error_model, spec.n_steps, rngs)
+    mc = spec.mode == "mc"
+    # Each row draws its errors and then, in mc mode, its clean-out uniforms
+    # from its own trajectory stream.
+    errors, clamps, uniforms = draw_block(
+        spec.error_model, spec.n_steps, spec.master_seed, indices, len(sites) if mc else 0
+    )
     steps = build(errors)
-    sites = cleanout_sites(steps)
     draw = None
-    if spec.mode == "mc":
-        # Each trajectory's clean-out uniforms continue its own stream.
-        uniforms = np.array([rng.random(len(sites)) for rng in rngs])
+    if mc:
         draw = lambda col, live: uniforms[live, col]
     start = np.repeat(state.amplitudes[None], n, axis=0)
     paths = survivor_paths(start, space, steps, draw, monitor_top_fock=space.has_motion)
@@ -614,9 +614,7 @@ def enumerate_trajectory(spec: ExperimentSpec, index: int = 0):
     surviving final state for the errors of the given trajectory index.
     """
     state = prepare_input(spec)
-    errors, _ = sample_errors_block(
-        spec.error_model, spec.n_steps, [trajectory_rng(spec.master_seed, index)]
-    )
+    errors, _, _ = draw_block(spec.error_model, spec.n_steps, spec.master_seed, [index])
     steps = _row_of(_block_builder(spec)(errors), 0)
     return run_protocol(state, steps, "branch", monitor_top_fock=state.space.has_motion)
 

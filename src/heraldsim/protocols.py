@@ -250,7 +250,7 @@ def _branches(
     )
     channels = [(si, ch) for si, step in enumerate(steps) for ch in step.cleanouts]
     selectivity = np.array([ch.selectivity for _, ch in channels])
-    segments, kept = _segment_table(paths.target[0], selectivity)
+    segments, kept = _segment_table(paths.target[0], selectivity, paths.rest[0])
     branches = []
     weight, records = 1.0, ()
     for (si, ch), (target, false_pos, survive), keep in zip(
@@ -288,12 +288,14 @@ class SurvivorPaths:
     """The unflagged path of every row of a block, as :func:`survivor_paths`
     leaves it.
 
-    ``target[b, c]`` is row b's target fraction p at clean-out c, and
+    ``target[b, c]`` is row b's target fraction p at clean-out c,
+    ``rest[b, c]`` the fraction q it left (1 - p, or where p > 1/2 the
+    remaining norm counted again over the norm before), and
     ``probs[b, c]`` the probability of the branch the row took there: the
     survivor's in branch mode, the sampled one in mc mode, where
     ``flags[b, c]`` tells whether it flagged and ``done[b]`` counts the
-    clean-outs the row passed, its flag included. ``target`` and ``probs``
-    are 0.0 past a row's last clean-out. ``weight`` is the unflagged
+    clean-outs the row passed, its flag included. ``target``, ``rest`` and
+    ``probs`` are 0.0 past a row's last clean-out. ``weight`` is the unflagged
     probability (branch mode) or 1.0/0.0 (mc mode). ``final`` holds the
     normalized end states of the rows with ``alive`` set, in row order;
     ``after_step``, when asked for, the normalized states of the live rows
@@ -304,6 +306,7 @@ class SurvivorPaths:
     alive: np.ndarray
     final: np.ndarray
     target: np.ndarray
+    rest: np.ndarray
     probs: np.ndarray
     flags: np.ndarray
     done: np.ndarray
@@ -324,12 +327,15 @@ def survivor_paths(
     Flagged branches are terminal, so each row carries one live state: its
     no-jump state, unnormalized, with its squared norm. A clean-out divides
     the target population by the norm for p, zeroes the target in place and
-    takes the population off the norm. Branch mode (``draw`` None)
-    multiplies each row's weight by the survivor probability s(1 - p) and
-    drops a row whose survivor falls below the probability floor. mc mode
-    compares ``draw(column, rows)``, the uniforms of clean-out ``column``
-    for the live rows (a slice or an index array into the block), with the
-    same branch segments and freezes the rows that flag. ``amps`` is never
+    takes the population off the norm. The fraction that survives is
+    q = 1 - p, except where the clean-out takes more than half: there the
+    rest is counted again and q is that count over the norm before, which
+    keeps the digits 1 - p loses. Branch mode (``draw`` None) multiplies
+    each row's weight by the survivor probability s·q and drops a row whose
+    survivor falls below the probability floor. mc mode compares
+    ``draw(column, rows)``, the uniforms of clean-out ``column`` for the
+    live rows (a slice or an index array into the block), with the same
+    branch segments and freezes the rows that flag. ``amps`` is never
     written to. Every row goes through its own matrix products and row-wise
     reductions, so its result does not depend on the other rows.
     """
@@ -344,6 +350,7 @@ def survivor_paths(
     rows = slice(None)  # the live rows: all of them until one drops out
     weight = np.ones(block)
     target = np.zeros((block, n_cleanouts))
+    rest = np.zeros((block, n_cleanouts))
     probs = np.zeros((block, n_cleanouts))
     flags = np.zeros((block, n_cleanouts), dtype=bool)
     after_step = []
@@ -361,28 +368,33 @@ def survivor_paths(
         for ch in step.cleanouts:
             pop = _target_population(amps, space, ch)
             p = np.minimum(pop / norm2, 1.0)
+            _zero_target(amps, space, ch)
+            left = norm2 - pop
+            q = 1.0 - p
+            # Taking off more than half the norm cancels bits; count what is
+            # left again, and take q from that count.
+            lost = pop > left
+            if lost.any():
+                left[lost] = _row_norm2(amps[lost])
+                q[lost] = left[lost] / norm2[lost]
             if draw is None:
-                taken = survival_probability(p, ch.selectivity)
+                taken = survival_probability(p, ch.selectivity, q)
                 live = taken > 0.0
                 weight[rows] *= taken
             else:
-                taken, flagged = _sample_rows(p, ch.selectivity, draw(col, rows))
+                taken, flagged = _sample_rows(p, ch.selectivity, draw(col, rows), q)
                 flags[rows, col] = flagged
                 live = ~flagged
             target[rows, col] = p
+            rest[rows, col] = q
             probs[rows, col] = taken
             col += 1
-            _zero_target(amps, space, ch)
-            norm2 = norm2 - pop
+            norm2 = left
             if not live.all():
                 rows = np.arange(block)[rows][live]
-                amps, norm2, pop = amps[live], norm2[live], pop[live]
+                amps, norm2 = amps[live], norm2[live]
                 if rows.size == 0:
                     break
-            # Taking off more than half the norm cancels bits; recount it.
-            lost = pop > norm2
-            if lost.any():
-                norm2[lost] = _row_norm2(amps[lost])
         if keep_intermediate:
             after_step.append(_normalized(amps))
     alive = np.zeros(block, dtype=bool)
@@ -390,7 +402,7 @@ def survivor_paths(
     weight[~alive] = 0.0
     done = np.where(flags.any(axis=1), flags.argmax(axis=1) + 1, n_cleanouts)
     return SurvivorPaths(
-        weight, alive, _normalized(amps), target, probs, flags, done, tuple(after_step)
+        weight, alive, _normalized(amps), target, rest, probs, flags, done, tuple(after_step)
     )
 
 

@@ -21,6 +21,7 @@ from heraldsim.experiments import (
     ExperimentSpec,
     InputSpec,
     _run_rows,
+    enumerate_trajectory,
     prepare_input,
 )
 from heraldsim.noise import AmplitudeErrorModel, sample_errors_counted, trajectory_rng
@@ -34,6 +35,7 @@ from heraldsim.protocols import (
     cz_builder,
     cz_space,
     cz_steps,
+    no_flag_branch,
     run_protocol,
     single_qubit_steps,
     survivor_paths,
@@ -239,6 +241,46 @@ def test_faint_survivor_keeps_its_norm():
     steps = [_Step((), (level_cleanout(0, {Q0}),)), _Step((), (level_cleanout(0, {Q1}),))]
     paths = survivor_paths(amps, StateSpace(1), steps)
     assert paths.target[0, 1] == pytest.approx(0.5, rel=1e-14)
+
+
+def test_survivors_that_keep_little_match_the_closed_form():
+    # sigma = 3 puts many pulse areas a = pi + delta near 0 or 2 pi, where a
+    # clean-out keeps as little as 1e-8 of the survivor, so 1 - p has lost
+    # half its digits (off by up to 9.8e-11 relative here); the kernel takes
+    # q from the recounted remainder instead. The closed form is s^8 times,
+    # per step, the target's sin^2(a/2) and each neighbour's cos^2(r a/2),
+    # at the area a the builder computes; the input is a product state, so
+    # each factor is one clean-out's survivor, and a row whose survivor falls
+    # to PROB_FLOOR at any clean-out is dropped. The closed form and the
+    # kernel each round a few dozen times at 1.1e-16; 1.4e-15 is the largest
+    # difference seen.
+    ratios, target, s = (0.05, 1.0, 0.05, 0.02), 1, 0.95
+    spec = ExperimentSpec(
+        protocol="addressing",
+        error_model=AmplitudeErrorModel.gaussian_iid(3.0),
+        input_state=InputSpec("plus_n"),
+        trials=600,
+        master_seed=99,
+        gate=GateSpec(BlochAxis(math.pi / 3, 0.5), math.pi / 2),
+        selectivity=s,
+        mode="branch",
+        crosstalk=ratios,
+        target=target,
+    )
+    rows, _ = _run_rows(spec, 1)
+    for row in rows:
+        errors, _ = sample_errors_counted(spec.error_model, 2, trajectory_rng(99, row.index))
+        factors = []
+        for delta in errors:
+            for j, r in enumerate(ratios):
+                half = 0.5 * ((math.pi + delta) * r)
+                factors.append(s * (math.sin(half) if j == target else math.cos(half)) ** 2)
+        closed = math.prod(factors) if min(factors) > PROB_FLOOR else 0.0
+        # Ensemble rows and branch tables read the same survivor path.
+        survivor = no_flag_branch(enumerate_trajectory(spec, row.index))
+        table = 0.0 if survivor is None else survivor.probability
+        for weight in (row.no_flag_probability, table):
+            assert weight == pytest.approx(closed, rel=1e-14, abs=0.0), row.index
 
 
 # --- the kernel's input ------------------------------------------------------
