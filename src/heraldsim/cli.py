@@ -16,10 +16,13 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from .config import ConfigError, ResolvedConfig, format_float, load_config, parse_config
 from .experiments import (
     EnsembleStatistics,
+    _reduce,
+    _run_rows,
     enumerate_trajectory,
     run_ensemble,
     sweep,
@@ -71,7 +74,7 @@ def _dump_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(
@@ -91,20 +94,21 @@ def _run_ensemble_command(resolved: ResolvedConfig, args) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     prefix = resolved.output.prefix
     if resolved.output.write_trajectories:
-        stats, rows = run_ensemble(resolved.spec, args.workers, return_rows=True)
+        spec = resolved.spec
+        cols = _run_rows(spec, args.workers)
+        stats = _reduce(spec, cols)
+        n = len(cols.weight)
+        flagged = [""] * n if spec.mode == "branch" else (~cols.alive).astype(int).tolist()
         _write_csv(
             out_dir / f"{prefix}_trajectories.csv",
             ["index", "no_flag_probability", "fidelity", "flagged", "clamp_count"],
-            [
-                [
-                    r.index,
-                    r.no_flag_probability,
-                    r.fidelity,
-                    "" if r.flagged is None else int(r.flagged),
-                    r.clamp_count,
-                ]
-                for r in rows
-            ],
+            zip(
+                range(n),
+                cols.weight.tolist(),
+                cols.fidelity.tolist(),
+                flagged,
+                cols.clamps.tolist(),
+            ),
         )
     else:
         stats = run_ensemble(resolved.spec, args.workers)

@@ -6,6 +6,10 @@ execution mode. Trajectories draw their own error sequences (and, in mc
 mode, herald samples) from per-index generators split off the master seed,
 so results are bit-identical for a given spec regardless of how trajectories
 are distributed over workers.
+
+Blocks and workers return one numpy array per per-trajectory field; the
+statistics reduce those columns in index order, and :class:`TrajectoryRow`
+records are built from them only when a caller asks for rows.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import cmath
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -368,12 +372,32 @@ class TrajectoryRow:
     n_errors: int
 
 
-def _run_batch(
-    spec: ExperimentSpec, start: int, stop: int, bare: bool = False
-) -> tuple[list[TrajectoryRow], list[float]]:
-    """Rows of trajectories start..stop-1, run block by block.
+class _Columns(NamedTuple):
+    """One array per per-trajectory field, in index order: the kernel's
+    :class:`SurvivorPaths` fields at the clean-outs ``sites``, the end-state
+    fidelity (0.0 where a row did not survive), the draws' clamp counts and
+    summed squared errors, and the bare fidelities (empty unless asked for)."""
 
-    With ``bare`` (single protocol) it also returns each trajectory's
+    sites: tuple[tuple[int, int], ...]
+    weight: np.ndarray
+    fidelity: np.ndarray
+    alive: np.ndarray
+    done: np.ndarray
+    probs: np.ndarray
+    clamps: np.ndarray
+    sumsq: np.ndarray
+    bare: np.ndarray
+
+
+def _joined(parts: list[_Columns]) -> _Columns:
+    """The columns of consecutive index ranges, in the order given."""
+    return _Columns(parts[0].sites, *(np.concatenate(col) for col in list(zip(*parts))[1:]))
+
+
+def _run_batch(spec: ExperimentSpec, start: int, stop: int, bare: bool = False) -> _Columns:
+    """Columns of trajectories start..stop-1, run block by block.
+
+    With ``bare`` (single protocol) they also hold each trajectory's
     fidelity after the same two transfers without clean-outs.
     """
     state = prepare_input(spec)
@@ -382,18 +406,11 @@ def _run_batch(
     # The clean-outs are fixed by the protocol, not by the errors.
     sites = cleanout_sites(build(np.zeros((1, spec.n_steps))))
     size = _block_size(spec.protocol, state.space)
-    rows: list[TrajectoryRow] = []
-    bare_fids: list[float] = []
-    for first in range(start, stop, size):
-        block_rows, block_bare = _run_block(
-            spec, range(first, min(first + size, stop)), state, ideal, build, sites, bare
-        )
-        rows += block_rows
-        bare_fids += block_bare
-    return rows, bare_fids
+    blocks = [range(first, min(first + size, stop)) for first in range(start, stop, size)]
+    return _joined([_run_block(spec, ids, state, ideal, build, sites, bare) for ids in blocks])
 
 
-def _run_block(spec, indices, state, ideal, build, sites, bare):
+def _run_block(spec, indices, state, ideal, build, sites, bare) -> _Columns:
     space, n = state.space, len(indices)
     mc = spec.mode == "mc"
     # Each row draws its errors and then, in mc mode, its clean-out uniforms
@@ -407,57 +424,26 @@ def _run_block(spec, indices, state, ideal, build, sites, bare):
         draw = lambda col, live: uniforms[live, col]
     start = np.repeat(state.amplitudes[None], n, axis=0)
     paths = survivor_paths(start, space, steps, draw, monitor_top_fock=space.has_motion)
-    alive = paths.alive.tolist()
-    final_fids = iter(_row_fidelities(paths.final, ideal.amplitudes))
-    fids = [next(final_fids) if a else 0.0 for a in alive]
-    site_steps, site_ions = (tuple(col) for col in zip(*sites)) if sites else ((), ())
-    if spec.mode == "branch":
-        step_flags = [
-            tuple(zip(site_steps, site_ions, values)) if a else ()
-            for a, values in zip(alive, (1.0 - paths.probs).tolist())
-        ]
-        flagged = [None] * n
-    else:
-        # A row's flag values are 0.0 at every clean-out it passed but the
-        # last, which holds its flag; rows with the same path share a tuple.
-        shared: dict[tuple[int, bool], tuple] = {}
-        step_flags = []
-        for passed, a in zip(paths.done.tolist(), alive):
-            if (passed, a) not in shared:
-                values = [0.0] * (passed - 1) + [0.0 if a else 1.0]
-                shared[passed, a] = tuple(zip(site_steps[:passed], site_ions, values))
-            step_flags.append(shared[passed, a])
-        flagged = [not a for a in alive]
+    fidelity = np.zeros(n)
+    fidelity[paths.alive] = _row_fidelities(paths.final, ideal.amplitudes)
     # Python's sum(v * v for v in errs), column by column.
     sumsq = np.zeros(n)
     for k in range(spec.n_steps):
         sumsq = sumsq + errors[:, k] * errors[:, k]
-    rows = [
-        TrajectoryRow(index, weight, fid, flag, path, n_clamped, sq, spec.n_steps)
-        for index, weight, fid, flag, path, n_clamped, sq in zip(
-            indices,
-            paths.weight.tolist(),
-            fids,
-            flagged,
-            step_flags,
-            clamps.tolist(),
-            sumsq.tolist(),
-        )
-    ]
-    bare_fids = []
+    bare_fids = np.zeros(0)
     if bare:
         amps = start  # survivor_paths never writes into its input
         for step in steps:
             for u, targets in step.unitaries:
                 amps = _apply_block(amps, space, u, targets)
         bare_fids = _row_fidelities(amps, ideal.amplitudes)
-    return rows, bare_fids
+    return _Columns(
+        sites, paths.weight, fidelity, paths.alive, paths.done, paths.probs, clamps, sumsq, bare_fids
+    )
 
 
-def _run_rows(
-    spec: ExperimentSpec, workers: int, bare: bool = False
-) -> tuple[list[TrajectoryRow], list[float]]:
-    """Every trajectory's row in index order, over ``workers`` processes."""
+def _run_rows(spec: ExperimentSpec, workers: int, bare: bool = False) -> _Columns:
+    """Every trajectory's columns in index order, over ``workers`` processes."""
     processes = worker_processes(spec, workers)
     if processes == 1:
         return _run_batch(spec, 0, spec.trials, bare)
@@ -468,11 +454,37 @@ def _run_rows(
             for a, b in zip(bounds[:-1], bounds[1:])
             if b > a
         ]
-        parts = [fut.result() for fut in futures]
-    return (
-        [row for rows, _ in parts for row in rows],
-        [fid for _, fids in parts for fid in fids],
+        return _joined([fut.result() for fut in futures])
+
+
+def _flag_values(spec: ExperimentSpec, cols: _Columns) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's flag value at each clean-out, and whether it reached it: in
+    mc mode 1.0 where the row flagged, in branch mode 1 - p along every
+    surviving row."""
+    columns = np.arange(len(cols.sites))
+    if spec.mode == "mc":
+        flagged_here = ~cols.alive[:, None] & (cols.done[:, None] - 1 == columns)
+        return flagged_here.astype(float), cols.done[:, None] > columns
+    return 1.0 - cols.probs, np.broadcast_to(cols.alive[:, None], cols.probs.shape)
+
+
+def _trajectory_rows(spec: ExperimentSpec, cols: _Columns) -> list[TrajectoryRow]:
+    """One record per trajectory, built from the columns."""
+    values, reached = _flag_values(spec, cols)
+    step_flags = [
+        tuple((*site, v) for site, v, r in zip(cols.sites, row_values, row_reached) if r)
+        for row_values, row_reached in zip(values.tolist(), reached.tolist())
+    ]
+    flagged = [None if spec.mode == "branch" else not a for a in cols.alive.tolist()]
+    columns = zip(
+        cols.weight.tolist(),
+        cols.fidelity.tolist(),
+        flagged,
+        step_flags,
+        cols.clamps.tolist(),
+        cols.sumsq.tolist(),
     )
+    return [TrajectoryRow(i, *fields, spec.n_steps) for i, fields in enumerate(columns)]
 
 
 # --- statistics --------------------------------------------------------------
@@ -525,22 +537,17 @@ def _wilson(rate: float, n: int) -> tuple[float, float]:
     return center - half, center + half
 
 
-def _reduce(spec: ExperimentSpec, rows: list[TrajectoryRow]) -> EnsembleStatistics:
-    rows = sorted(rows, key=lambda r: r.index)
-    n = len(rows)
-    noflag = np.array([r.no_flag_probability for r in rows])
-    fid = np.array([r.fidelity for r in rows])
+def _reduce(spec: ExperimentSpec, cols: _Columns) -> EnsembleStatistics:
+    n = len(cols.weight)
+    noflag, fid = cols.weight, cols.fidelity
     flag_prob = 1.0 - noflag
     herald_rate = float(np.mean(flag_prob))
     weight_sum = float(np.sum(noflag))
-    clamp_count = sum(r.clamp_count for r in rows)
-    sumsq = float(np.sum(np.array([r.error_sumsq for r in rows])))
-    n_err = sum(r.n_errors for r in rows)
-    rms_error = math.sqrt(sumsq / n_err) if n_err else 0.0
+    rms_error = math.sqrt(float(np.sum(cols.sumsq)) / (n * spec.n_steps))
     quad = 1.0 - spec.n_steps * (rms_error / 2.0) ** 2
 
+    n_unflagged = int(np.sum(noflag > 0.0))
     if spec.mode == "mc":
-        n_unflagged = int(np.sum(noflag > 0.0))
         se = math.sqrt(herald_rate * (1.0 - herald_rate) / n)
         wilson = _wilson(herald_rate, n)
         if n_unflagged > 0:
@@ -555,7 +562,6 @@ def _reduce(spec: ExperimentSpec, rows: list[TrajectoryRow]) -> EnsembleStatisti
             cond = cond_se = None
         uncond = float(np.sum(fid[noflag > 0.0]) / n) if n_unflagged else 0.0
     else:
-        n_unflagged = int(np.sum(noflag > 0.0))
         se = float(np.std(flag_prob, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         wilson = None
         if weight_sum > 0.0:
@@ -566,14 +572,14 @@ def _reduce(spec: ExperimentSpec, rows: list[TrajectoryRow]) -> EnsembleStatisti
             cond = cond_se = None
         uncond = float(np.sum(noflag * fid) / n)
 
+    values, reached = _flag_values(spec, cols)
     step_rates: dict[tuple[int, int], float] = {}
-    counts: dict[tuple[int, int], int] = {}
-    for r in rows:
-        for step, ion, value in r.step_flags:
-            key = (step, ion)
-            step_rates[key] = step_rates.get(key, 0.0) + value
-            counts[key] = counts.get(key, 0) + 1
-    step_rates = {k: v / counts[k] for k, v in step_rates.items()}
+    for c, site in enumerate(cols.sites):
+        kept = values[reached[:, c], c]
+        if kept.size:
+            # Left to right in index order: np.sum adds pairwise, and the
+            # builtin sum compensates from Python 3.12 on.
+            step_rates[site] = float(np.add.accumulate(kept)[-1]) / kept.size
 
     return EnsembleStatistics(
         trials=n,
@@ -586,7 +592,7 @@ def _reduce(spec: ExperimentSpec, rows: list[TrajectoryRow]) -> EnsembleStatisti
         unconditional_fidelity=uncond,
         n_unflagged=n_unflagged,
         step_flag_rates=step_rates,
-        clamp_count=clamp_count,
+        clamp_count=int(np.sum(cols.clamps)),
         rms_error=rms_error,
         quadratic_no_flag_approx=quad,
     )
@@ -597,13 +603,14 @@ def run_ensemble(
 ):
     """Run the ensemble; deterministic for a given spec, any worker count.
 
-    With ``return_rows`` the sorted per-trajectory rows are returned next to
-    the statistics (used for trajectory tables).
+    The runner keeps one array per per-trajectory field and reduces those;
+    only ``return_rows`` builds one :class:`TrajectoryRow` per trajectory,
+    in index order, returned next to the statistics.
     """
-    rows, _ = _run_rows(spec, workers)
-    stats = _reduce(spec, rows)
+    cols = _run_rows(spec, workers)
+    stats = _reduce(spec, cols)
     if return_rows:
-        return stats, rows
+        return stats, _trajectory_rows(spec, cols)
     return stats
 
 
@@ -694,9 +701,9 @@ def compare_certified_vs_bare(spec: ExperimentSpec, workers: int = 1) -> Certifi
     """
     if spec.protocol != "single":
         raise ValueError("certified-vs-bare comparison is defined for protocol 'single'")
-    rows, fids = _run_rows(spec, workers, bare=True)
-    stats = _reduce(spec, rows)
-    bare_infidelity = float(np.mean(1.0 - np.array(fids)))
+    cols = _run_rows(spec, workers, bare=True)
+    stats = _reduce(spec, cols)
+    bare_infidelity = float(np.mean(1.0 - cols.bare))
     cond = stats.conditional_fidelity
     certified_infidelity = (1.0 - cond) if cond is not None else math.nan
     ratio = (

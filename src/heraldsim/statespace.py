@@ -321,7 +321,9 @@ def fidelity_up_to_global_phase(a: PureState, b: PureState) -> float:
     return abs(overlap(a, b)) ** 2
 
 
-def _row_fidelities(rows: np.ndarray, ideal: np.ndarray) -> list[float]:
+def _row_fidelities(rows: np.ndarray, ideal: np.ndarray) -> np.ndarray:
     """|<row|ideal>|^2 of each row of a ``(block, dim)`` array, computed as
-    :func:`fidelity_up_to_global_phase` computes it for one state."""
-    return [abs(complex(np.vdot(row, ideal))) ** 2 for row in rows]
+    :func:`fidelity_up_to_global_phase` computes it for one state. One
+    ``vdot`` per row: a matrix product sums in another order and moves the
+    last bits."""
+    return np.array([abs(complex(np.vdot(row, ideal))) ** 2 for row in rows])

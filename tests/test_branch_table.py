@@ -23,6 +23,7 @@ from heraldsim.experiments import (
     _run_rows,
     enumerate_trajectory,
     prepare_input,
+    run_ensemble,
 )
 from heraldsim.noise import AmplitudeErrorModel, sample_errors_counted, trajectory_rng
 from heraldsim.protocols import (
@@ -267,7 +268,7 @@ def test_survivors_that_keep_little_match_the_closed_form():
         crosstalk=ratios,
         target=target,
     )
-    rows, _ = _run_rows(spec, 1)
+    _, rows = run_ensemble(spec, 1, return_rows=True)
     for row in rows:
         errors, _ = sample_errors_counted(spec.error_model, 2, trajectory_rng(99, row.index))
         factors = []
@@ -325,7 +326,7 @@ def bare_spec(mode, model):
 def test_bare_baseline_reads_the_input_the_kernel_was_given(spec):
     # The ensemble runs the certified block, then the bare transfers from the
     # same input array; each bare fidelity equals the scalar baseline's.
-    _, fids = _run_rows(spec, 1, bare=True)
+    fids = _run_rows(spec, 1, bare=True).bare
     state = prepare_input(spec)
     for i, fid in enumerate(fids):
         rng = trajectory_rng(spec.master_seed, i)

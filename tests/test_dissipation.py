@@ -163,6 +163,8 @@ class TestSampling:
             cleanout_sample(state, qubit_cleanout(0), rng)[1].flagged for _ in range(n)
         )
         sigma = math.sqrt(p * (1 - p) / n)
+        # For a random seed this fails with probability 2.6e-3: the flag count
+        # is binomial(n, p), and its exact two-sided tail at 3 sigma is that.
         assert abs(flags / n - p) < 3 * sigma
 
     def test_record_fields(self):

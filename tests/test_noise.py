@@ -30,6 +30,10 @@ class TestModels:
         draws = np.array(
             sample_errors(AmplitudeErrorModel.gaussian_iid(sigma), 100_000, rng)
         )
+        # For a random seed the mean check fails with probability 2.7e-3
+        # (two-sided 3 sigma, and the mean of normal draws is normal). The
+        # std check allows 8.9 standard errors of a sample std (sigma /
+        # sqrt(2n)), so it fails with probability about 4e-19.
         assert abs(draws.mean()) < 3 * sigma / math.sqrt(draws.size)
         assert abs(draws.std() - sigma) < 0.02 * sigma
 

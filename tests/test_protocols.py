@@ -172,6 +172,9 @@ class TestCertifiedSingleQubit:
             out = certified_single_qubit(state, spec, errors, mode="mc", rng=rng)
             flagged += out.branches[0].flagged
         sigma = math.sqrt(p_flag * (1 - p_flag) / n)
+        # For a random seed this fails with probability 2.6e-3: the flag count
+        # is binomial(n, p_flag), and its exact two-sided tail at 3 sigma is
+        # that.
         assert abs(flagged / n - p_flag) < 3 * sigma
 
     def test_deferred_query_identical(self):
