@@ -12,27 +12,21 @@ pumped, so the channel never produces a false negative.
 
 The kernel :func:`heraldsim.protocols.survivor_paths` carries the survivor
 unnormalized, as the no-jump state of the quantum-jump picture: a clean-out
-reads the target population off a strided view of the state and zeroes the
-target in place. :func:`cleanout_branches` and :func:`cleanout_sample` run
-that kernel over one clean-out.
+hands its (ion, levels, fock) target to :mod:`heraldsim.statespace`, which
+alone knows the basis layout, to read the target population and zero the
+target in place. This module holds the channel and its branch arithmetic;
+:func:`cleanout_branches` and :func:`cleanout_sample` run the kernel over
+one clean-out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
 
-from .statespace import (
-    AUX_MANIFOLD,
-    N_LEVELS,
-    IonLevel,
-    PureState,
-    QUBIT_MANIFOLD,
-    StateSpace,
-)
+from .statespace import AUX_MANIFOLD, IonLevel, PureState, QUBIT_MANIFOLD
 
 PROB_FLOOR = 1e-14
 
@@ -94,50 +88,6 @@ class HeraldRecord:
     ion: int
     flagged: bool
     branch_probability: float
-
-
-def _as_index(values: frozenset[int]) -> slice | list[int]:
-    """The sorted values as a slice when they are evenly spaced, else as a list."""
-    v = sorted(values)
-    start, stop = v[0], v[-1] + 1
-    stride = v[1] - start if len(v) > 1 else 1
-    return slice(start, stop, stride) if v == list(range(start, stop, stride)) else v
-
-
-@lru_cache(maxsize=256)
-def _target_index(space: StateSpace, ch: CleanoutChannel):
-    """The shape ``(5**ion, 5, rest, fock_dim)`` that gives a clean-out's ion
-    level and the Fock index an axis each after the row axis, and the
-    target's index along those two axes."""
-    if not 0 <= ch.ion < space.n_ions:
-        raise ValueError(f"ion index {ch.ion} out of range [0, {space.n_ions})")
-    if ch.fock is not None and not space.has_motion:
-        raise ValueError("Fock-resolved clean-out requested but space has no motion")
-    fock = slice(None) if ch.fock is None else _as_index(ch.fock)
-    return (N_LEVELS**ch.ion, N_LEVELS, -1, space.fock_dim), _as_index(ch.levels), fock
-
-
-def _target_population(
-    amps: np.ndarray, space: StateSpace, ch: CleanoutChannel
-) -> np.ndarray:
-    """Population of the clean-out's target in each row of a ``(block, dim)``
-    array, read off a strided view of the rows."""
-    shape, levels, fock = _target_index(space, ch)
-    view = amps.reshape((amps.shape[0],) + shape)[:, :, levels][..., fock]
-    # A contiguous copy of each row, so each row sums on its own.
-    rows = np.ascontiguousarray(view).reshape(amps.shape[0], -1)
-    return (rows.real**2 + rows.imag**2).sum(axis=-1)
-
-
-def _zero_target(amps: np.ndarray, space: StateSpace, ch: CleanoutChannel) -> None:
-    """Zero the clean-out's target in every row of a C-contiguous
-    ``(block, dim)`` array, in place."""
-    shape, levels, fock = _target_index(space, ch)
-    # Reshaping a C-contiguous array gives a view, so the writes land in amps.
-    view = amps.reshape((amps.shape[0],) + shape)
-    # One index list at a time: two would be paired, not crossed.
-    for level in levels if isinstance(levels, list) else (levels,):
-        view[:, :, level, :, fock] = 0.0
 
 
 def _segment_table(

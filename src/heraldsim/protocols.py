@@ -42,8 +42,6 @@ from .dissipation import (
     level_cleanout,
     qubit_cleanout,
     survival_probability,
-    _target_population,
-    _zero_target,
 )
 from .pulses import gate_phase_shifts, sideband_fill, transfer_fill
 from .statespace import (
@@ -54,9 +52,11 @@ from .statespace import (
     StateSpace,
     _apply_block,
     _apply_matrix,
+    _row_norm2,
+    _target_rows,
+    _zero_target,
     fidelity_up_to_global_phase,
     fock_population,
-    level_mask,
     manifold_population,
 )
 
@@ -172,10 +172,10 @@ def _check_top_fock(amps: np.ndarray, space: StateSpace, norm2: np.ndarray) -> N
     """Raise if any row of a ``(block, dim)`` array of unnormalized states
     with squared norms ``norm2`` has reached the top Fock state."""
     if space.has_motion:
-        top = amps.reshape(amps.shape[0], -1, space.fock_dim)[:, :, space.fock_cutoff]
+        top = _target_rows(amps, space, 0, None, frozenset({space.fock_cutoff}))
         # Relative to each row's norm: a raw population would understate the
         # leak of a row whose survivor has lost most of its norm.
-        leak = np.sum(top.real**2 + top.imag**2, axis=-1) / norm2
+        leak = _row_norm2(top) / norm2
         over = leak[leak > LEAK_ATOL]
         if over.size:
             raise LeakageError(
@@ -273,12 +273,6 @@ def _branches(
     return branches, intermediates
 
 
-def _row_norm2(amps: np.ndarray) -> np.ndarray:
-    """Squared norm of each row of a ``(block, dim)`` array; the squares are
-    a new contiguous array, so each row sums on its own."""
-    return (amps.real**2 + amps.imag**2).sum(axis=-1)
-
-
 def _normalized(amps: np.ndarray) -> np.ndarray:
     return amps / np.sqrt(_row_norm2(amps))[:, None]
 
@@ -366,9 +360,9 @@ def survivor_paths(
         if monitor_top_fock:
             _check_top_fock(amps, space, norm2)
         for ch in step.cleanouts:
-            pop = _target_population(amps, space, ch)
+            pop = _row_norm2(_target_rows(amps, space, ch.ion, ch.levels, ch.fock))
             p = np.minimum(pop / norm2, 1.0)
-            _zero_target(amps, space, ch)
+            _zero_target(amps, space, ch.ion, ch.levels, ch.fock)
             left = norm2 - pop
             q = 1.0 - p
             # Taking off more than half the norm cancels bits; count what is
@@ -548,11 +542,11 @@ def ideal_cz() -> np.ndarray:
 def ideal_cz_output(state: PureState) -> PureState:
     """Reference output: sign flip on components with both ions excited."""
     space = state.space
-    both_excited = level_mask(space, 0, {IonLevel.Q1}) & level_mask(
-        space, 1, {IonLevel.Q1}
-    )
-    signs = np.where(both_excited, -1.0, 1.0)
-    return PureState(space, state.amplitudes * signs)
+    if space.n_ions < 2:
+        raise ValueError(f"the entangling gate needs two ions, got {space.n_ions}")
+    signs = np.ones(space.factor_dims)
+    signs[IonLevel.Q1, IonLevel.Q1] = -1.0
+    return PureState(space, state.amplitudes * signs.reshape(-1))
 
 
 @lru_cache(maxsize=_BUILDERS_KEPT)

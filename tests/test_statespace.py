@@ -281,6 +281,19 @@ class TestPopulations:
         with pytest.raises(ValueError):
             manifold_population(state, 1, QUBIT_MANIFOLD)
 
+    def test_level_that_does_not_exist(self):
+        state = basis_state(StateSpace(2), [IonLevel.Q0, IonLevel.Q1])
+        with pytest.raises(ValueError):
+            manifold_population(state, 1, [7])
+        with pytest.raises(ValueError):
+            manifold_population(state, 1, [IonLevel.Q1, -1])
+
+    def test_empty_level_set_holds_nothing(self):
+        state = basis_state(StateSpace(2), [IonLevel.Q0, IonLevel.Q1])
+        assert manifold_population(state, 1, []) == 0.0
+        with pytest.raises(ValueError):
+            manifold_population(state, 2, [])
+
     def test_fock_population(self):
         space = StateSpace(1, 2)
         state = make_state(
@@ -291,6 +304,11 @@ class TestPopulations:
         assert fock_population(state, 1) == pytest.approx(0.0, abs=1e-12)
         with pytest.raises(ValueError):
             fock_population(basis_state(StateSpace(1), [IonLevel.Q0]), 0)
+
+    @pytest.mark.parametrize("n", [-1, 3])
+    def test_fock_index_out_of_range(self, n):
+        with pytest.raises(ValueError):
+            fock_population(basis_state(StateSpace(1, 2), [IonLevel.Q0]), n)
 
 
 class TestFidelity:
