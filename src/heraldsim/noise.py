@@ -8,10 +8,11 @@ diagnostics can report them.
 
 Trajectory i of a run draws from its own stream, ``trajectory_rng(seed,
 i)``. :func:`draw_block` gives a block of trajectories the same values
-without building a generator per trajectory: it derives every row's PCG64
-starting state at once, as numpy's ``SeedSequence`` seeds it, and sets one
-generator to each in turn. The derivation is checked against numpy's own
-seeding on first use in a process.
+without a ``SeedSequence`` per trajectory: numpy mixes the seed into its
+pool once, heraldsim mixes each index in and hashes every row's four seed
+words at once, and numpy's PCG64 seeds itself from those words. The
+derivation is checked against numpy's own seeding on first use in a
+process.
 """
 
 from __future__ import annotations
@@ -152,19 +153,17 @@ def draw_block(
     clean-out uniforms.
 
     Row b holds what ``trajectory_rng(master_seed, indices[b])`` gives when
-    it draws the errors and then the uniforms. One generator serves the
-    block; it is set to each row's derived starting state in turn. A model
-    that draws nothing at random takes no stream unless uniforms are asked
-    for.
+    it draws the errors and then the uniforms. Each row's PCG64 is seeded
+    from words derived for the whole block at once, with no
+    ``SeedSequence`` per row. A model that draws nothing at random takes no
+    stream unless uniforms are asked for.
     """
     _check_steps(n_steps)
     errors, uniforms = [], []
     if model.draws_random or n_uniforms:
         _check_stream_states()
-        gen = np.random.Generator(np.random.PCG64(0))
-        bitgen = gen.bit_generator
-        for state in _stream_states(master_seed, indices):
-            bitgen.state = state
+        for words in _stream_states(master_seed, indices):
+            gen = np.random.Generator(np.random.PCG64(_RowSeed(words)))
             if model.draws_random:
                 errors.append(_raw_sequence(model, n_steps, gen))
             if n_uniforms:
@@ -193,39 +192,35 @@ def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
 
 
-# --- a block's starting states -----------------------------------------------
+# --- a block's stream seeds --------------------------------------------------
 #
-# trajectory_rng's stream is a PCG64 whose starting state numpy derives from
-# (seed, index): SeedSequence mixes the seed's and then the index's 32-bit
-# words into a pool of four words, generate_state(4, uint64) hashes the pool
-# into (initstate, initseq), and PCG64 takes two steps from them. The
-# constants are numpy's (numpy/random/bit_generator.pyx, and
-# numpy/random/src/pcg64/pcg64.h for the multiplier); _check_stream_states
-# compares the result with numpy's own seeding.
+# trajectory_rng's stream is a PCG64 that numpy seeds from (seed, index):
+# SeedSequence mixes the seed's and then the index's 32-bit words into a pool
+# of four words, and generate_state(4, uint64) hashes the pool into the four
+# words that PCG64 seeds itself from. numpy gives the seed's pool and seeds
+# the PCG64; the index's mixing and the hash are derived here for a whole
+# block at once, with numpy's constants (numpy/random/bit_generator.pyx).
+# _check_stream_states compares the result with numpy's own seeding.
 
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 # (seed, index) pairs checked against numpy: a padded one-word seed with a
 # one-word index, and a five-word seed with a two-word index.
 _PROBES = ((12345, 67), (2**130 + 12345, 2**32 + 67))
 
 
-def _hash_constants(start: int, mult: int, n: int) -> list[int]:
-    """The n + 1 hash constants start, start*mult, ... mod 2**32."""
-    out = [start]
-    for _ in range(n):
-        out.append(out[-1] * mult & _MASK32)
-    return out
+def _hash_constants(start: int, mult: int, first: int, n: int) -> np.ndarray:
+    """The constants before and after hashes first..first+n-1 of the
+    sequence start, start*mult, ... mod 2**32, as a ``(2, n)`` uint32 array."""
+    consts = [start * pow(mult, k, 1 << 32) & _MASK32 for k in range(first, first + n + 1)]
+    return np.array([consts[:-1], consts[1:]], dtype=np.uint32)
 
 
 def _hashmix(value, const, next_const):
-    """SeedSequence's hashmix of a word with the hash constant it meets; on
-    Python ints or uint32 arrays alike."""
+    """SeedSequence's hashmix of a word with the hash constant it meets."""
     h = (value ^ const) * next_const & _MASK32
     return h ^ (h >> 16)
 
@@ -235,45 +230,25 @@ def _mix(x, y):
     return r ^ (r >> 16)
 
 
-def _pairs(consts: list[int]) -> np.ndarray:
-    """Each hash's constants before and after it, as a ``(2, n)`` uint32
-    array."""
-    return np.array([consts[:-1], consts[1:]], dtype=np.uint32)
-
-
 @lru_cache(maxsize=16)
 def _seed_pool(master_seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The pool after the seed's words, which every index shares, and the
     hash constants that the index's words meet, as uint32 arrays."""
-    if master_seed < 0:
-        raise ValueError(f"master seed must be >= 0, got {master_seed}")
-    # The seed's little-endian 32-bit words, at least one; with a spawn key,
-    # a seed shorter than the pool is padded with zeros.
-    words = [master_seed >> k & _MASK32 for k in range(0, master_seed.bit_length() or 1, 32)]
-    words += [0] * (_POOL_SIZE - len(words))
-    # Hashes before the spawn key's: one per pool word, one per ordered pair
-    # of pool words, one per pool word for each further seed word.
-    n_hashes = _POOL_SIZE * len(words)
-    consts = _hash_constants(_INIT_A, _MULT_A, n_hashes + 2 * _POOL_SIZE)
-    hashes = iter(zip(consts, consts[1:]))
-    pool = [_hashmix(w, *next(hashes)) for w in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(hashes)))
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(word, *next(hashes)))
-    return np.array(pool, dtype=np.uint32), _pairs(consts[n_hashes:])
+    pool = np.random.SeedSequence(master_seed).pool
+    # SeedSequence hashes four times per seed word before the spawn key's
+    # words, the seed padded with zeros to the pool's four words.
+    n_words = max(_POOL_SIZE, -(-master_seed.bit_length() // 32))
+    return pool, _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * n_words, 2 * _POOL_SIZE)
 
 
 # generate_state(4, uint64) hashes the pool twice over into 8 words.
-_STATE_CONSTS = _pairs(_hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE))
+_STATE_CONSTS = _hash_constants(_INIT_B, _MULT_B, 0, 2 * _POOL_SIZE)
 
 
-def _stream_states(master_seed: int, indices: Sequence[int]) -> list[dict]:
-    """The ``bit_generator.state`` of ``trajectory_rng(master_seed, i)`` for
-    each index i, derived for the whole block at once."""
+def _stream_states(master_seed: int, indices: Sequence[int]) -> np.ndarray:
+    """The four uint64 words that seed the PCG64 of
+    ``trajectory_rng(master_seed, i)``, one row per index i, derived for the
+    whole block at once."""
     # operator.index before the cache, which would take 5.0 for 5.
     pool, spawn = _seed_pool(operator.index(master_seed))
     index = np.asarray(indices, dtype=np.uint64)
@@ -285,32 +260,31 @@ def _stream_states(master_seed: int, indices: Sequence[int]) -> list[dict]:
         word = (index[high] >> 32).astype(np.uint32)
         pool[high] = _mix(pool[high], _hashmix(word[:, None], *spawn[:, _POOL_SIZE:]))
     words = _hashmix(np.tile(pool, 2), *_STATE_CONSTS)
-    # The words pair up little-endian into four uint64s: initstate (high,
-    # low) and initseq (high, low).
-    seeds = np.ascontiguousarray(words, "<u4").view("<u8").tolist()
-    states = []
-    for s_hi, s_lo, q_hi, q_lo in seeds:
-        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        states.append(
-            {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-        )
-    return states
+    # Little-endian pairs of words, as generate_state makes its uint64s.
+    return np.ascontiguousarray(words, "<u4").view("<u8").astype(np.uint64)
+
+
+@dataclass(slots=True)
+class _RowSeed:
+    """The seed that hands one row's four words to ``PCG64``; registered as
+    a numpy ``ISeedSequence`` on first use, so importing heraldsim loads no
+    ``numpy.random``."""
+
+    words: np.ndarray
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
 
 
 @cache
 def _check_stream_states() -> None:
-    """Raise unless the derived states equal numpy's own seeding, checked
-    once per process; a numpy that seeds differently would otherwise change
-    every stream silently."""
+    """Raise unless the derived seeds give numpy's own streams, checked once
+    per process; a numpy that seeds differently would otherwise change every
+    stream silently."""
+    np.random.bit_generator.ISeedSequence.register(_RowSeed)
     for seed, index in _PROBES:
         expected = trajectory_rng(seed, index).bit_generator.state
-        if _stream_states(seed, [index])[0] != expected:
+        if np.random.PCG64(_RowSeed(_stream_states(seed, [index])[0])).state != expected:
             raise RuntimeError(
                 f"this numpy ({np.__version__}) seeds trajectory streams differently "
                 f"from the derivation in heraldsim.noise (seed {seed}, index {index})"

@@ -91,7 +91,7 @@ def test_seeds_that_seed_sequence_refuses_are_refused(seed, error):
 def test_a_changed_seeding_fails_loudly(monkeypatch):
     # A derivation that no longer matches numpy's seeding must stop the run
     # rather than change every stream.
-    monkeypatch.setattr(noise, "_PCG_MULT", noise._PCG_MULT + 2)
+    monkeypatch.setattr(noise, "_MIX_L", noise._MIX_L + 2)
     noise._check_stream_states.cache_clear()
     try:
         with pytest.raises(RuntimeError, match="seeds trajectory streams differently"):
