@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
@@ -120,6 +121,8 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"unknown protocol {self.protocol!r}", "$.protocol")
+        for name in ("trials", "master_seed", "fock_cutoff", "target"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), f"$.{name}"))
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}", "$.trials")
         if self.master_seed < 0:
@@ -206,6 +209,16 @@ class ExperimentSpec:
             doc["crosstalk"] = {"ratios": list(self.crosstalk)}
             doc["target"] = self.target
         return doc
+
+
+def _as_int(value, path: str) -> int:
+    """An integer field as a plain int; bools and non-integers are refused."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"expected an integer, got {type(value).__name__}", path)
 
 
 def _input_to_dict(inp: InputSpec) -> dict:

@@ -451,6 +451,38 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             single_spec(trials=0)
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("trials", 2.5),
+            ("trials", True),
+            ("master_seed", 1.5),
+            ("master_seed", False),
+            ("fock_cutoff", 2.5),
+            ("target", 1.0),
+            ("target", True),
+        ],
+    )
+    def test_integer_fields_refuse_bools_and_non_integers(self, name, value):
+        if name == "fock_cutoff":
+            spec = dict(protocol="cz", gate=None, input_state=InputSpec("bell"))
+        elif name == "target":
+            spec = dict(protocol="addressing", crosstalk=(0.1, 1.0), target=1)
+        else:
+            spec = {}
+        with pytest.raises(ConfigError) as err:
+            single_spec(**(spec | {name: value}))
+        assert err.value.path == f"$.{name}"
+        assert "expected an integer" in str(err.value)
+
+    def test_integer_fields_are_stored_as_plain_ints(self):
+        spec = single_spec(trials=np.int64(5), master_seed=np.uint64(2**63 + 1))
+        assert type(spec.trials) is int and spec.trials == 5
+        assert type(spec.master_seed) is int and spec.master_seed == 2**63 + 1
+        assert run_ensemble(spec).to_dict() == run_ensemble(
+            single_spec(trials=5, master_seed=2**63 + 1)
+        ).to_dict()
+
     def test_target_only_on_chains(self):
         with pytest.raises(ConfigError) as err:
             single_spec(target=1)
