@@ -89,6 +89,13 @@ class TestSingleCommand:
         assert summary["config"]["mode"] == "mc"
         assert summary["results"]["trials"] == 7
 
+    def test_out_overrides_the_output_dir(self, tmp_path):
+        out, other = tmp_path / "out", tmp_path / "other"
+        cfg = write_config(tmp_path, single_doc(out))
+        assert main(["single", cfg, "--out", str(other), "--quiet"]) == 0
+        assert not out.exists()
+        assert read_summary(other)["config"]["output"]["dir"] == str(other)
+
     def test_trajectories_table(self, tmp_path):
         out = tmp_path / "out"
         doc = single_doc(out)
@@ -248,6 +255,15 @@ INVALID_CONFIGS = {
     "fock-cutoff-huge": (
         "cz", lambda out: cz_doc(out, fock_cutoff=HUGE), [], "$.fock_cutoff"
     ),
+    "sweep-unknown-protocol": (
+        "sweep",
+        with_sweep(lambda out: single_doc(out, protocol="teleport"), "selectivity", 0.9),
+        [],
+        "$.protocol",
+    ),
+    "fock-cutoff-on-single": (
+        "single", lambda out: single_doc(out, fock_cutoff=3), [], "$.fock_cutoff"
+    ),
     "workers-zero": ("single", single_doc, ["--workers", "0"], "--workers"),
     "workers-negative": ("single", single_doc, ["--workers", "-3"], "--workers"),
 }
@@ -284,6 +300,22 @@ class TestExitCodes:
         assert "--workers: the run needs about" in capsys.readouterr().err
         assert not out.exists()
         assert main(["single", cfg, "--quiet"]) == 0
+
+    def test_missing_error_model_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        doc = single_doc(out)
+        del doc["error_model"]
+        assert main(["single", write_config(tmp_path, doc), "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: $: missing required key 'error_model'\n"
+        )
+
+    def test_runtime_failure_exit_1(self, tmp_path, capsys):
+        # The output directory is an existing file, so it cannot be made.
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["single", write_config(tmp_path, single_doc(out)), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_malformed_key_exit_2(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -402,6 +434,11 @@ class TestSweepCommand:
         rates = [float(line.split(",")[1]) for line in lines[1:]]
         assert rates == sorted(rates)
         assert rates[0] == 0.0
+
+    def test_result_line(self, tmp_path, capsys):
+        doc = with_sweep(single_doc, "selectivity", 0.9)(tmp_path / "out")
+        assert main(["sweep", write_config(tmp_path, doc)]) == 0
+        assert capsys.readouterr().out.endswith("\nsweep complete: 2 rows\n")
 
 
 class TestReproducibility:

@@ -159,6 +159,15 @@ class TestCertifiedSingleQubit:
                 state, GateSpec(BlochAxis(0.0, 0.0), 1.0), (0, 0), mode="mc"
             )
 
+    @pytest.mark.parametrize(
+        "keyword,message",
+        [("mode", "mode must be one of"), ("flag_query", "flag_query must be one of")],
+    )
+    def test_run_protocol_refuses_unknown_choices(self, keyword, message):
+        state = basis_state(StateSpace(1), [IonLevel.Q0])
+        with pytest.raises(ValueError, match=message):
+            run_protocol(state, (), **{keyword: "sometimes"})
+
     def test_mc_agrees_with_enumeration(self):
         spec = GateSpec(BlochAxis(1.0, 0.0), 1.5)
         state = make_state(StateSpace(1), [(0, 1.0), (1, 1.0)])
@@ -384,6 +393,9 @@ class TestCertifiedCz:
         ok = basis_state(space, [IonLevel.Q0, IonLevel.Q0])
         with pytest.raises(ValueError):
             certified_cz(ok, (0, 0))
+        one_ion = basis_state(StateSpace(1, 3), [IonLevel.Q0])
+        with pytest.raises(ValueError, match="expects two ions and a motional mode"):
+            certified_cz(one_ion, (0, 0, 0, 0))
 
     def test_leak_monitor_fires_on_cutoff_population(self):
         space = StateSpace(1, 2)
@@ -471,6 +483,13 @@ class TestCertifiedAddressed:
             )
         with pytest.raises(ValueError):
             CrosstalkProfile((1.0, 1.2))
+        with pytest.raises(ValueError, match="neighbor 1 crosstalk ratio must be < 1"):
+            certified_addressed_gate(chain, 0, spec, CrosstalkProfile((1.0, 1.0)), (0, 0))
+        with_motion = basis_state(StateSpace(2, 2), [IonLevel.Q0, IonLevel.Q0])
+        with pytest.raises(ValueError, match="chains without a motional mode"):
+            certified_addressed_gate(
+                with_motion, 0, spec, CrosstalkProfile((1.0, 0.1)), (0, 0)
+            )
 
 
 class TestBrightIrreversibility:
