@@ -6,9 +6,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import foreign_heraldsim
 
 import heraldsim
+from conftest import foreign_heraldsim
 
 IMPORTED = Path(heraldsim.__file__).parent
 
