@@ -20,13 +20,19 @@ from typing import Iterable, Sequence
 
 from .config import ConfigError, ResolvedConfig, format_float, load_config, parse_config
 from .experiments import (
-    EnsembleStatistics,
     _reduce,
     _run_rows,
     enumerate_trajectory,
     run_ensemble,
     sweep,
     worker_processes,
+)
+from .protocols import MODES
+
+# The sweep table's columns after the swept value, read off each ensemble's to_dict().
+_SWEEP_COLUMNS = (
+    "herald_rate", "herald_rate_se", "conditional_fidelity", "unconditional_fidelity",
+    "n_unflagged", "clamp_count", "rms_error",
 )
 
 
@@ -46,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("config", help="path to a JSON config file")
         cmd.add_argument("--seed", type=int, help="override master_seed")
         cmd.add_argument("--trials", type=int, help="override trial count")
-        cmd.add_argument("--mode", choices=("branch", "mc"), help="override run mode")
+        cmd.add_argument("--mode", choices=MODES, help="override run mode")
         cmd.add_argument("--out", help="override output directory")
         cmd.add_argument("--workers", type=int, default=1, help="parallel workers")
         cmd.add_argument("--quiet", action="store_true", help="suppress stdout")
@@ -81,12 +87,6 @@ def _write_csv(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:
             ",".join(format_float(v) if isinstance(v, float) else str(v) for v in row)
         )
     path.write_text("\n".join(lines) + "\n")
-
-
-def _stats_rows(stats: EnsembleStatistics) -> list[list]:
-    return [
-        [step, ion, rate] for (step, ion), rate in sorted(stats.step_flag_rates.items())
-    ]
 
 
 def _run_ensemble_command(resolved: ResolvedConfig, args) -> dict:
@@ -132,13 +132,16 @@ def _run_ensemble_command(resolved: ResolvedConfig, args) -> dict:
             ["branch", "flagged", "probability", "basis_index", "amp_re", "amp_im"],
             rows,
         )
+    results = stats.to_dict()
     _write_csv(
-        out_dir / f"{prefix}_steps.csv", ["step", "ion", "flag_rate"], _stats_rows(stats)
+        out_dir / f"{prefix}_steps.csv",
+        ["step", "ion", "flag_rate"],
+        results["step_flag_rates"],
     )
     summary = {
         "command": resolved.spec.protocol,
         "config": resolved.to_dict(),
-        "results": stats.to_dict(),
+        "results": results,
     }
     _dump_json(out_dir / f"{prefix}_summary.json", summary)
     return summary
@@ -149,36 +152,17 @@ def _run_sweep_command(resolved: ResolvedConfig, args) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     prefix = resolved.output.prefix
     settings = resolved.sweep
-    rows = sweep(resolved.spec, settings.parameter, settings.values, args.workers)
-    table = []
-    results = []
-    for value, stats in rows:
-        table.append(
-            [
-                value,
-                stats.herald_rate,
-                stats.herald_rate_se,
-                stats.conditional_fidelity,
-                stats.unconditional_fidelity,
-                stats.n_unflagged,
-                stats.clamp_count,
-                stats.rms_error,
-            ]
+    results = [
+        {"value": value, "statistics": stats.to_dict()}
+        for value, stats in sweep(
+            resolved.spec, settings.parameter, settings.values, args.workers
         )
-        results.append({"value": value, "statistics": stats.to_dict()})
+    ]
+    rows = ([r["value"], *(r["statistics"][c] for c in _SWEEP_COLUMNS)] for r in results)
     _write_csv(
         out_dir / f"{prefix}_sweep.csv",
-        [
-            settings.parameter,
-            "herald_rate",
-            "herald_rate_se",
-            "conditional_fidelity",
-            "unconditional_fidelity",
-            "n_unflagged",
-            "clamp_count",
-            "rms_error",
-        ],
-        [[v if v is not None else "" for v in row] for row in table],
+        [settings.parameter, *_SWEEP_COLUMNS],
+        [["" if v is None else v for v in row] for row in rows],
     )
     summary = {
         "command": "sweep",

@@ -1,11 +1,14 @@
-"""Experiment configuration documents: loading, validation, resolution.
+"""Experiment configuration documents: loading, shape checks, resolution.
 
 Configs are JSON key-value trees mirroring :class:`ExperimentSpec` plus
 output options. This module checks the document's shape: unknown keys are
-rejected with the offending path, and types, required keys and defaults are
-resolved here. Value ranges and cross-field consistency are invariants of
-:class:`ExperimentSpec`, which reports them as :class:`ConfigError` with the
-same paths, so a config error names exactly what to fix.
+rejected with the offending path, required keys must be present, objects,
+lists and strings must have their JSON type, and the numbers that become
+gate angles, amplitudes, error models and sweep values must be numbers. The
+spec's own fields go to :class:`ExperimentSpec` as read, and an absent one
+takes the spec's default. The spec types and ranges every field and checks
+cross-field consistency, reporting a problem as :class:`ConfigError` with
+the same path, so a config error names exactly what to fix.
 """
 
 from __future__ import annotations
@@ -13,14 +16,16 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .experiments import (
+    PROTOCOLS,
     SWEEPABLE,
     ConfigError,
     ExperimentSpec,
     InputSpec,
+    _as_float,
     _with_parameter,
 )
 from .noise import FORMAT, AmplitudeErrorModel
@@ -70,11 +75,15 @@ class ResolvedConfig:
 
 
 def load_config(path: str | Path) -> dict:
-    """Parse a JSON config file; syntax errors keep their line and column."""
+    """Parse a UTF-8 JSON config file; syntax errors keep their line and column."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"config file {str(path)!r} is not UTF-8: {exc.reason} at byte {exc.start}"
+        ) from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -92,37 +101,28 @@ def _reject_unknown(doc: dict, allowed: set[str], path: str) -> None:
             raise ConfigError(f"unknown key {key!r}", f"{path}.{key}")
 
 
-def _get(doc: dict, key: str, kinds, path: str, default=None, required: bool = False):
-    if key not in doc:
-        if required:
-            raise ConfigError(f"missing required key {key!r}", path)
-        return default
-    value = doc[key]
-    kinds_t = kinds if isinstance(kinds, tuple) else (kinds,)
-    # bool subclasses int; only accept it where bool is listed explicitly.
-    ok = isinstance(value, kinds_t) and not (
-        isinstance(value, bool) and bool not in kinds_t
-    )
-    if not ok:
-        names = "/".join(k.__name__ for k in kinds_t)
-        raise ConfigError(f"expected {names}, got {type(value).__name__}", f"{path}.{key}")
+def _value(doc: dict, key: str, path: str, default=None, required: bool = False):
+    """The value under ``key`` as read, or ``default`` when the key is absent."""
+    if key in doc:
+        return doc[key]
+    if required:
+        raise ConfigError(f"missing required key {key!r}", path)
+    return default
+
+
+def _get(doc: dict, key: str, kind: type, path: str, default=None, required: bool = False):
+    """The value under ``key``, which must be a JSON ``kind`` (str, list or bool)."""
+    value = _value(doc, key, path, default, required)
+    if key in doc and not isinstance(value, kind):
+        raise ConfigError(
+            f"expected {kind.__name__}, got {type(value).__name__}", f"{path}.{key}"
+        )
     return value
 
 
-def _number(value, path: str) -> float:
-    """A JSON number as a float. ``json`` reads integers exactly, so one
-    beyond float range is refused here rather than overflowing later."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"expected a number, got {type(value).__name__}", path)
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError("number out of float range", path) from None
-
-
 def _get_number(doc: dict, key: str, path: str, default=None, required: bool = False):
-    value = _get(doc, key, (int, float), path, default, required)
-    return _number(value, f"{path}.{key}") if key in doc else value
+    value = _value(doc, key, path, default, required)
+    return _as_float(value, f"{path}.{key}") if key in doc else value
 
 
 def _parse_error_model(doc, path: str) -> AmplitudeErrorModel:
@@ -139,7 +139,7 @@ def _parse_error_model(doc, path: str) -> AmplitudeErrorModel:
     # unchanged; it only has to fit a float.
     for key, value in doc.items():
         if key != "kind":
-            _number(value, f"{path}.{key}")
+            _as_float(value, f"{path}.{key}")
     try:
         return AmplitudeErrorModel.from_dict(doc)
     except ValueError as exc:
@@ -175,16 +175,16 @@ def _parse_input_state(doc, path: str) -> InputSpec:
             where = f"{path}.amplitudes[{i}]"
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ConfigError("each amplitude must be a [re, im] pair", where)
-            amps.append(complex(_number(pair[0], where), _number(pair[1], where)))
+            amps.append(complex(_as_float(pair[0], where), _as_float(pair[1], where)))
     return InputSpec(kind, label, tuple(amps) if amps is not None else None)
 
 
-def _parse_crosstalk(doc, path: str) -> tuple[float, ...]:
+def _parse_crosstalk(doc, path: str) -> list:
+    """The ratios list as read; the spec types each ratio."""
     if not isinstance(doc, dict):
         raise ConfigError("crosstalk must be an object", path)
     _reject_unknown(doc, {"ratios"}, path)
-    ratios = _get(doc, "ratios", list, path, required=True)
-    return tuple(_number(r, f"{path}.ratios[{i}]") for i, r in enumerate(ratios))
+    return _get(doc, "ratios", list, path, required=True)
 
 
 def _parse_output(doc, path: str, command: str) -> OutputOptions:
@@ -215,7 +215,7 @@ def _parse_sweep(doc, path: str, spec: ExperimentSpec) -> SweepSettings:
         raise ConfigError("values must be a non-empty list", f"{path}.values")
     out = []
     for i, v in enumerate(values):
-        value = _number(v, f"{path}.values[{i}]")
+        value = _as_float(v, f"{path}.values[{i}]")
         try:
             _with_parameter(spec, parameter, value)
         except ValueError as exc:
@@ -224,21 +224,8 @@ def _parse_sweep(doc, path: str, spec: ExperimentSpec) -> SweepSettings:
     return SweepSettings(parameter, tuple(out))
 
 
-_TOP_KEYS = {
-    "protocol",
-    "gate",
-    "error_model",
-    "selectivity",
-    "input_state",
-    "trials",
-    "master_seed",
-    "mode",
-    "fock_cutoff",
-    "crosstalk",
-    "target",
-    "sweep",
-    "output",
-}
+# A config's top level holds the spec's fields by name, plus the CLI's sections.
+_TOP_KEYS = {f.name for f in fields(ExperimentSpec)} | {"sweep", "output"}
 
 _DEFAULT_INPUT = {
     "single": InputSpec("basis", "0"),
@@ -267,16 +254,16 @@ def parse_config(doc: dict, command: str) -> ResolvedConfig:
                 f"protocol {protocol!r} does not match command {command!r}",
                 "$.protocol",
             )
-    if protocol not in ("single", "cz", "addressing"):
+    if protocol not in PROTOCOLS:
         raise ConfigError(f"unknown protocol {protocol!r}", "$.protocol")
 
     for key, owner in (("fock_cutoff", "cz"), ("target", "addressing")):
         if key in doc and protocol != owner:
             raise ConfigError(f"{key} applies to the {owner} protocol only", f"$.{key}")
     gate = _parse_gate(doc["gate"], "$.gate") if "gate" in doc else None
-    if "error_model" not in doc:
-        raise ConfigError("missing required key 'error_model'", "$")
-    error_model = _parse_error_model(doc["error_model"], "$.error_model")
+    error_model = _parse_error_model(
+        _value(doc, "error_model", "$", required=True), "$.error_model"
+    )
     crosstalk = None
     if "crosstalk" in doc:
         crosstalk = _parse_crosstalk(doc["crosstalk"], "$.crosstalk")
@@ -292,14 +279,15 @@ def parse_config(doc: dict, command: str) -> ResolvedConfig:
         protocol=protocol,
         error_model=error_model,
         input_state=input_state,
-        trials=_get(doc, "trials", int, "$", required=True),
-        master_seed=_get(doc, "master_seed", int, "$", required=True),
+        trials=_value(doc, "trials", "$", required=True),
+        master_seed=_value(doc, "master_seed", "$", required=True),
         gate=gate,
-        selectivity=_get_number(doc, "selectivity", "$", default=1.0),
-        mode=_get(doc, "mode", str, "$", default="branch"),
-        fock_cutoff=_get(doc, "fock_cutoff", int, "$", default=3),
         crosstalk=crosstalk,
-        target=_get(doc, "target", int, "$", default=0),
+        **{
+            key: doc[key]
+            for key in ("selectivity", "mode", "fock_cutoff", "target")
+            if key in doc
+        },
     )
 
     sweep_settings = None

@@ -105,6 +105,19 @@ class CrosstalkProfile:
 ONE_ION = CrosstalkProfile((1.0,))
 
 
+def chain_problem(ratios: Sequence[float], target: int) -> tuple[str, int | None] | None:
+    """Why ``target`` cannot be addressed on a chain with these ratios, if it
+    cannot: the message and the offending ion (``None``: the target index)."""
+    if not 0 <= target < len(ratios):
+        return f"target {target} out of range for {len(ratios)} ions", None
+    if ratios[target] != 1.0:
+        return "the addressed ion must have crosstalk ratio 1.0", target
+    for j, r in enumerate(ratios):
+        if j != target and not 0.0 <= r < 1.0:
+            return f"neighbor {j} crosstalk ratio must be < 1 and >= 0, got {r}", j
+    return None
+
+
 @dataclass(frozen=True)
 class Branch:
     """One protocol outcome: final state (None for flagged aggregates),
@@ -628,8 +641,6 @@ def certified_cz(
             f"fock_cutoff {space.fock_cutoff} leaves no headroom above the "
             "populated Fock 1 state; use at least 2"
         )
-    if len(errors) != 4:
-        raise ValueError(f"expected four per-transfer errors, got {len(errors)}")
     _require_qubit_manifold(state, 0)
     _require_qubit_manifold(state, 1)
     if 1.0 - fock_population(state, 0) > POP_ATOL:
@@ -725,17 +736,14 @@ def certified_addressed_gate(
     space = chain.space
     if space.has_motion:
         raise ValueError("addressed gates act on chains without a motional mode")
-    if not 0 <= target < space.n_ions:
-        raise ValueError(f"target {target} out of range for {space.n_ions} ions")
     if len(crosstalk.ratios) != space.n_ions:
         raise ValueError(
             f"crosstalk has {len(crosstalk.ratios)} ratios for {space.n_ions} ions"
         )
-    if crosstalk.ratios[target] != 1.0:
-        raise ValueError("the addressed ion must have crosstalk ratio 1.0")
+    problem = chain_problem(crosstalk.ratios, target)
+    if problem is not None:
+        raise ValueError(problem[0])
     for j in range(space.n_ions):
-        if j != target and crosstalk.ratios[j] >= 1.0:
-            raise ValueError(f"neighbor {j} crosstalk ratio must be < 1")
         _require_qubit_manifold(chain, j)
     steps = addressed_steps(spec, crosstalk, target, errors, selectivity)
     return run_protocol(chain, steps, mode, rng, flag_query)

@@ -331,6 +331,14 @@ class TestExitCodes:
         assert main(["single", str(path), "--quiet"]) == 2
         assert "line" in capsys.readouterr().err
 
+    def test_not_utf8_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{")
+        assert main(["single", str(path), "--quiet", "--out", str(out)]) == 2
+        assert "bad.json" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["single", str(tmp_path / "none.json"), "--quiet"]) == 2
 

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -34,6 +35,14 @@ class TestLoad:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.json")
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert "bad.json" in str(err.value)
+        assert "not UTF-8" in str(err.value)
 
     def test_non_object_root(self, tmp_path):
         path = tmp_path / "arr.json"
@@ -208,6 +217,47 @@ class TestParse:
         doc = resolved.to_dict()
         again = parse_config(json.loads(json.dumps(doc)), "single")
         assert again.spec == resolved.spec
+
+
+BASE_DOCS = {
+    "single": base_single(),
+    "cz": {
+        "protocol": "cz",
+        "error_model": {"kind": "constant", "delta_pi": 0.2},
+        "trials": 10,
+        "master_seed": 7,
+    },
+    "addressing": base_single(protocol="addressing", crosstalk={"ratios": [1.0, 0.1]}),
+}
+
+
+# An invalid spec field, as a config value and as the value handed to the
+# spec: loading passes the field on as read, so both refuse it at one path.
+@pytest.mark.parametrize(
+    "protocol,key,doc_value,spec_value,path",
+    [
+        ("single", "selectivity", True, True, "$.selectivity"),
+        ("single", "selectivity", "0.5", "0.5", "$.selectivity"),
+        ("single", "trials", 2.5, 2.5, "$.trials"),
+        ("single", "mode", 5, 5, "$.mode"),
+        ("cz", "fock_cutoff", True, True, "$.fock_cutoff"),
+        (
+            "addressing", "crosstalk", {"ratios": [True, 0.1]}, (True, 0.1),
+            "$.crosstalk.ratios[0]",
+        ),
+        ("addressing", "crosstalk", 5, 5, "$.crosstalk"),
+        ("addressing", "crosstalk", "ab", "ab", "$.crosstalk"),
+    ],
+)
+def test_config_and_spec_refuse_a_field_at_one_path(
+    protocol, key, doc_value, spec_value, path
+):
+    doc = BASE_DOCS[protocol]
+    with pytest.raises(ConfigError) as from_config:
+        parse_config(doc | {key: doc_value}, protocol)
+    with pytest.raises(ConfigError) as from_spec:
+        replace(parse_config(doc, protocol).spec, **{key: spec_value})
+    assert from_config.value.path == from_spec.value.path == path
 
 
 def test_format_float_round_trips():

@@ -475,6 +475,30 @@ class TestSpecValidation:
         assert err.value.path == f"$.{name}"
         assert "expected an integer" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "overrides,path",
+        [
+            ({"selectivity": True}, "$.selectivity"),
+            ({"selectivity": "0.5"}, "$.selectivity"),
+            ({"selectivity": 10**400}, "$.selectivity"),
+            ({"protocol": "addressing", "crosstalk": (True, 0.1)}, "$.crosstalk.ratios[0]"),
+            ({"protocol": "addressing", "crosstalk": 5}, "$.crosstalk"),
+            ({"protocol": "addressing", "crosstalk": "ab"}, "$.crosstalk"),
+        ],
+    )
+    def test_real_fields_refuse_bools_and_non_reals(self, overrides, path):
+        with pytest.raises(ConfigError) as err:
+            single_spec(**overrides)
+        assert err.value.path == path
+
+    def test_real_fields_are_stored_as_floats(self):
+        spec = single_spec(
+            protocol="addressing", selectivity=1, crosstalk=[np.int64(1), np.float32(0.5)]
+        )
+        assert type(spec.selectivity) is float and spec.selectivity == 1.0
+        assert spec.crosstalk == (1.0, 0.5)
+        assert all(type(r) is float for r in spec.crosstalk)
+
     def test_integer_fields_are_stored_as_plain_ints(self):
         spec = single_spec(trials=np.int64(5), master_seed=np.uint64(2**63 + 1))
         assert type(spec.trials) is int and spec.trials == 5

@@ -1,15 +1,21 @@
-"""No module of the package imports a name it never uses. Standard library
-only: the import statements and the names a module reads come from its
-syntax tree. ``__init__`` is left out, since its imports are the package's
-public names."""
+"""No module of the package imports a name it never uses, and every name a
+module defines is named somewhere else. Standard library only: the import
+statements and definitions come from each module's syntax tree. ``__init__``
+is left out, since its imports are the package's public names, and so a
+re-export there does not count as a use."""
 
 import ast
+import re
+from collections import Counter
+from functools import cache
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "heraldsim"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "heraldsim"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+WORD = re.compile(r"\w+")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,3 +41,60 @@ def test_every_import_is_used(path):
 def test_the_check_finds_an_unused_import():
     source = "from __future__ import annotations\nimport os, numpy.linalg\nfrom x import a, b as c\nc(os)\n"
     assert unused_imports(source) == ["line 2: numpy", "line 3: a"]
+
+
+def module_level_names(tree: ast.Module) -> list[tuple[str, int, int]]:
+    """Each function, class and constant defined at the top of a module,
+    with the first and last line of its definition."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append((node.name, node.lineno, node.end_lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [
+                (t.id, node.lineno, node.end_lineno)
+                for t in targets
+                if isinstance(t, ast.Name) and not t.id.startswith("__")
+            ]
+    return names
+
+
+def unused_names(source: str, words: Counter) -> list[str]:
+    """The names ``source`` defines that no text counted in ``words`` (which
+    includes ``source``) names outside the name's own definition."""
+    lines = source.splitlines()
+    unused = []
+    for name, first, last in module_level_names(ast.parse(source)):
+        inside = WORD.findall("\n".join(lines[first - 1 : last])).count(name)
+        if words[name] == inside:
+            unused.append(f"line {first}: {name}")
+    return unused
+
+
+@cache
+def searched_words() -> Counter:
+    """Every word of the README and of the Python files under src, tests,
+    perfbench and scripts, except the package's ``__init__``."""
+    texts = [(ROOT / "README.md").read_text()]
+    for tree in ("src", "tests", "perfbench", "scripts"):
+        texts += [
+            p.read_text()
+            for p in sorted((ROOT / tree).rglob("*.py"))
+            if p != PACKAGE / "__init__.py"
+        ]
+    return Counter(word for text in texts for word in WORD.findall(text))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_defined_name_is_used(path):
+    assert unused_names(path.read_text(), searched_words()) == []
+
+
+def test_the_check_finds_an_unused_name():
+    source = (
+        "LIMIT = 2\n\ndef kept():\n    return LIMIT\n\n"
+        "def dropped(n):\n    return dropped(n - 1)\n"
+    )
+    words = Counter(WORD.findall(source + "kept()"))
+    assert unused_names(source, words) == ["line 6: dropped"]
