@@ -50,6 +50,11 @@ GATE = {"theta": math.pi / 3, "phi": 0.5, "theta_gate": math.pi / 2}
 GAUSSIAN = {"kind": "gaussian_iid", "sigma": 0.05}
 CHAIN = {"ratios": [0.05, 1.0, 0.05, 0.02]}
 TABLES = {"write_trajectories": True, "write_branches": True}
+CZ_EE = {
+    "error_model": {"kind": "gaussian_iid", "sigma": 0.5},
+    "input_state": {"kind": "basis", "label": "ee"},
+    "fock_cutoff": 5,
+}
 
 
 def _single(mode, model=GAUSSIAN, **extra):
@@ -86,6 +91,9 @@ CASES = {
     "single-branch": ("single", _single("branch"), {}),
     "cz-mc": ("cz", _cz("mc"), {"write_trajectories": True}),
     "cz-branch": ("cz", _cz("branch"), TABLES),
+    # cz from ee at Fock cutoff 5: sideband pairs above Fock 1.
+    "cz-ee-mc": ("cz", _cz("mc", **CZ_EE), {"write_trajectories": True}),
+    "cz-ee-branch": ("cz", _cz("branch", **CZ_EE), TABLES),
     "chain4-mc": ("addressing", _chain("mc"), {}),
     "chain4-branch": ("addressing", _chain("branch"), TABLES),
     # One config per error-model kind, with both tables.
