@@ -143,11 +143,13 @@ class ProtocolOutcome:
 class _Step:
     """One transfer followed by its clean-outs, in fixed order.
 
-    The transfer is a sequence of prevalidated per-factor (matrix, targets)
-    pairs, applied in order to the state tensor: a 5x5 ion operator on
-    ``(ion,)`` or an ion-and-mode sideband product on ``(ion, motion_axis)``.
-    Steps of one trajectory hold ``(d, d)`` matrices; steps of a block of
-    trajectories hold ``(block, d, d)`` stacks, one matrix per row.
+    The transfer is a sequence of prevalidated per-factor (operator,
+    targets) pairs, applied in order to the state tensor: a 5x5 ion matrix
+    on ``(ion,)``, or the :class:`~heraldsim.statespace.PairRotations` of a sideband transfer on
+    ``(ion, motion_axis)``. Steps of one trajectory hold ``(d, d)``
+    matrices or one row of coefficients; steps of a block of trajectories
+    hold ``(block, d, d)`` stacks or ``(block, pairs)`` coefficients, one
+    row per trajectory.
     """
 
     unitaries: tuple[tuple[np.ndarray, tuple[int, ...]], ...]
@@ -568,8 +570,9 @@ def cz_builder(selectivity: float = 1.0, space: StateSpace | None = None):
     ``(block, 4)`` to the four transfers of every row, with their clean-outs.
 
     Simultaneous tones of one transfer touch disjoint level pairs, so each
-    transfer is the product of commuting two-level rotations sharing one
-    area error, filled into one matrix.
+    transfer is a set of commuting two-level rotations sharing one area
+    error: the :class:`~heraldsim.statespace.PairRotations` of its Fock pairs, with each row's
+    coefficients. No dense operator is built.
     """
     if space is None:
         space = cz_space()

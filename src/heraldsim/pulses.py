@@ -20,6 +20,7 @@ from .statespace import (
     BlochAxis,
     IonLevel,
     N_LEVELS,
+    PairRotations,
     StateSpace,
     plus_minus_n_vectors,
 )
@@ -145,12 +146,12 @@ def transfer_unitary(pulse: TransferPulse) -> np.ndarray:
 
 
 def _minus_i_times(s: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``-1j * s * z`` for real ``s`` of shape ``(block, n)`` or ``(block, 1)``
-    and complex ``z`` of shape ``(n,)``, elementwise, rounded exactly as that
-    Python expression rounds it for scalars: ``-1j * s`` is
-    ``complex(0.0, -s)``, and the product with ``z`` rounds each real
-    product once (numpy's complex product may fuse them)."""
-    out = np.empty((s.shape[0], z.shape[0]), dtype=np.complex128)
+    """``-1j * s * z`` for real ``s`` and complex ``z``, broadcast against
+    each other, rounded exactly as that Python expression rounds it for
+    scalars: ``-1j * s`` is ``complex(0.0, -s)``, and the product with
+    ``z`` rounds each real product once (numpy's complex product may fuse
+    them)."""
+    out = np.empty(np.broadcast_shapes(s.shape, z.shape), dtype=np.complex128)
     out.real = 0.0 * z.real + s * z.imag
     out.imag = 0.0 * z.imag - s * z.real
     return out
@@ -202,18 +203,21 @@ def evolve_numeric(h: np.ndarray, duration: float) -> np.ndarray:
     return (evecs * np.exp(-1j * evals * duration)) @ evecs.conj().T
 
 
-def _fock_pairs(kind: str, fock_dim: int) -> list[tuple[int, int, float]]:
-    # (lower-level Fock index, upper-level Fock index, coupling scale).
+def _fock_pairs(kind: str, fock_dim: int) -> tuple[int, int, np.ndarray]:
+    """A tone's first lower-level and upper-level Fock index, and each
+    pair's coupling scale: pair k joins lower-level Fock index
+    ``start_lo + k`` to upper-level index ``start_up + k``."""
     if kind == "carrier":
-        return [(k, k, 1.0) for k in range(fock_dim)]
-    if kind == "red":
-        return [(k, k - 1, math.sqrt(k)) for k in range(1, fock_dim)]
-    # Blue: the pair out of the top Fock state is truncated, not wrapped.
-    return [(k, k + 1, math.sqrt(k + 1)) for k in range(fock_dim - 1)]
+        return 0, 0, np.ones(fock_dim)
+    scales = np.sqrt(np.arange(1.0, fock_dim))
+    # Red lowers the Fock index on the way up, blue raises it; blue's pair
+    # out of the top Fock state is truncated, not wrapped.
+    return (1, 0, scales) if kind == "red" else (0, 1, scales)
 
 
 def sideband_unitary(pulse: SidebandPulse, space: StateSpace) -> np.ndarray:
-    """Unitary of one sideband tone on the (ion level) x (Fock) subsystem.
+    """Dense unitary of one sideband tone on the (ion level) x (Fock)
+    subsystem: the oracle of the pair rotations the protocols apply.
 
     The matrix is indexed level-major (dimension 5 * fock_dim) and is meant
     for :func:`heraldsim.statespace.apply_unitary` with targets
@@ -226,42 +230,38 @@ def sideband_unitary(pulse: SidebandPulse, space: StateSpace) -> np.ndarray:
             f"{pulse.kind} sideband requires fock_cutoff >= 1, got {space.fock_cutoff}"
         )
     fill = sideband_fill(((pulse.kind, pulse.levels, pulse.phase),), space.fock_dim)
-    return fill(np.array([pulse.area]))[0]
+    return np.asarray(fill(np.array([pulse.area]))[0])
 
 
 def sideband_fill(tones, fock_dim: int):
-    """Ion-and-mode unitaries of simultaneous sideband tones sharing one area,
-    for a block of areas.
+    """Ion-and-mode rotations of simultaneous sideband tones sharing one
+    area, for a block of areas.
 
     ``tones`` holds ``(kind, (lower, upper), phase)`` triples driving
-    disjoint level pairs, so their rotations commute and fill one matrix.
-    The Fock pair tables and phase factors are computed here, once; the
-    returned function maps areas of shape ``(block,)`` to a
-    ``(block, 5 * fock_dim, 5 * fock_dim)`` stack.
+    disjoint level pairs, so their two-level rotations commute and form one
+    :class:`~heraldsim.statespace.PairRotations`. The pair table and phase
+    factors are computed here, once; the returned function maps areas of
+    shape ``(block,)`` to every pair's coefficients in every row: c, and
+    the two off-diagonal entries of the pair's 2x2 block.
     """
-    rows, cols, scales, phases = [], [], [], []
+    table, scales, factors = [], [], []
     for kind, levels, phase in tones:
+        start_lo, start_up, tone_scales = _fock_pairs(kind, fock_dim)
         lo, up = (int(lv) for lv in levels)
-        for k_lo, k_up, scale in _fock_pairs(kind, fock_dim):
-            rows.append(lo * fock_dim + k_lo)
-            cols.append(up * fock_dim + k_up)
-            scales.append(scale)
-            phases.append(phase)
-    i, j, scales = np.array(rows, dtype=int), np.array(cols, dtype=int), np.array(scales)
-    raising = np.array([cmath.exp(-1j * phase) for phase in phases])
-    lowering = np.array([cmath.exp(1j * phase) for phase in phases])
-    diag = np.arange(N_LEVELS * fock_dim)
+        table.append((lo, start_lo, up, start_up, tone_scales.size))
+        scales.append(tone_scales)
+        # The lowering entry's phase factor, then the raising entry's.
+        lowering, raising = cmath.exp(1j * phase), cmath.exp(-1j * phase)
+        factors.append(np.repeat([[lowering], [raising]], tone_scales.size, axis=1))
+    table = tuple(table)
+    # One row per pair, broadcast against the areas.
+    scales = np.concatenate(scales)[:, None]
+    factors = np.concatenate(factors, axis=1)[:, :, None]
 
-    def fill(areas: np.ndarray) -> np.ndarray:
-        half = (0.5 * areas)[:, None] * scales
+    def fill(areas: np.ndarray) -> PairRotations:
+        half = scales * (0.5 * areas)
         c, s = np.cos(half), np.sin(half)
-        u = np.zeros((areas.shape[0], diag.size, diag.size), dtype=np.complex128)
-        u[:, diag, diag] = 1.0
-        u[:, i, i] = c
-        u[:, j, j] = c
-        u[:, j, i] = _minus_i_times(s, raising)
-        u[:, i, j] = _minus_i_times(s, lowering)
-        return u
+        return PairRotations(table, fock_dim, c, _minus_i_times(s, factors))
 
     return fill
 
@@ -276,10 +276,11 @@ def sideband_hamiltonian(pulse: SidebandPulse, space: StateSpace, omega: float =
     fdim = space.fock_dim
     lo, up = (int(lv) for lv in pulse.levels)
     h = np.zeros((N_LEVELS * fdim, N_LEVELS * fdim), dtype=np.complex128)
-    for k_lo, k_up, scale in _fock_pairs(pulse.kind, fdim):
-        i = lo * fdim + k_lo
-        j = up * fdim + k_up
-        h[j, i] = 0.5 * omega * scale * cmath.exp(-1j * pulse.phase)
+    start_lo, start_up, scales = _fock_pairs(pulse.kind, fdim)
+    k = np.arange(scales.size)
+    h[up * fdim + start_up + k, lo * fdim + start_lo + k] = (
+        0.5 * omega * scales * cmath.exp(-1j * pulse.phase)
+    )
     return h + h.conj().T
 
 

@@ -9,8 +9,9 @@ Basis ordering is fixed and golden-value tests depend on it: per-ion levels
 in the order (Q0, Q1, AUX_PLUS, AUX_MINUS, BRIGHT), ion index major, Fock
 index last. This module alone knows that layout: every read or write of
 one ion's levels (and, optionally, some Fock indices) goes through the
-strided view of :func:`_target_rows`. States are immutable; every
-operation returns a new value.
+strided view of :func:`_target_index`, or through the basis indices of
+:func:`_pair_index` for a sideband transfer's pairs. States are
+immutable; every operation returns a new value.
 """
 
 from __future__ import annotations
@@ -201,15 +202,110 @@ def _check_unitary(u: np.ndarray, atol: float = UNITARY_ATOL) -> None:
         raise ValueError(f"matrix is not unitary (deviation {err:.2e} > {atol:.0e})")
 
 
+@dataclass(frozen=True)
+class PairRotations:
+    """Simultaneous two-level rotations of one ion and the Fock mode: a
+    direct sum of 2x2 blocks on disjoint pairs of basis states, identity
+    elsewhere.
+
+    ``tones`` holds one ``(lower, lower_fock, upper, upper_fock, count)``
+    entry per tone: its k-th pair joins (level ``lower``, Fock index
+    ``lower_fock + k``) to (``upper``, ``upper_fock + k``). The pairs are
+    numbered tone after tone. A pair maps ``(x_lo, x_up)`` to ``(c*x_lo +
+    lowering*x_up, raising*x_lo + c*x_up)``: ``c`` holds c of each pair
+    and ``off`` its ``(lowering, raising)``, with the pairs first and any
+    trailing axis (one entry per row of a block) last, so ``c`` has shape
+    ``(pairs,)`` or ``(pairs, block)`` and ``off`` ``(2,) + c.shape``.
+    Indexing selects rows, as it does for a stack of matrices, and
+    ``np.asarray`` gives the dense matrices, level-major over (ion level,
+    Fock).
+    """
+
+    tones: tuple[tuple[int, int, int, int, int], ...]
+    fock_dim: int
+    c: np.ndarray
+    off: np.ndarray
+
+    def __getitem__(self, rows) -> PairRotations:
+        return PairRotations(self.tones, self.fock_dim, self.c[:, rows], self.off[:, :, rows])
+
+    @property
+    def nbytes(self) -> int:
+        return self.c.nbytes + self.off.nbytes
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        d = N_LEVELS * self.fock_dim
+        lower, upper = _pair_ends(self.tones, self.fock_dim)
+        # Rows first, then the pairs.
+        c, off = np.moveaxis(self.c, 0, -1), np.moveaxis(self.off, (0, 1), (-2, -1))
+        u = np.zeros(c.shape[:-1] + (d, d), dtype=np.complex128)
+        u[..., range(d), range(d)] = 1.0
+        u[..., lower, lower] = c
+        u[..., upper, upper] = c
+        u[..., lower, upper] = off[..., 0, :]
+        u[..., upper, lower] = off[..., 1, :]
+        return u if dtype is None else u.astype(dtype)
+
+
+def _pair_ends(tones, stride: int) -> np.ndarray:
+    """``level * stride + Fock index`` of every pair's lower and upper
+    entry: shape ``(2, pairs)``."""
+    return np.concatenate(
+        [
+            np.array([[lo * stride + lo_fock], [up * stride + up_fock]]) + np.arange(n)
+            for lo, lo_fock, up, up_fock, n in tones
+        ],
+        axis=1,
+    )
+
+
+@lru_cache(maxsize=64)
+def _pair_index(space: StateSpace, ion: int, tones) -> np.ndarray:
+    """The basis index of every pair's lower and upper entry, for each
+    setting of the other factors: shape ``(others, 2, pairs)``."""
+    shape, _, _ = _target_index(space, ion, None, None)
+    before, f = shape[0], shape[-1]
+    after = space.dim // (before * N_LEVELS * f)
+    stride = after * f  # from one level of the ion to the next
+    others = np.arange(before)[:, None] * (N_LEVELS * stride) + np.arange(after) * f
+    return others.reshape(-1, 1, 1) + _pair_ends(tones, stride)
+
+
+def _apply_pairs(
+    amps: np.ndarray, space: StateSpace, op: PairRotations, ion: int
+) -> np.ndarray:
+    """Apply row b of ``op`` to ion ``ion`` and the Fock mode of row b of a
+    ``(block, dim)`` array; entries outside every pair are copied.
+
+    Each new entry is ``c*x + (re(a)*y + i*im(a)*y)``, where x is the entry,
+    y its partner and a the coupling from y. Every factor has a zero
+    component, so every real product is rounded once, and the sums are
+    those of the dense product that rounds each complex product once."""
+    index = _pair_index(space, ion, op.tones)
+    # Basis index first: one gather gives both entries of every pair, for
+    # every setting of the other factors and every row.
+    x = amps.T[index]
+    y = x[:, ::-1]
+    out = amps.copy()
+    out.T[index] = op.c * x + (op.off.real * y + (1j * op.off.imag) * y)
+    return out
+
+
 def _apply_block(
-    amps: np.ndarray, space: StateSpace, u: np.ndarray, targets: tuple[int, ...]
+    amps: np.ndarray,
+    space: StateSpace,
+    u: np.ndarray | PairRotations,
+    targets: tuple[int, ...],
 ) -> np.ndarray:
     """Apply row b's operator ``u[b]`` to row b of a ``(block, dim)`` array.
 
-    Each row goes through its own matrix products, so a row's result does
-    not depend on the other rows or on the block size. No unitarity check:
-    callers validate matrices once and reuse them.
+    ``u`` is a ``(block, d, d)`` stack, or pair rotations on targets
+    ``(ion, motion_axis)``. Each row goes through its own products, so a
+    row's result does not depend on the other rows or on the block size.
+    No unitarity check: callers validate matrices once and reuse them.
     """
+    if isinstance(u, PairRotations):
+        return _apply_pairs(amps, space, u, targets[0])
     block, d = u.shape[0], u.shape[1]
     first = targets[0] if targets else 0
     if targets == tuple(range(first, first + len(targets))):
@@ -226,7 +322,7 @@ def _apply_block(
 
 
 def _apply_matrix(
-    state: PureState, u: np.ndarray, targets: tuple[int, ...]
+    state: PureState, u: np.ndarray | PairRotations, targets: tuple[int, ...]
 ) -> PureState:
     amps = _apply_block(state.amplitudes[None], state.space, u[None], targets)
     return PureState(state.space, amps[0])

@@ -503,6 +503,7 @@ class TestBrightIrreversibility:
         dims = space.factor_dims
         for step in steps:
             for u, targets in step.unitaries:
+                u = np.asarray(u)  # a sideband transfer's dense matrix
                 assert len(targets) < len(dims)
                 ion = targets[0]
                 assert ion < space.n_ions
