@@ -68,6 +68,10 @@ _PROCESS_BYTES = 64 * 2**20
 # amplitudes or operators times the row count would pass _BLOCK_BYTES.
 _BLOCK_ROWS = 64
 _BLOCK_BYTES = 4 * 2**20
+# One sideband pair of one row: its coefficients (c and two complex
+# entries), and the kernel's basis indices of its two entries for each
+# level of the other ion.
+_PAIR_BYTES = 8 + 2 * 16 + 2 * N_LEVELS * 8
 
 
 class ConfigError(ValueError):
@@ -269,24 +273,26 @@ def _space_for(spec: ExperimentSpec) -> StateSpace:
     return StateSpace(len(_crosstalk(spec).ratios))
 
 
-def _operator_entries(protocol: str, space: StateSpace) -> int:
-    """Matrix entries of one trajectory's step operators: six sideband
-    products (cz) or one transfer per ion and step."""
-    n_operators = 6 if protocol == "cz" else 2 * space.n_ions
-    return n_operators * (N_LEVELS * space.fock_dim) ** 2
+def _operator_bytes(protocol: str, space: StateSpace) -> int:
+    """Bytes of one trajectory's step operators: ten sideband tones of at
+    most fock_dim pairs each, with the kernel's indices of those pairs
+    (cz), or one dense 5x5 transfer per ion and step."""
+    if protocol == "cz":
+        return 10 * space.fock_dim * _PAIR_BYTES
+    return 2 * space.n_ions * 16 * N_LEVELS**2
 
 
 def _block_size(protocol: str, space: StateSpace) -> int:
     """Trajectories per block: derived from the register, never configured."""
-    row_bytes = 16 * max(space.dim, _operator_entries(protocol, space))
+    row_bytes = max(16 * space.dim, _operator_bytes(protocol, space))
     return max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // row_bytes))
 
 
 def _estimated_bytes(protocol: str, space: StateSpace) -> int:
     """Rough peak memory of one run: the process, plus a few state vectors
     and the step operators of every row of one block."""
-    per_row = _STATE_COPIES * space.dim + _operator_entries(protocol, space)
-    return _PROCESS_BYTES + 16 * _block_size(protocol, space) * per_row
+    per_row = 16 * _STATE_COPIES * space.dim + _operator_bytes(protocol, space)
+    return _PROCESS_BYTES + _block_size(protocol, space) * per_row
 
 
 def _check_memory(spec: ExperimentSpec, space: StateSpace, processes: int, path: str) -> None:

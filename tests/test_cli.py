@@ -222,7 +222,7 @@ INVALID_CONFIGS = {
         "addressing", lambda out: addressing_doc(out, n_ions=13), [], "$.crosstalk.ratios"
     ),
     "fock-cutoff-too-large": (
-        "cz", lambda out: cz_doc(out, fock_cutoff=10**4), [], "$.fock_cutoff"
+        "cz", lambda out: cz_doc(out, fock_cutoff=400072), [], "$.fock_cutoff"
     ),
     # json reads an integer literal exactly, however large; HUGE has no float.
     "selectivity-huge": (

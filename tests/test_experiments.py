@@ -536,12 +536,12 @@ class TestSpecValidation:
             )
 
         chain(10)
-        cz(929)
+        cz(400071)
         with pytest.raises(ConfigError) as err:
             chain(11)
         assert err.value.path == "$.crosstalk.ratios"
         with pytest.raises(ConfigError) as err:
-            cz(930)
+            cz(400072)
         assert err.value.path == "$.fock_cutoff"
 
 
