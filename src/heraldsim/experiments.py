@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -47,6 +46,7 @@ from .statespace import (
     PureState,
     StateSpace,
     _apply_block,
+    _check_real,
     _row_fidelities,
     make_state,
     plus_minus_n_vectors,
@@ -229,8 +229,10 @@ def _as_int(value, path: str) -> int:
 def _as_float(value, path: str) -> float:
     """A real field as a float; bools, non-reals and integers beyond float
     range (``json`` reads integers exactly) are refused."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"expected a number, got {type(value).__name__}", path)
+    try:
+        _check_real(value=value)
+    except ValueError:
+        raise ConfigError(f"expected a number, got {type(value).__name__}", path) from None
     try:
         return float(value)
     except OverflowError:

@@ -25,6 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .statespace import _check_real
+
 # The JSON form of each kind: key -> (model field, default). REQUIRED marks
 # a key without a default. Numbers keep their JSON type, so a config echoes
 # an integer as written.
@@ -56,9 +58,11 @@ class AmplitudeErrorModel:
     def __post_init__(self) -> None:
         if self.kind not in FORMAT:
             raise ValueError(f"unknown error model kind {self.kind!r}")
-        for name in ("value", "sigma", "slope"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        values = {name: getattr(self, name) for name in ("value", "sigma", "slope")}
+        _check_real(**values)
+        for name, value in values.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
 

@@ -52,6 +52,7 @@ from .statespace import (
     StateSpace,
     _apply_block,
     _apply_matrix,
+    _check_real,
     _row_norm2,
     _target_rows,
     _zero_target,
@@ -84,6 +85,7 @@ class GateSpec:
     theta_gate: float
 
     def __post_init__(self) -> None:
+        _check_real(theta_gate=self.theta_gate)
         if not math.isfinite(self.theta_gate):
             raise ValueError(f"theta_gate must be finite, got {self.theta_gate}")
 

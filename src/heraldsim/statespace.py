@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import lru_cache
@@ -44,6 +45,14 @@ QUBIT_MANIFOLD = frozenset({IonLevel.Q0, IonLevel.Q1})
 AUX_MANIFOLD = frozenset({IonLevel.AUX_PLUS, IonLevel.AUX_MINUS})
 
 
+def _check_real(**values) -> None:
+    """Raise ValueError unless every value is a real number; a bool is not
+    one. The one rule for the numbers of every value object and spec."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class BlochAxis:
     """Rotation axis given by polar and azimuthal angles on the Bloch sphere."""
@@ -52,6 +61,7 @@ class BlochAxis:
     phi: float = 0.0
 
     def __post_init__(self) -> None:
+        _check_real(theta=self.theta, phi=self.phi)
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
         if not 0.0 <= self.phi < 2.0 * math.pi:

@@ -587,3 +587,32 @@ class TestWorkerGuard:
             with pytest.raises(ConfigError) as err:
                 run()
             assert err.value.path == "--workers"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: BlochAxis(True, 0.0),
+        lambda: BlochAxis(0.5, True),
+        lambda: BlochAxis("1", 0.0),
+        lambda: BlochAxis(0.5, None),
+        lambda: GateSpec(BlochAxis(0.5, 0.0), True),
+        lambda: GateSpec(BlochAxis(0.5, 0.0), "1.0"),
+        lambda: AmplitudeErrorModel.constant(True),
+        lambda: AmplitudeErrorModel.gaussian_iid(True),
+        lambda: AmplitudeErrorModel.linear_drift(0.1, False),
+        lambda: AmplitudeErrorModel.random_walk("0.1"),
+        lambda: AmplitudeErrorModel("constant", value=0.1j),
+    ],
+)
+def test_value_objects_refuse_bools_and_non_reals(build):
+    # A spec built over such an object would echo a config that
+    # parse_config refuses.
+    with pytest.raises(ValueError, match="must be a real number"):
+        build()
+
+
+def test_value_objects_keep_real_numbers_as_given():
+    assert BlochAxis(1, np.float64(0.5)).theta == 1
+    assert GateSpec(BlochAxis(0.5), np.int64(2)).theta_gate == 2
+    assert AmplitudeErrorModel.constant(0).to_dict() == {"kind": "constant", "delta_pi": 0}
