@@ -147,11 +147,10 @@ class _Step:
 
     The transfer is a sequence of prevalidated per-factor (operator,
     targets) pairs, applied in order to the state tensor: a 5x5 ion matrix
-    on ``(ion,)``, or the :class:`~heraldsim.statespace.PairRotations` of a sideband transfer on
-    ``(ion, motion_axis)``. Steps of one trajectory hold ``(d, d)``
-    matrices or one row of coefficients; steps of a block of trajectories
-    hold ``(block, d, d)`` stacks or ``(block, pairs)`` coefficients, one
-    row per trajectory.
+    on ``(ion,)``, or the pair rotations of a sideband transfer on ``(ion,
+    motion_axis)`` (:class:`~heraldsim.statespace.PairRotations`). Steps of
+    one trajectory hold one operator each; steps of a block of
+    trajectories hold one per row, and indexing an operator selects rows.
     """
 
     unitaries: tuple[tuple[np.ndarray, tuple[int, ...]], ...]
@@ -573,7 +572,7 @@ def cz_builder(selectivity: float = 1.0, space: StateSpace | None = None):
 
     Simultaneous tones of one transfer touch disjoint level pairs, so each
     transfer is a set of commuting two-level rotations sharing one area
-    error: the :class:`~heraldsim.statespace.PairRotations` of its Fock pairs, with each row's
+    error: the pair rotations of its Fock pairs, with each row's
     coefficients. No dense operator is built.
     """
     if space is None:
