@@ -269,7 +269,9 @@ def _pair_ends(tones, stride: int) -> np.ndarray:
     )
 
 
-@lru_cache(maxsize=64)
+# Enough for the four sideband transfers of one cz run, which the memory
+# estimate counts; more would keep a past run's indices alive.
+@lru_cache(maxsize=4)
 def _pair_index(space: StateSpace, ion: int, tones) -> np.ndarray:
     """The basis index of every pair's lower and upper entry, for each
     setting of the other factors: shape ``(others, 2, pairs)``."""
