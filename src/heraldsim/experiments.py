@@ -42,11 +42,11 @@ from .protocols import (
 )
 from .statespace import (
     N_LEVELS,
-    IonLevel,
     PureState,
     StateSpace,
     _apply_block,
     _check_real,
+    _normalized_state,
     _row_fidelities,
     make_state,
     plus_minus_n_vectors,
@@ -344,15 +344,30 @@ def _input_problem(spec: ExperimentSpec, n_ions: int) -> str | None:
     return None
 
 
+def _qubit_indices(space: StateSpace) -> np.ndarray:
+    """Flat basis index of every qubit-manifold label k: bit i of k, from
+    the most significant, is ion i's qubit level."""
+    n = space.n_ions
+    powers = N_LEVELS ** np.arange(n - 1, -1, -1)
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    return bits @ powers * space.fock_dim
+
+
+def _qubit_state(space: StateSpace, values) -> PureState:
+    """The normalized state with each qubit label's amplitude, in
+    :func:`_qubit_indices` order, added into zeros as ``make_state`` adds
+    its entries."""
+    amps = np.zeros(space.dim, dtype=np.complex128)
+    amps[_qubit_indices(space)] += values
+    return _normalized_state(space, amps)
+
+
 def _qubit_product_state(space: StateSpace, per_ion: list[tuple[complex, complex]]) -> PureState:
-    entries = []
-    for bits in np.ndindex(*(2,) * space.n_ions):
-        amp = 1.0 + 0.0j
-        for ion, b in enumerate(bits):
-            amp *= per_ion[ion][b]
-        if amp != 0.0:
-            entries.append((space.index([IonLevel(b) for b in bits]), amp))
-    return make_state(space, entries)
+    """The outer product of each ion's (Q0, Q1) amplitudes, ion 0 first."""
+    amps = [1.0 + 0.0j]
+    for q in per_ion:
+        amps = [a * c for a in amps for c in q]
+    return _qubit_state(space, amps)
 
 
 def prepare_input(spec: ExperimentSpec) -> PureState:
@@ -370,11 +385,7 @@ def prepare_input(spec: ExperimentSpec) -> PureState:
         chars = _BASIS_CHARS[spec.protocol]
         return _qubit_product_state(space, [chars[ch] for ch in inp.label])
     # explicit amplitudes over the qubit manifold, ion-major
-    entries = []
-    for k, a in enumerate(inp.amplitudes):
-        bits = [(k >> (space.n_ions - 1 - ion)) & 1 for ion in range(space.n_ions)]
-        entries.append((space.index([IonLevel(b) for b in bits]), a))
-    return make_state(space, entries)
+    return _qubit_state(space, np.array(inp.amplitudes, dtype=np.complex128))
 
 
 def _ideal_output(spec: ExperimentSpec, state: PureState) -> PureState:
@@ -438,8 +449,7 @@ def _run_batch(spec: ExperimentSpec, start: int, stop: int, bare: bool = False) 
     state = prepare_input(spec)
     ideal = _ideal_output(spec, state)
     build = _block_builder(spec)
-    # The clean-outs are fixed by the protocol, not by the errors.
-    sites = cleanout_sites(build(np.zeros((1, spec.n_steps))))
+    sites = cleanout_sites(build.cleanouts)
     size = _block_size(spec.protocol, state.space)
     blocks = [range(first, min(first + size, stop)) for first in range(start, stop, size)]
     return _joined([_run_block(spec, ids, state, ideal, build, sites, bare) for ids in blocks])

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -173,9 +173,25 @@ def _as_block(steps: Sequence[_Step]) -> tuple[_Step, ...]:
     )
 
 
-def cleanout_sites(steps: Sequence[_Step]) -> tuple[tuple[int, int], ...]:
-    """(step index, ion) of every clean-out, in the order they run."""
-    return tuple((si, ch.ion) for si, step in enumerate(steps) for ch in step.cleanouts)
+@dataclass(frozen=True)
+class _Builder:
+    """Block builder of one protocol: ``transfers`` maps errors of shape
+    ``(block, n_steps)`` to each step's transfer, and ``cleanouts`` holds
+    each step's clean-outs, which do not depend on the errors."""
+
+    transfers: Callable[[np.ndarray], tuple]
+    cleanouts: tuple[tuple[CleanoutChannel, ...], ...]
+
+    def __call__(self, errors: np.ndarray) -> tuple[_Step, ...]:
+        return tuple(map(_Step, self.transfers(errors), self.cleanouts))
+
+
+def cleanout_sites(
+    cleanouts: Sequence[Sequence[CleanoutChannel]],
+) -> tuple[tuple[int, int], ...]:
+    """(step index, ion) of every clean-out, in the order they run, from
+    each step's clean-outs."""
+    return tuple((si, ch.ion) for si, step in enumerate(cleanouts) for ch in step)
 
 
 def _branch_sort_key(branch: Branch):
@@ -234,7 +250,9 @@ def run_protocol(
         )
         records = tuple(
             HeraldRecord(si, ion, bool(paths.flags[0, c]), float(paths.probs[0, c]))
-            for c, (si, ion) in enumerate(cleanout_sites(steps)[: paths.done[0]])
+            for c, (si, ion) in enumerate(
+                cleanout_sites([step.cleanouts for step in steps])[: paths.done[0]]
+            )
         )
         final = PureState(state.space, paths.final[0]) if paths.alive[0] else None
         return ProtocolOutcome((Branch(final, 1.0, records),), "mc")
@@ -601,16 +619,16 @@ def cz_builder(selectivity: float = 1.0, space: StateSpace | None = None):
         (aux_cleanout(0, s),),
     )
 
-    def build(errors: np.ndarray) -> tuple[_Step, ...]:
+    def transfers(errors: np.ndarray):
         a1, a2, a3, a4 = (math.pi + errors[:, k] for k in range(4))
         return (
-            _Step(((on_m(a1), (0, f)),), cleanouts[0]),
-            _Step(((carrier_m(a2), (0, f)), (on_n(a2), (1, f))), cleanouts[1]),
-            _Step(((carrier_m(a3), (0, f)), (on_n_flipped(a3), (1, f))), cleanouts[2]),
-            _Step(((on_m(a4), (0, f)),), cleanouts[3]),
+            ((on_m(a1), (0, f)),),
+            ((carrier_m(a2), (0, f)), (on_n(a2), (1, f))),
+            ((carrier_m(a3), (0, f)), (on_n_flipped(a3), (1, f))),
+            ((on_m(a4), (0, f)),),
         )
 
-    return build
+    return _Builder(transfers, cleanouts)
 
 
 def cz_steps(
@@ -693,13 +711,10 @@ def addressed_builder(
         area = math.pi + delta
         return tuple((fill(area * r), (j,)) for j, r in driven)
 
-    def build(errors: np.ndarray) -> tuple[_Step, ...]:
-        return (
-            _Step(rotations(first, errors[:, 0]), cleanouts[0]),
-            _Step(rotations(second, errors[:, 1]), cleanouts[1]),
-        )
+    def transfers(errors: np.ndarray):
+        return rotations(first, errors[:, 0]), rotations(second, errors[:, 1])
 
-    return build
+    return _Builder(transfers, cleanouts)
 
 
 def addressed_steps(

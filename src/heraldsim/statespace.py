@@ -166,6 +166,12 @@ def make_state(
         if not 0 <= idx < space.dim:
             raise ValueError(f"basis index {idx} out of range [0, {space.dim})")
         amps[idx] += value
+    return _normalized_state(space, amps)
+
+
+def _normalized_state(space: StateSpace, amps: np.ndarray) -> PureState:
+    """The state of an amplitude vector divided by its norm; raises on an
+    all-zero vector."""
     norm = np.linalg.norm(amps)
     if norm == 0.0:
         raise ValueError("state has no nonzero amplitude")
