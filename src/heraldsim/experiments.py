@@ -59,9 +59,10 @@ _WILSON_Z = 1.96  # 95% interval
 
 # Largest estimated peak memory of one run, over all its processes.
 MEMORY_BUDGET = 2 * 2**30
-# Peak RSS of an 8- or 9-ion addressing ensemble is 5-6 state vectors per
-# block row (input, ideal output, kernel temporaries) over that of the
-# process before it runs (~40 MB with numpy loaded); 10 leaves headroom.
+# Peak RSS of an 8-, 9- or 10-ion addressing ensemble is 6-8 state vectors
+# per block row (input, ideal output, kernel temporaries: an ion product
+# holds its input and two ions' outputs) over that of the process before
+# it runs (~32 MB with numpy loaded); 10 leaves headroom.
 _STATE_COPIES = 10
 _PROCESS_BYTES = 64 * 2**20
 # A block runs at most _BLOCK_ROWS trajectories, and fewer when one row's
@@ -278,7 +279,8 @@ def _space_for(spec: ExperimentSpec) -> StateSpace:
 def _operator_bytes(protocol: str, space: StateSpace) -> int:
     """Bytes of one trajectory's step operators: ten sideband tones of at
     most fock_dim pairs each, with the kernel's indices of those pairs
-    (cz), or one dense 5x5 transfer per ion and step."""
+    (cz), or one ion product per step, a 5x5 transfer for every ion of the
+    chain, ratio-0 ions included (addressing and single)."""
     if protocol == "cz":
         return 10 * space.fock_dim * _PAIR_BYTES
     return 2 * space.n_ions * 16 * N_LEVELS**2
@@ -385,7 +387,7 @@ def prepare_input(spec: ExperimentSpec) -> PureState:
         chars = _BASIS_CHARS[spec.protocol]
         return _qubit_product_state(space, [chars[ch] for ch in inp.label])
     # explicit amplitudes over the qubit manifold, ion-major
-    return _qubit_state(space, np.array(inp.amplitudes, dtype=np.complex128))
+    return _qubit_state(space, inp.amplitudes)
 
 
 def _ideal_output(spec: ExperimentSpec, state: PureState) -> PureState:

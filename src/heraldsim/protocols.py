@@ -45,8 +45,11 @@ from .dissipation import (
 )
 from .pulses import gate_phase_shifts, sideband_fill, transfer_fill
 from .statespace import (
+    N_LEVELS,
     BlochAxis,
     IonLevel,
+    IonProduct,
+    PairRotations,
     PureState,
     QUBIT_MANIFOLD,
     StateSpace,
@@ -145,15 +148,17 @@ class ProtocolOutcome:
 class _Step:
     """One transfer followed by its clean-outs, in fixed order.
 
-    The transfer is a sequence of prevalidated per-factor (operator,
-    targets) pairs, applied in order to the state tensor: a 5x5 ion matrix
-    on ``(ion,)``, or the pair rotations of a sideband transfer on ``(ion,
-    motion_axis)`` (:class:`~heraldsim.statespace.PairRotations`). Steps of
-    one trajectory hold one operator each; steps of a block of
-    trajectories hold one per row, and indexing an operator selects rows.
+    The transfer is a sequence of prevalidated (operator, targets) pairs,
+    applied in order to the state tensor: a chain transfer's 5x5 transfer
+    of every ion on all of them (:class:`~heraldsim.statespace.IonProduct`,
+    one pass over the register), or the pair rotations of a sideband
+    transfer on ``(ion, motion_axis)``
+    (:class:`~heraldsim.statespace.PairRotations`). Steps of one
+    trajectory hold one operator each; steps of a block of trajectories
+    hold one per row, and indexing an operator selects rows.
     """
 
-    unitaries: tuple[tuple[np.ndarray, tuple[int, ...]], ...]
+    unitaries: tuple[tuple[IonProduct | PairRotations, tuple[int, ...]], ...]
     cleanouts: tuple[CleanoutChannel, ...]
 
 
@@ -692,12 +697,16 @@ def addressed_builder(
     """Block builder of the addressed gate: maps errors of shape
     ``(block, 2)`` to both halves of every row.
 
-    Every ion sees the same waveform scaled by its crosstalk ratio. After
+    Every ion sees the same waveform scaled by its crosstalk ratio, so each
+    half is one :class:`~heraldsim.statespace.IonProduct` on the whole
+    chain: every ion's 5x5 transfer at its scaled area. An ion with ratio
+    0 gets area 0, the identity, which the kernel applies exactly. After
     the first half the target's qubit manifold and each neighbor's auxiliary
     manifold are cleaned; after the second half every auxiliary manifold is.
     """
     n_ions = len(crosstalk.ratios)
-    driven = [(j, r) for j, r in enumerate(crosstalk.ratios) if r != 0.0]
+    ratios = np.array(crosstalk.ratios)
+    ions = tuple(range(n_ions))
     first = transfer_fill(spec.axis)
     second = transfer_fill(spec.axis, *gate_phase_shifts(spec.theta_gate))
     neighbors = [j for j in range(n_ions) if j != target]
@@ -708,8 +717,10 @@ def addressed_builder(
     )
 
     def rotations(fill, delta: np.ndarray):
-        area = math.pi + delta
-        return tuple((fill(area * r), (j,)) for j, r in driven)
+        # Every ion's area, row-major: a ratio of 0 gives area 0, the identity.
+        areas = (math.pi + delta)[:, None] * ratios
+        factors = fill(areas.reshape(-1)).reshape(areas.shape + (N_LEVELS, N_LEVELS))
+        return ((IonProduct(factors), ions),)
 
     def transfers(errors: np.ndarray):
         return rotations(first, errors[:, 0]), rotations(second, errors[:, 1])

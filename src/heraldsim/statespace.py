@@ -9,9 +9,10 @@ Basis ordering is fixed and golden-value tests depend on it: per-ion levels
 in the order (Q0, Q1, AUX_PLUS, AUX_MINUS, BRIGHT), ion index major, Fock
 index last. This module alone knows that layout: every read or write of
 one ion's levels (and, optionally, some Fock indices) goes through the
-strided view of :func:`_target_index`, or through the basis indices of
-:func:`_pair_index` for a sideband transfer's pairs. States are
-immutable; every operation returns a new value.
+strided view of :func:`_target_index`, through the basis indices of
+:func:`_pair_index` for a sideband transfer's pairs, or through the cyclic
+pass of :func:`_apply_product` over every ion. States are immutable; every
+operation returns a new value.
 """
 
 from __future__ import annotations
@@ -263,6 +264,36 @@ class PairRotations:
         return u if dtype is None else u.astype(dtype)
 
 
+@dataclass(frozen=True)
+class IonProduct:
+    """One 5x5 matrix per ion of a register without a motional mode, all
+    applied at once: their tensor product.
+
+    ``factors`` has shape ``(..., n_ions, 5, 5)``, ion 0 first; any leading
+    axes are rows of a block. Indexing selects rows, as it does for a stack
+    of matrices, and ``np.asarray`` gives the dense Kronecker products,
+    with ion 0 the most significant factor.
+    """
+
+    factors: np.ndarray
+
+    def __getitem__(self, rows) -> IonProduct:
+        return IonProduct(self.factors[rows])
+
+    @property
+    def nbytes(self) -> int:
+        return self.factors.nbytes
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        u = np.ones(self.factors.shape[:-3] + (1, 1))
+        for k in range(self.factors.shape[-3]):
+            f = self.factors[..., k, :, :]
+            d = u.shape[-1] * N_LEVELS
+            u = u[..., :, None, :, None] * f[..., None, :, None, :]
+            u = u.reshape(u.shape[:-4] + (d, d))
+        return u if dtype is None else u.astype(dtype)
+
+
 def _pair_ends(tones, stride: int) -> np.ndarray:
     """``level * stride + Fock index`` of every pair's lower and upper
     entry: shape ``(2, pairs)``."""
@@ -309,21 +340,42 @@ def _apply_pairs(
     return out
 
 
+def _apply_product(amps: np.ndarray, op: IonProduct) -> np.ndarray:
+    """Apply row b's product to row b of a ``(block, dim)`` array, one ion
+    at a time.
+
+    When ion k's turn comes its level leads each row: viewed as ``(5,
+    rest)``, the row times the factor is ``x.T @ u.T``, one ``(rest, 5) @
+    (5, 5)`` product for the whole row, which leaves the ion's level last.
+    After the last ion the axes are back in basis order, so no axis is
+    moved and no copy made."""
+    block = amps.shape[0]
+    for k in range(op.factors.shape[1]):
+        rows = amps.reshape(block, N_LEVELS, -1)
+        amps = np.swapaxes(rows, 1, 2) @ np.swapaxes(op.factors[:, k], 1, 2)
+    return amps.reshape(block, -1)
+
+
 def _apply_block(
     amps: np.ndarray,
     space: StateSpace,
-    u: np.ndarray | PairRotations,
+    u: np.ndarray | PairRotations | IonProduct,
     targets: tuple[int, ...],
 ) -> np.ndarray:
     """Apply row b's operator ``u[b]`` to row b of a ``(block, dim)`` array.
 
-    ``u`` is a ``(block, d, d)`` stack, or pair rotations on targets
-    ``(ion, motion_axis)``. Each row goes through its own products, so a
-    row's result does not depend on the other rows or on the block size.
-    No unitarity check: callers validate matrices once and reuse them.
+    ``u`` is a ``(block, d, d)`` stack, pair rotations on targets ``(ion,
+    motion_axis)``, or an ion product on every ion of a register without a
+    motional mode. Each row goes through its own products, so a row's
+    result does not depend on the other rows or on the block size. No
+    unitarity check: callers validate matrices once and reuse them.
+    Protocol steps hold the structured operators; dense stacks come from
+    :func:`apply_unitary` and the ideal outputs.
     """
     if isinstance(u, PairRotations):
         return _apply_pairs(amps, space, u, targets[0])
+    if isinstance(u, IonProduct):
+        return _apply_product(amps, u)
     block, d = u.shape[0], u.shape[1]
     first = targets[0] if targets else 0
     if targets == tuple(range(first, first + len(targets))):
@@ -340,7 +392,7 @@ def _apply_block(
 
 
 def _apply_matrix(
-    state: PureState, u: np.ndarray | PairRotations, targets: tuple[int, ...]
+    state: PureState, u: np.ndarray | PairRotations | IonProduct, targets: tuple[int, ...]
 ) -> PureState:
     amps = _apply_block(state.amplitudes[None], state.space, u[None], targets)
     return PureState(state.space, amps[0])

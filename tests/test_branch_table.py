@@ -87,7 +87,9 @@ def enumerate_branches(psi: np.ndarray, space: StateSpace, steps):
     done, dropped, after_step = [], 0.0, []
     for si, step in enumerate(steps):
         for u, targets in step.unitaries:
-            u = np.asarray(u)  # a sideband transfer's dense matrix
+            # The dense form: a chain transfer's Kronecker product of its
+            # per-ion factors, or a sideband transfer's matrix.
+            u = np.asarray(u)
             live = [(w, recs, oracle_apply(v, space, u, targets)) for w, recs, v in live]
         for ch in step.cleanouts:
             mask, s = oracle_mask(space, ch), ch.selectivity

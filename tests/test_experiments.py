@@ -29,7 +29,13 @@ from heraldsim.protocols import (
     ideal_addressed_output,
     no_flag_branch,
 )
-from heraldsim.statespace import BlochAxis, IonLevel, fidelity_up_to_global_phase
+from heraldsim.statespace import (
+    BlochAxis,
+    IonLevel,
+    fidelity_up_to_global_phase,
+    make_state,
+    plus_minus_n_vectors,
+)
 
 
 GATE = GateSpec(BlochAxis(1.0471975511965976, 0.5), 2.1)
@@ -195,6 +201,53 @@ class TestPrepareInput:
         r = 1 / math.sqrt(2)
         assert state.amplitudes[space.index([0, 0])] == pytest.approx(r, abs=1e-12)
         assert state.amplitudes[space.index([0, 1])] == pytest.approx(r, abs=1e-12)
+
+    @staticmethod
+    def label_loop(space, per_ion):
+        """The product state built label by label in Python, ion 0's qubit
+        level the most significant bit."""
+        entries = []
+        for bits in np.ndindex(*(2,) * space.n_ions):
+            amp = 1.0 + 0.0j
+            for ion, b in enumerate(bits):
+                amp *= per_ion[ion][b]
+            if amp != 0.0:
+                entries.append((space.index([IonLevel(b) for b in bits]), amp))
+        return make_state(space, entries)
+
+    def test_inputs_equal_the_label_loop(self):
+        # Byte for byte, signed zeros included.
+        rng = np.random.default_rng(12)
+        chars = experiments._QUBIT_CHARS
+        for n_ions in range(1, 6):
+            ratios = tuple(1.0 if j == 0 else 0.1 for j in range(n_ions))
+            label = "".join(rng.choice(list(chars), n_ions))
+            gate = GateSpec(BlochAxis(rng.uniform(0, math.pi), rng.uniform(0, 6.28)), 1.0)
+            amps = tuple(complex(*rng.normal(size=2)) for _ in range(2**n_ions))
+            plus, _ = plus_minus_n_vectors(gate.axis)
+            cases = (
+                (InputSpec("plus_n"), [(plus[0], plus[1])] * n_ions),
+                (InputSpec("basis", label), [chars[c] for c in label]),
+                (InputSpec("amplitudes", amplitudes=amps), None),
+            )
+            for inp, per_ion in cases:
+                spec = ExperimentSpec(
+                    protocol="addressing",
+                    error_model=AmplitudeErrorModel.constant(0.0),
+                    input_state=inp,
+                    trials=1,
+                    master_seed=0,
+                    gate=gate,
+                    crosstalk=ratios,
+                )
+                state = prepare_input(spec)
+                if per_ion is None:
+                    bits = [np.unravel_index(k, (2,) * n_ions) for k in range(2**n_ions)]
+                    labels = [state.space.index([IonLevel(b) for b in k]) for k in bits]
+                    want = make_state(state.space, zip(labels, amps))
+                else:
+                    want = self.label_loop(state.space, per_ion)
+                assert state.amplitudes.tobytes() == want.amplitudes.tobytes(), (n_ions, inp)
 
     def test_bad_label(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
-"""Sideband transfers as pair rotations, against their dense matrices.
+"""Structured transfers against their dense matrices: the sideband pair
+rotations of the entangling gate and the ion products of a chain.
 
 A sideband transfer is a direct sum of 2x2 rotations on (lower level, Fock
 n) and (upper level, n +- 1) pairs. ``sideband_fill`` gives each pair's
@@ -19,19 +20,34 @@ States carry weight at Fock 0 and at the top Fock level, which reach the
 truncated red and blue edges. The ``apply_unitary`` check leaves the
 Bright level empty, as every protocol run does: BLAS rounds the columns
 of a Bright neighbor in another kernel.
+
+A chain transfer is the tensor product of one 5x5 matrix per ion, applied
+one ion at a time in a cyclic pass. Its checks: the dense form is the
+``np.kron`` of the factors; the pass equals ``np.einsum`` of the dense form
+to within a few roundings; a row's result does not depend on the block
+size; and an ion with crosstalk ratio 0 is left exactly as it was.
 """
 
 import cmath
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from heraldsim.protocols import cz_space, cz_steps
-from heraldsim.pulses import SidebandPulse, sideband_fill, sideband_unitary
+from heraldsim.protocols import (
+    CrosstalkProfile,
+    GateSpec,
+    addressed_builder,
+    cz_space,
+    cz_steps,
+)
+from heraldsim.pulses import SidebandPulse, sideband_fill, sideband_unitary, transfer_fill
 from heraldsim.statespace import (
     N_LEVELS,
+    BlochAxis,
     IonLevel,
+    IonProduct,
     PureState,
     StateSpace,
     _apply_block,
@@ -177,3 +193,86 @@ def test_cz_operator_bytes_grow_linearly_in_the_cutoff():
         pairs = sum(np.count_nonzero(np.triu(np.asarray(u), 1)) for u in ops)
         assert pairs == 10 * (cutoff + 1) - 6
         assert sum(u.nbytes for u in ops) <= 40 * pairs
+
+
+# --- ion products ------------------------------------------------------------
+
+ION_COUNTS = range(1, 6)
+# Unit-norm rows and factors with entries of about 1/2: the pass and the
+# dense product differ by a few roundings (at most 1.4 * 2**-52 seen).
+PRODUCT_ATOL = 2.0**-48
+
+
+def random_factors(rng, block: int, n_ions: int) -> np.ndarray:
+    shape = (block, n_ions, N_LEVELS, N_LEVELS)
+    return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / math.sqrt(10)
+
+
+def chain_product(ratios, block: int, rng) -> IonProduct:
+    """The first transfer of an addressed gate on a chain with these
+    crosstalk ratios, for ``block`` random area errors."""
+    gate = GateSpec(BlochAxis(1.1, 0.4), 2.0)
+    build = addressed_builder(gate, CrosstalkProfile(ratios), ratios.index(1.0))
+    (step, _) = build(rng.normal(scale=0.3, size=(block, 2)))
+    ((op, targets),) = step.unitaries
+    assert targets == tuple(range(len(ratios)))
+    return op
+
+
+@pytest.mark.parametrize("n_ions", range(1, 5))
+def test_product_dense_form_is_the_kron_of_the_factors(n_ions):
+    rng = np.random.default_rng(300 + n_ions)
+    for block in BLOCKS:
+        factors = random_factors(rng, block, n_ions)
+        dense = np.asarray(IonProduct(factors))
+        for row in range(block):
+            assert np.array_equal(dense[row], functools.reduce(np.kron, factors[row]))
+
+
+@pytest.mark.parametrize("n_ions", ION_COUNTS)
+def test_product_pass_equals_einsum_of_the_dense_form(n_ions):
+    rng = np.random.default_rng(400 + n_ions)
+    space = StateSpace(n_ions)
+    for block in BLOCKS:
+        op = IonProduct(random_factors(rng, block, n_ions))
+        amps = random_states(rng, space, block)
+        assert np.abs(amps[:, IonLevel.BRIGHT :: N_LEVELS]).min() > 0.0
+        got = _apply_block(amps, space, op, tuple(range(n_ions)))
+        for row in range(block):
+            # One row's dense matrix at a time: 156 MB at five ions.
+            want = np.einsum("ij,j->i", np.asarray(op[row]), amps[row])
+            assert np.abs(got[row] - want).max() <= PRODUCT_ATOL
+
+
+@pytest.mark.parametrize("n_ions", ION_COUNTS)
+def test_product_row_does_not_depend_on_the_block(n_ions):
+    rng = np.random.default_rng(500 + n_ions)
+    space = StateSpace(n_ions)
+    op = IonProduct(random_factors(rng, 64, n_ions))
+    amps = random_states(rng, space, 64)
+    got = _apply_block(amps, space, op, tuple(range(n_ions)))
+    for row in range(64):
+        alone = _apply_block(amps[row : row + 1], space, op[row : row + 1], tuple(range(n_ions)))
+        assert np.array_equal(alone[0], got[row])
+
+
+def test_ratio_zero_ion_is_the_exact_identity():
+    rng = np.random.default_rng(600)
+    # Area 0 gives cos 1 and sin 0: no coupling at all.
+    still = transfer_fill(BlochAxis(1.1, 0.4))(np.zeros(1))[0]
+    assert np.array_equal(still, np.eye(N_LEVELS))
+    for ratios in ((1.0, 0.0, 0.3), (0.0, 1.0), (0.2, 0.0, 1.0, 0.0)):
+        space = StateSpace(len(ratios))
+        ions = tuple(range(space.n_ions))
+        op = chain_product(ratios, 7, rng)
+        amps = random_states(rng, space, 7)
+        eye = op.factors.copy()
+        eye[:, [j for j, r in enumerate(ratios) if r == 0.0]] = np.eye(N_LEVELS)
+        assert np.array_equal(
+            _apply_block(amps, space, op, ions), _apply_block(amps, space, IonProduct(eye), ions)
+        )
+    # Every ion at ratio 0: the state comes back bit for bit.
+    space = StateSpace(3)
+    amps = random_states(rng, space, 7)
+    op = IonProduct(np.broadcast_to(still, (7, 3, N_LEVELS, N_LEVELS)))
+    assert np.array_equal(_apply_block(amps, space, op, (0, 1, 2)), amps)

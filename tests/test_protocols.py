@@ -29,6 +29,7 @@ from heraldsim.protocols import (
 from heraldsim.statespace import (
     BlochAxis,
     IonLevel,
+    IonProduct,
     N_LEVELS,
     StateSpace,
     basis_state,
@@ -497,21 +498,31 @@ class TestBrightIrreversibility:
     # the rest of its space, so flagged population can never re-enter.
 
     @staticmethod
-    def assert_bright_decoupled(steps, space):
-        # Each operator is per-factor: it drives one ion, optionally with the
-        # motional mode, and is indexed level-major over its targets.
+    def factors(u, targets):
+        """The (matrix, targets) pairs an operator applies: each 5x5 factor
+        of a chain transfer on its own ion, or a sideband transfer's dense
+        matrix on its ion and the motional mode."""
+        if isinstance(u, IonProduct):
+            assert targets == tuple(range(u.factors.shape[0]))
+            return [(f, (j,)) for j, f in enumerate(u.factors)]
+        return [(np.asarray(u), targets)]
+
+    @classmethod
+    def assert_bright_decoupled(cls, steps, space):
+        # Each factor drives one ion, optionally with the motional mode, and
+        # is indexed level-major over its targets.
         dims = space.factor_dims
         for step in steps:
-            for u, targets in step.unitaries:
-                u = np.asarray(u)  # a sideband transfer's dense matrix
-                assert len(targets) < len(dims)
-                ion = targets[0]
-                assert ion < space.n_ions
-                inner = math.prod(dims[t] for t in targets[1:])
-                assert u.shape == (N_LEVELS * inner,) * 2
-                bright = np.arange(u.shape[0]) // inner == IonLevel.BRIGHT
-                assert np.max(np.abs(u[np.ix_(bright, ~bright)])) == 0.0
-                assert np.max(np.abs(u[np.ix_(~bright, bright)])) == 0.0
+            for op, op_targets in step.unitaries:
+                for u, targets in cls.factors(op, op_targets):
+                    assert len(targets) < len(dims)
+                    ion = targets[0]
+                    assert ion < space.n_ions
+                    inner = math.prod(dims[t] for t in targets[1:])
+                    assert u.shape == (N_LEVELS * inner,) * 2
+                    bright = np.arange(u.shape[0]) // inner == IonLevel.BRIGHT
+                    assert np.max(np.abs(u[np.ix_(bright, ~bright)])) == 0.0
+                    assert np.max(np.abs(u[np.ix_(~bright, bright)])) == 0.0
 
     def test_single_qubit_steps(self):
         from heraldsim.protocols import single_qubit_steps
@@ -519,7 +530,8 @@ class TestBrightIrreversibility:
         spec = GateSpec(BlochAxis(1.0, 0.7), 2.2)
         steps = single_qubit_steps(spec, (0.3, -0.2))
         for step in steps:
-            for u, _ in step.unitaries:
+            for op, targets in step.unitaries:
+                ((u, _),) = self.factors(op, targets)
                 mask = np.zeros(5, dtype=bool)
                 mask[IonLevel.BRIGHT] = True
                 assert np.max(np.abs(u[np.ix_(mask, ~mask)])) == 0.0
