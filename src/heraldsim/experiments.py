@@ -154,6 +154,9 @@ class ExperimentSpec:
                 "populates Fock 1 and needs headroom above it; use at least 2",
                 "$.fock_cutoff",
             )
+        if self.protocol != "cz" and self.fock_cutoff != 3:
+            # Only cz has a motional mode; 3 is the field's default.
+            raise ConfigError("fock_cutoff applies to the cz protocol only", "$.fock_cutoff")
         if self.protocol == "addressing":
             self._check_crosstalk()
         elif self.crosstalk is not None:

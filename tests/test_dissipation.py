@@ -23,6 +23,7 @@ from heraldsim.statespace import (
     basis_state,
     make_state,
 )
+from heraldsim.protocols import _Step, survivor_paths
 from heraldsim.pulses import ToneSet, TransferPulse, five_level, transfer_unitary
 
 
@@ -157,11 +158,21 @@ class TestSampling:
         delta = 0.3
         p = math.sin(delta / 2) ** 2
         state = imperfect_transfer_state(delta)
-        rng = np.random.default_rng(123)
         n = 100_000
-        flags = sum(
-            cleanout_sample(state, qubit_cleanout(0), rng)[1].flagged for _ in range(n)
+        # A call of cleanout_sample draws rng.random(1), so n calls draw what
+        # one rng.random(n) gives, and the n rows, run as one block on those
+        # uniforms, take the branches the n calls would take.
+        uniforms = np.random.default_rng(123).random(n)
+        paths = survivor_paths(
+            np.repeat(state.amplitudes[None], n, axis=0),
+            state.space,
+            (_Step((), (qubit_cleanout(0),)),),
+            draw=lambda col, rows: uniforms[rows],
         )
+        rng = np.random.default_rng(123)
+        head = [cleanout_sample(state, qubit_cleanout(0), rng)[1].flagged for _ in range(200)]
+        assert head == paths.flags[:200, 0].tolist()
+        flags = int(paths.flags[:, 0].sum())
         sigma = math.sqrt(p * (1 - p) / n)
         # For a random seed this fails with probability 2.6e-3: the flag count
         # is binomial(n, p), and its exact two-sided tail at 3 sigma is that.

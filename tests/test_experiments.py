@@ -565,6 +565,18 @@ class TestSpecValidation:
             single_spec(target=1)
         assert err.value.path == "$.target"
 
+    @pytest.mark.parametrize("protocol", ["single", "addressing"])
+    @pytest.mark.parametrize("fock_cutoff", [0, 2, 5])
+    def test_fock_cutoff_only_on_cz(self, protocol, fock_cutoff):
+        # Only cz has a motional mode, so any other cutoff would do nothing.
+        chain = {"crosstalk": (1.0, 0.1)} if protocol == "addressing" else {}
+        with pytest.raises(ConfigError) as err:
+            single_spec(protocol=protocol, fock_cutoff=fock_cutoff, **chain)
+        assert err.value.path == "$.fock_cutoff"
+        assert "cz protocol only" in str(err.value)
+        # The default is accepted, passed explicitly or not.
+        single_spec(protocol=protocol, fock_cutoff=3, **chain)
+
     def test_memory_guard_boundary(self):
         # Construction allocates nothing, so oversize specs are cheap to try.
         def chain(n_ions):
