@@ -14,7 +14,6 @@ records are built from them only when a caller asks for rows.
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 from concurrent.futures import ProcessPoolExecutor
@@ -46,8 +45,9 @@ from .statespace import (
     StateSpace,
     _apply_block,
     _check_real,
-    _normalized_state,
+    _normalized,
     _row_fidelities,
+    _row_norm2,
     make_state,
     plus_minus_n_vectors,
 )
@@ -154,8 +154,7 @@ class ExperimentSpec:
                 "populates Fock 1 and needs headroom above it; use at least 2",
                 "$.fock_cutoff",
             )
-        if self.protocol != "cz" and self.fock_cutoff != 3:
-            # Only cz has a motional mode; 3 is the field's default.
+        if self.protocol != "cz" and self.fock_cutoff != 3:  # only cz has motion
             raise ConfigError("fock_cutoff applies to the cz protocol only", "$.fock_cutoff")
         if self.protocol == "addressing":
             self._check_crosstalk()
@@ -344,8 +343,8 @@ def _input_problem(spec: ExperimentSpec, n_ions: int) -> str | None:
         amps = inp.amplitudes
         if amps is None or len(amps) != 2**n_ions:
             return f"expected {2**n_ions} qubit-manifold amplitudes"
-        if not any(amps) or not all(cmath.isfinite(a) for a in amps):
-            return "amplitudes must be finite and not all zero"
+        if not 0.0 < _row_norm2(np.array([amps]))[0] < math.inf:  # as _normalized
+            return "amplitudes must be finite and not all zero, with a squared norm in float range"
     return None
 
 
@@ -364,7 +363,7 @@ def _qubit_state(space: StateSpace, values) -> PureState:
     its entries."""
     amps = np.zeros(space.dim, dtype=np.complex128)
     amps[_qubit_indices(space)] += values
-    return _normalized_state(space, amps)
+    return PureState(space, _normalized(amps[None])[0])
 
 
 def _qubit_product_state(space: StateSpace, per_ion: list[tuple[complex, complex]]) -> PureState:
@@ -469,9 +468,7 @@ def _run_block(spec, indices, state, ideal, build, sites, bare) -> _Columns:
         spec.error_model, spec.n_steps, spec.master_seed, indices, len(sites) if mc else 0
     )
     steps = build(errors)
-    draw = None
-    if mc:
-        draw = lambda col, live: uniforms[live, col]
+    draw = (lambda col, live: uniforms[live, col]) if mc else None
     start = np.repeat(state.amplitudes[None], n, axis=0)
     paths = survivor_paths(start, space, steps, draw, monitor_top_fock=space.has_motion)
     fidelity = np.zeros(n)

@@ -56,8 +56,9 @@ from .statespace import (
     _apply_block,
     _apply_matrix,
     _check_real,
+    _normalized,
     _row_norm2,
-    _target_rows,
+    _subset_norm2,
     _zero_target,
     fidelity_up_to_global_phase,
     fock_population,
@@ -162,18 +163,11 @@ class _Step:
     cleanouts: tuple[CleanoutChannel, ...]
 
 
-def _row_of(steps: Sequence[_Step], row: int) -> tuple[_Step, ...]:
-    """The steps of one row of a block."""
+def _row_of(steps: Sequence[_Step], row: int | None) -> tuple[_Step, ...]:
+    """The steps of one row of a block; with ``row`` None, one trajectory's
+    steps as a block of one row."""
     return tuple(
         _Step(tuple((u[row], t) for u, t in step.unitaries), step.cleanouts)
-        for step in steps
-    )
-
-
-def _as_block(steps: Sequence[_Step]) -> tuple[_Step, ...]:
-    """One trajectory's steps as a block of one row."""
-    return tuple(
-        _Step(tuple((u[None], t) for u, t in step.unitaries), step.cleanouts)
         for step in steps
     )
 
@@ -209,15 +203,12 @@ def _check_top_fock(amps: np.ndarray, space: StateSpace, norm2: np.ndarray) -> N
     """Raise if any row of a ``(block, dim)`` array of unnormalized states
     with squared norms ``norm2`` has reached the top Fock state."""
     if space.has_motion:
-        top = _target_rows(amps, space, 0, None, frozenset({space.fock_cutoff}))
         # Relative to each row's norm: a raw population would understate the
         # leak of a row whose survivor has lost most of its norm.
-        leak = _row_norm2(top) / norm2
+        leak = _subset_norm2(amps, space, 0, None, frozenset({space.fock_cutoff})) / norm2
         over = leak[leak > LEAK_ATOL]
         if over.size:
-            raise LeakageError(
-                f"population {over[0]:.3e} at the Fock cutoff; raise fock_cutoff"
-            )
+            raise LeakageError(f"population {over[0]:.3e} at the Fock cutoff; raise fock_cutoff")
 
 
 def run_protocol(
@@ -249,7 +240,7 @@ def run_protocol(
         paths = survivor_paths(
             state.amplitudes[None],
             state.space,
-            _as_block(steps),
+            _row_of(steps, None),
             draw=lambda col, rows: rng.random(1),
             monitor_top_fock=monitor_top_fock,
         )
@@ -283,7 +274,7 @@ def _branches(
     paths = survivor_paths(
         state.amplitudes[None],
         state.space,
-        _as_block(steps),
+        _row_of(steps, None),
         monitor_top_fock=monitor_top_fock,
         keep_intermediate=keep_intermediate,
     )
@@ -310,10 +301,6 @@ def _branches(
         after = [PureState(state.space, a[0]) if len(a) else None for a in paths.after_step]
         intermediates = tuple(after + [None] * (len(steps) - len(after)))
     return branches, intermediates
-
-
-def _normalized(amps: np.ndarray) -> np.ndarray:
-    return amps / np.sqrt(_row_norm2(amps))[:, None]
 
 
 @dataclass(frozen=True)
@@ -369,14 +356,14 @@ def survivor_paths(
     ``draw(column, rows)``, the uniforms of clean-out ``column`` for the
     live rows (a slice or an index array into the block), with the same
     branch segments and freezes the rows that flag. ``amps`` is never
-    written to. Every row goes through its own matrix products and row-wise
-    reductions, so its result does not depend on the other rows.
+    written to. Every row goes through its own matrix products and the row
+    rules that ``manifold_population`` and ``PureState.norm`` also use, so
+    its result does not depend on the other rows.
     """
     norm2 = _row_norm2(amps)
     off = norm2[np.abs(norm2 - 1.0) > NORM_CHECK_ATOL]
     if off.size:
-        norm = math.sqrt(off[0])
-        raise ValueError(f"survivor paths start from normalized states (norm {norm})")
+        raise ValueError(f"survivor paths start from normalized states (norm {math.sqrt(off[0])})")
     entry = amps
     block = amps.shape[0]
     n_cleanouts = sum(len(step.cleanouts) for step in steps)
@@ -399,7 +386,7 @@ def survivor_paths(
         if monitor_top_fock:
             _check_top_fock(amps, space, norm2)
         for ch in step.cleanouts:
-            pop = _row_norm2(_target_rows(amps, space, ch.ion, ch.levels, ch.fock))
+            pop = _subset_norm2(amps, space, ch.ion, ch.levels, ch.fock)
             p = np.minimum(pop / norm2, 1.0)
             _zero_target(amps, space, ch.ion, ch.levels, ch.fock)
             left = norm2 - pop

@@ -160,18 +160,19 @@ def _minus_i_times(s: np.ndarray, z: np.ndarray) -> np.ndarray:
 def transfer_fill(axis: BlochAxis, chi_plus: float = 0.0, chi_minus: float = 0.0):
     """Five-level transfer unitaries for a block of pulse areas.
 
-    The axis eigenvectors and pair-phase factors are computed here, once;
-    the returned function maps areas of shape ``(block,)`` to a
-    ``(block, 5, 5)`` stack, leaving only the cos/sin fill per area.
+    Each coupling, pair-phase factor times axis eigenvector component, is
+    computed here, once, in Python complex arithmetic; the returned function
+    maps areas of shape ``(block,)`` to a ``(block, 5, 5)`` stack, leaving
+    only the cos/sin fill and one real-by-complex product per area.
     """
     plus, minus = plus_minus_n_vectors(axis)
-    # Each coupling entry: flat index, phase factor, eigenvector component.
+    # Each coupling entry: flat index, phase factor times eigenvector component.
     entries = []
     for vec, aux, chi in ((plus, 2, chi_plus), (minus, 3, chi_minus)):
-        for q in range(2):
-            entries.append((aux * N_LEVELS + q, cmath.exp(-1j * chi), vec[q].conjugate()))
-            entries.append((q * N_LEVELS + aux, cmath.exp(1j * chi), vec[q]))
-    flat, phases, components = (np.array(col) for col in zip(*entries))
+        for q, v in enumerate(map(complex, vec)):
+            entries.append((aux * N_LEVELS + q, cmath.exp(-1j * chi) * v.conjugate()))
+            entries.append((q * N_LEVELS + aux, cmath.exp(1j * chi) * v))
+    flat, couplings = (np.array(col) for col in zip(*entries))
     diag = np.arange(4) * (N_LEVELS + 1)
     bright = IonLevel.BRIGHT * (N_LEVELS + 1)
 
@@ -181,7 +182,7 @@ def transfer_fill(axis: BlochAxis, chi_plus: float = 0.0, chi_minus: float = 0.0
         u = np.zeros((areas.shape[0], N_LEVELS * N_LEVELS), dtype=np.complex128)
         u[:, diag] = c[:, None]
         u[:, bright] = 1.0
-        u[:, flat] = _minus_i_times(s[:, None], phases) * components
+        u[:, flat] = _minus_i_times(s[:, None], couplings)
         return u.reshape(-1, N_LEVELS, N_LEVELS)
 
     return fill

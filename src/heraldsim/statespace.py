@@ -13,6 +13,11 @@ strided view of :func:`_target_index`, through the basis indices of
 :func:`_pair_index` for a sideband transfer's pairs, or through the cyclic
 pass of :func:`_apply_product` over every ion. States are immutable; every
 operation returns a new value.
+
+Each reduction has one row-wise rule in split real arithmetic, with no BLAS
+call: :func:`_row_norm2` (norms, populations), :func:`_normalized` and
+:func:`_row_overlaps`. The one-state functions are these rules at one row,
+so a state and a kernel row agree to the bit on any BLAS kernel.
 """
 
 from __future__ import annotations
@@ -151,7 +156,7 @@ class PureState:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return math.sqrt(_row_norm2(self.amplitudes[None])[0])
 
 
 def make_state(
@@ -167,16 +172,16 @@ def make_state(
         if not 0 <= idx < space.dim:
             raise ValueError(f"basis index {idx} out of range [0, {space.dim})")
         amps[idx] += value
-    return _normalized_state(space, amps)
+    return PureState(space, _normalized(amps[None])[0])
 
 
-def _normalized_state(space: StateSpace, amps: np.ndarray) -> PureState:
-    """The state of an amplitude vector divided by its norm; raises on an
-    all-zero vector."""
-    norm = np.linalg.norm(amps)
-    if norm == 0.0:
-        raise ValueError("state has no nonzero amplitude")
-    return PureState(space, amps / norm)
+def _normalized(amps: np.ndarray) -> np.ndarray:
+    """Each row of a ``(block, n)`` array divided by its norm; raises on a
+    row whose squared norm is 0 or not finite."""
+    norm2 = _row_norm2(amps)
+    if not ((norm2 > 0.0) & (norm2 < math.inf)).all():
+        raise ValueError("state has no nonzero amplitude, or its norm overflows")
+    return amps / np.sqrt(norm2)[:, None]
 
 
 def basis_state(
@@ -455,15 +460,16 @@ def _target_index(space: StateSpace, ion: int, levels: _Values, fock: _Values):
     return (N_LEVELS**ion, N_LEVELS, -1, space.fock_dim), levels, fock
 
 
-def _target_rows(
+def _subset_norm2(
     amps: np.ndarray, space: StateSpace, ion: int, levels: _Values, fock: _Values
 ) -> np.ndarray:
-    """Each row of a ``(block, dim)`` array on the subset where the ion's
-    level is in ``levels`` and the Fock index in ``fock``: a contiguous
-    ``(block, n)`` copy of a strided view, in basis index order."""
+    """Squared norm of each row of a ``(block, dim)`` array on the subset
+    where the ion's level is in ``levels`` and the Fock index in ``fock``:
+    :func:`_row_norm2` of a contiguous copy of the strided view (faster to
+    square than the view), in basis index order."""
     shape, levels, fock = _target_index(space, ion, levels, fock)
     view = amps.reshape((amps.shape[0],) + shape)[:, :, levels][..., fock]
-    return np.ascontiguousarray(view).reshape(amps.shape[0], -1)
+    return _row_norm2(np.ascontiguousarray(view).reshape(amps.shape[0], -1))
 
 
 def _zero_target(
@@ -480,17 +486,9 @@ def _zero_target(
 
 
 def _row_norm2(amps: np.ndarray) -> np.ndarray:
-    """Squared norm of each row of a ``(block, n)`` array; the squares are
-    a new contiguous array, so each row sums on its own."""
+    """Squared norm re**2 + im**2 of each row of a ``(block, n)`` array; the
+    squares are a new contiguous array, so each row sums on its own."""
     return (amps.real**2 + amps.imag**2).sum(axis=-1)
-
-
-def _population(state: PureState, ion: int, levels: _Values, fock: _Values) -> float:
-    """Probability of the subset in one state, summed as |a|**2 in basis
-    index order. :func:`_row_norm2`'s re**2 + im**2 differs in the last bit
-    for about a third of states, so it would change the public values."""
-    rows = _target_rows(state.amplitudes[None], state.space, ion, levels, fock)
-    return float(np.sum(np.abs(rows[0]) ** 2))
 
 
 def manifold_population(
@@ -498,29 +496,43 @@ def manifold_population(
 ) -> float:
     """Total probability of finding the ion's level inside the manifold.
     Raises ValueError on a level that does not exist."""
-    return _population(state, ion, frozenset(IonLevel(lv) for lv in manifold), None)
+    levels = frozenset(IonLevel(lv) for lv in manifold)
+    return float(_subset_norm2(state.amplitudes[None], state.space, ion, levels, None)[0])
 
 
 def fock_population(state: PureState, n: int) -> float:
     """Probability of the motional mode holding exactly n quanta."""
-    return _population(state, 0, None, frozenset({n}))
+    return float(_subset_norm2(state.amplitudes[None], state.space, 0, None, frozenset({n}))[0])
+
+
+def _one_row(a: PureState, b: PureState) -> tuple[np.ndarray, np.ndarray]:
+    if a.space != b.space:
+        raise ValueError(f"state spaces differ: {a.space} vs {b.space}")
+    return a.amplitudes[None], b.amplitudes
 
 
 def overlap(a: PureState, b: PureState) -> complex:
     """Inner product <a|b>; spaces must match."""
-    if a.space != b.space:
-        raise ValueError(f"state spaces differ: {a.space} vs {b.space}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
+    re, im = _row_overlaps(*_one_row(a, b))
+    return complex(re[0], im[0])
 
 
 def fidelity_up_to_global_phase(a: PureState, b: PureState) -> float:
     """Squared overlap |<a|b>|^2, insensitive to global phase."""
-    return abs(overlap(a, b)) ** 2
+    return float(_row_fidelities(*_one_row(a, b))[0])
+
+
+def _row_overlaps(rows: np.ndarray, ideal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """re and im of <row|ideal> for each row of a ``(block, n)`` array, as
+    sum(ar*br + ai*bi) and sum(ar*bi - ai*br): each real product rounds once
+    (a complex product may fuse them, by CPU), and rows sum as in
+    :func:`_row_norm2`."""
+    ar, ai, br, bi = rows.real, rows.imag, ideal.real, ideal.imag
+    return (ar * br + ai * bi).sum(axis=-1), (ar * bi - ai * br).sum(axis=-1)
 
 
 def _row_fidelities(rows: np.ndarray, ideal: np.ndarray) -> np.ndarray:
-    """|<row|ideal>|^2 of each row of a ``(block, dim)`` array, computed as
-    :func:`fidelity_up_to_global_phase` computes it for one state. One
-    ``vdot`` per row: a matrix product sums in another order and moves the
-    last bits."""
-    return np.array([abs(complex(np.vdot(row, ideal))) ** 2 for row in rows])
+    """|<row|ideal>|^2 of each row, re**2 + im**2 of :func:`_row_overlaps`;
+    :func:`fidelity_up_to_global_phase` is this at one row."""
+    re, im = _row_overlaps(rows, ideal)
+    return re**2 + im**2

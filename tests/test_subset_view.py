@@ -48,6 +48,12 @@ def oracle_mask(space, ion, levels, fock=None):
     return mask
 
 
+def norm2(v):
+    """re**2 + im**2 summed in index order along the last axis: the one
+    population rule, written out."""
+    return (v.real**2 + v.imag**2).sum(axis=-1)
+
+
 def space_id(space):
     return f"{space.n_ions}ions-cutoff{space.fock_cutoff}"
 
@@ -67,7 +73,7 @@ def test_manifold_population_matches_the_mask(space, seed):
     for ion in range(space.n_ions):
         for levels in LEVEL_SUBSETS:
             mask = oracle_mask(space, ion, levels)
-            expected = float(np.sum(np.abs(state.amplitudes[mask]) ** 2))
+            expected = float(norm2(state.amplitudes[mask]))
             assert manifold_population(state, ion, levels) == expected
 
 
@@ -78,7 +84,7 @@ def test_fock_population_matches_the_mask(seed):
     state = PureState(space, random_rows(space, seed)[0])
     for n in range(space.fock_dim):
         mask = np.arange(space.dim) % space.fock_dim == n
-        expected = float(np.sum(np.abs(state.amplitudes[mask]) ** 2))
+        expected = float(norm2(state.amplitudes[mask]))
         assert fock_population(state, n) == expected
 
 
@@ -116,13 +122,12 @@ def test_cleanout_reads_and_zeroes_the_mask(space, ion, levels, fock, seed):
     # A boolean index on the second axis may hand back a column-major array,
     # whose rows would sum in another order; each row sums contiguously.
     target = np.ascontiguousarray(amps[:, mask])
-    pop = (target.real**2 + target.imag**2).sum(axis=-1)
-    norm2 = (amps.real**2 + amps.imag**2).sum(axis=-1)
-    assert paths.target[:, 0].tobytes() == np.minimum(pop / norm2, 1.0).tobytes()
+    pop = norm2(target)
+    assert paths.target[:, 0].tobytes() == np.minimum(pop / norm2(amps), 1.0).tobytes()
 
     zeroed = amps.copy()
     zeroed[:, mask] = 0.0
-    left = (zeroed.real**2 + zeroed.imag**2).sum(axis=-1)
+    left = norm2(zeroed)
     assert paths.alive.all()
     assert paths.final.tobytes() == (zeroed / np.sqrt(left)[:, None]).tobytes()
 
