@@ -32,6 +32,7 @@ from heraldsim.protocols import (
 from heraldsim.statespace import (
     BlochAxis,
     IonLevel,
+    StateSpace,
     fidelity_up_to_global_phase,
     make_state,
     plus_minus_n_vectors,
@@ -258,6 +259,18 @@ class TestPrepareInput:
             prepare_input(
                 single_spec(input_state=InputSpec("amplitudes", amplitudes=(1.0,)))
             )
+
+    @pytest.mark.parametrize(
+        "amps", [(0.0, 0.0), (math.nan, 1.0), (math.inf, 0.0), (1e200, 0.0), (1e-170, 0.0)]
+    )
+    def test_amplitudes_whose_squared_norm_leaves_float_range(self, amps):
+        # The state is normalized by its squared norm, so one that overflows
+        # or underflows to 0 is refused with the zero and non-finite ones.
+        with pytest.raises(ConfigError) as err:
+            single_spec(input_state=InputSpec("amplitudes", amplitudes=amps))
+        assert err.value.path == "$.input_state"
+        with pytest.raises(ValueError):
+            make_state(StateSpace(1), enumerate(amps))
 
 
 class TestRunEnsemble:

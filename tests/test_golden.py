@@ -8,6 +8,18 @@ where the test runs, so it is hashed with that one field removed. The
 ``api/`` entries hash ``repr(run_ensemble(spec).to_dict())`` for a few specs
 and the amplitude bytes of ``ideal_cz_output`` and ``no_flag_branch``.
 
+Generated with numpy 2.4.6 and OpenBLAS 0.3.31 (scipy-openblas64,
+DYNAMIC_ARCH) on an AVX-512 CPU, whose default OpenBLAS kernel is SkylakeX.
+The single and cz entries, and every norm, population and overlap, use no
+BLAS call and pass unchanged under ``OPENBLAS_CORETYPE=Haswell``,
+``Sandybridge`` and ``Nehalem``, and with numpy's ``X86_V3 X86_V4
+AVX512_ICL AVX512_SPR`` dispatch disabled. The chain entries
+(``cli/chain4-mc``, ``cli/chain4-branch``, ``api/ensemble/chain4-mc`` and
+``api/no_flag_branch/addressing``) apply each transfer as one BLAS product
+per ion, whose last bits depend on the OpenBLAS kernel: 3 or 4 of them fail
+under those three kernels. A failure of only those entries on another CPU
+says the kernel differs, not the code.
+
 Update rule: regenerate the manifest only in a change that says it changes
 values. That change records why in CHANGES.md and shows that the statistics
 did not move. Never update the manifest to make a failing change pass.
