@@ -263,6 +263,7 @@ class TestPrepareInput:
     @pytest.mark.parametrize(
         "amps", [(0.0, 0.0), (math.nan, 1.0), (math.inf, 0.0), (1e200, 0.0), (1e-170, 0.0)]
     )
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_amplitudes_whose_squared_norm_leaves_float_range(self, amps):
         # The state is normalized by its squared norm, so one that overflows
         # or underflows to 0 is refused with the zero and non-finite ones.

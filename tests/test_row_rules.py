@@ -167,7 +167,10 @@ CORES = {"Haswell": "AVX2", "Sandybridge": "AVX"}
 
 @pytest.mark.parametrize("core", sorted(CORES))
 def test_reductions_do_not_depend_on_the_blas_kernel(core):
-    from numpy._core._multiarray_umath import __cpu_features__
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
 
     if not __cpu_features__.get(CORES[core]):
         pytest.skip(f"this CPU cannot run the {core} kernel")
