@@ -16,9 +16,17 @@ BLAS call and pass unchanged under ``OPENBLAS_CORETYPE=Haswell``,
 AVX512_ICL AVX512_SPR`` dispatch disabled. The chain entries
 (``cli/chain4-mc``, ``cli/chain4-branch``, ``api/ensemble/chain4-mc`` and
 ``api/no_flag_branch/addressing``) apply each transfer as one BLAS product
-per ion, whose last bits depend on the OpenBLAS kernel: 3 or 4 of them fail
-under those three kernels. A failure of only those entries on another CPU
-says the kernel differs, not the code.
+per ion, whose last bits depend on the OpenBLAS kernel: Haswell fails all
+four, Sandybridge and Nehalem the three other than ``cli/chain4-mc``. A
+failure of only those entries on another CPU says the kernel differs, not
+the code.
+
+Last regenerated when trajectory streams became Philox streams keyed by
+the seed with the index in the counter. That moved 40 of the 52 hashes:
+every file of every CLI case except ``constant`` and ``linear_drift``,
+whose models draw nothing and whose branch runs take no uniforms, and the
+five ``api/ensemble/`` entries. ``ideal_cz_output`` and ``no_flag_branch``
+take fixed errors and did not move.
 
 Update rule: regenerate the manifest only in a change that says it changes
 values. That change records why in CHANGES.md and shows that the statistics

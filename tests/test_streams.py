@@ -1,10 +1,10 @@
-"""A block's trajectory streams, derived at once, against trajectory_rng.
+"""A block's trajectory streams, drawn from one generator, against trajectory_rng.
 
-``draw_block`` derives every row's PCG64 starting state from (master seed,
-index) the way ``SeedSequence(master_seed, spawn_key=(index,))`` seeds it,
-and draws each row from one generator set to that state. The oracle is the
-public scalar path: one ``trajectory_rng`` per row, errors through
-``sample_errors_counted``, then the row's clean-out uniforms.
+Trajectory i's stream is a Philox keyed by the master seed with i in words
+2-3 of its counter. ``draw_block`` builds one Philox per block and sets its
+counter to each row's stream in turn. The oracle is the public scalar path:
+one ``trajectory_rng`` per row, errors through ``sample_errors_counted``,
+then the row's clean-out uniforms.
 """
 
 import os
@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heraldsim
-from heraldsim import noise
 from heraldsim.noise import (
     AmplitudeErrorModel,
     draw_block,
@@ -45,8 +44,9 @@ MODELS = st.one_of(
 @given(
     st.sampled_from(SEEDS),
     st.integers(0, 2**40),
-    # Runs that start near 0, before a 64-row boundary, or before 2**32.
-    st.sampled_from((0, 60, 2**32 - 70)),
+    # Runs that start near 0, before a 64-row boundary, before 2**32, or
+    # before 2**64, where the index carries into counter word 3.
+    st.sampled_from((0, 60, 2**32 - 70, 2**64 - 70)),
     st.integers(0, 70),
     st.integers(1, 130),
     MODELS,
@@ -68,10 +68,10 @@ def test_rows_match_trajectory_rng(seed, k, base, offset, n, model, n_steps, n_u
 
 
 def test_fixed_model_without_uniforms_takes_no_stream(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a stream was derived")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stream was built")
 
-    monkeypatch.setattr(noise, "_stream_states", refuse)
+    monkeypatch.setattr(np.random, "Philox", refuse)
     model = AmplitudeErrorModel.linear_drift(0.1, 0.02)
     errors, clamps, uniforms = draw_block(model, 3, 5, range(4))
     assert errors.tolist() == [sample_errors(model, 3, None)] * 4
@@ -88,16 +88,32 @@ def test_seeds_that_seed_sequence_refuses_are_refused(seed, error):
         draw_block(AmplitudeErrorModel.gaussian_iid(0.1), 2, seed, range(2))
 
 
-def test_a_changed_seeding_fails_loudly(monkeypatch):
-    # A derivation that no longer matches numpy's seeding must stop the run
-    # rather than change every stream.
-    monkeypatch.setattr(noise, "_MIX_L", noise._MIX_L + 2)
-    noise._check_stream_states.cache_clear()
-    try:
-        with pytest.raises(RuntimeError, match="seeds trajectory streams differently"):
-            draw_block(AmplitudeErrorModel.gaussian_iid(0.1), 2, 1, range(3))
-    finally:
-        noise._check_stream_states.cache_clear()
+@pytest.mark.parametrize("index", [-1, 2**128, 2**200])
+def test_indices_outside_the_counter_are_refused(index):
+    with pytest.raises(ValueError, match="trajectory index"):
+        trajectory_rng(1, index)
+    with pytest.raises(ValueError, match="trajectory index"):
+        draw_block(AmplitudeErrorModel.gaussian_iid(0.1), 2, 1, [0, index])
+
+
+def test_the_last_index_has_its_own_stream():
+    model, last = AmplitudeErrorModel.gaussian_iid(0.1), 2**128 - 1
+    errors, _, uniforms = draw_block(model, 2, 1, [0, last], 1)
+    rng = trajectory_rng(1, last)
+    assert errors[1].tolist() == sample_errors(model, 2, rng)
+    assert uniforms[1, 0] == rng.random()
+    assert not np.array_equal(errors[0], errors[1])
+
+
+def test_an_index_is_taken_by_value():
+    # A numpy integer shifted into the counter's upper words would wrap.
+    assert trajectory_rng(1, np.int64(5)).random() == trajectory_rng(1, 5).random()
+    model = AmplitudeErrorModel.gaussian_iid(0.1)
+    assert np.array_equal(
+        draw_block(model, 2, 1, np.arange(3, 6))[0], draw_block(model, 2, 1, range(3, 6))[0]
+    )
+    with pytest.raises(TypeError):
+        trajectory_rng(1, 5.0)
 
 
 def test_building_a_spec_loads_no_numpy_random():
