@@ -153,17 +153,18 @@ def draw_block(
     clean-out uniforms.
 
     Row b holds what ``trajectory_rng(master_seed, indices[b])`` gives when
-    it draws the errors and then the uniforms. The block keys one Philox
-    from the seed, and each row sets its counter to the row's stream and
-    empties its buffer. A model that draws nothing at random takes no
-    stream unless uniforms are asked for.
+    it draws the errors and then the uniforms: the block's one Philox is
+    reset to each row's counter in turn. A model that draws nothing at
+    random takes no stream unless uniforms are asked for.
     """
     _check_steps(n_steps)
     errors, uniforms = [], []
     if model.draws_random or n_uniforms:
         gen = np.random.Generator(np.random.Philox(master_seed))
-        # A fresh Philox's state: empty buffer (buffer_pos 4), no spare word.
+        # A fresh state (buffer_pos 4: empty), in ints the setter reads fast.
         state = gen.bit_generator.state
+        state["buffer"] = state["buffer"].tolist()
+        state["state"]["key"] = state["state"]["key"].tolist()
         for index in indices:
             state["state"]["counter"] = _counter(index)
             gen.bit_generator.state = state
@@ -184,22 +185,21 @@ def rms(errors: list[float]) -> float:
     return math.sqrt(sum(v * v for v in errors) / len(errors))
 
 
-def _counter(index: int) -> np.ndarray:
-    """The 64-bit words of the Philox counter that starts trajectory
-    ``index``'s stream: words 0-1 count its draws and words 2-3 hold the
-    index, so each index in [0, 2**128) has a stream of its own."""
+def _counter(index: int) -> list[int]:
+    """The Philox counter words that start trajectory ``index``'s stream:
+    words 0-1 count its draws, and 2-3 hold the index, below 2**128."""
     index = operator.index(index)
     if not 0 <= index < 2**128:
         raise ValueError(f"trajectory index must be in [0, 2**128), got {index}")
-    return np.array([0, 0, index % 2**64, index >> 64], dtype=np.uint64)
+    return [0, 0, index % 2**64, index >> 64]
 
 
 def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
     """Independent per-trajectory generator from (master seed, index).
 
-    A counter-based Philox stream (Salmon et al., SC'11) whose key numpy
-    derives from the seed and whose counter holds the index, so the same
-    pair yields the same stream however trajectories are spread over
-    workers. :func:`draw_block` reproduces it a block at a time.
+    A counter-based Philox stream (Salmon et al., SC'11), keyed by the seed
+    with the index in its counter, so a pair yields the same stream on any
+    worker. :func:`draw_block` reproduces it a block at a time.
     """
-    return np.random.Generator(np.random.Philox(master_seed, counter=_counter(index)))
+    counter = np.array(_counter(index), dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(master_seed, counter=counter))
