@@ -59,10 +59,10 @@ _WILSON_Z = 1.96  # 95% interval
 
 # Largest estimated peak memory of one run, over all its processes.
 MEMORY_BUDGET = 2 * 2**30
-# Peak RSS of an 8-, 9- or 10-ion addressing ensemble is 6-8 state vectors
-# per block row (input, ideal output, kernel temporaries: an ion product
-# holds its input and two ions' outputs) over that of the process before
-# it runs (~32 MB with numpy loaded); 10 leaves headroom.
+# Peak RSS of an 8-, 9- or 10-ion addressing ensemble is 4.6-6.2 state
+# vectors per block row (input, ideal output, the kernel's block and its
+# product pass's scratch array) over that of the process before it runs
+# (~32 MB with numpy loaded); 10 leaves headroom.
 _STATE_COPIES = 10
 _PROCESS_BYTES = 64 * 2**20
 # A block runs at most _BLOCK_ROWS trajectories, and fewer when one row's
@@ -469,7 +469,7 @@ def _run_block(spec, indices, state, ideal, build, sites, bare) -> _Columns:
     )
     steps = build(errors)
     draw = (lambda col, live: uniforms[live, col]) if mc else None
-    start = np.repeat(state.amplitudes[None], n, axis=0)
+    start = np.broadcast_to(state.amplitudes, (n, space.dim))
     paths = survivor_paths(start, space, steps, draw, monitor_top_fock=space.has_motion)
     fidelity = np.zeros(n)
     fidelity[paths.alive] = _row_fidelities(paths.final, ideal.amplitudes)
@@ -479,10 +479,10 @@ def _run_block(spec, indices, state, ideal, build, sites, bare) -> _Columns:
         sumsq = sumsq + errors[:, k] * errors[:, k]
     bare_fids = np.zeros(0)
     if bare:
-        amps = start  # survivor_paths never writes into its input
+        amps = start.copy()
         for step in steps:
             for u, targets in step.unitaries:
-                amps = _apply_block(amps, space, u, targets)
+                _apply_block(amps, space, u, targets)
         bare_fids = _row_fidelities(amps, ideal.amplitudes)
     return _Columns(
         sites, paths.weight, fidelity, paths.alive, paths.done, paths.probs, clamps, sumsq, bare_fids

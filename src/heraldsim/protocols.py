@@ -355,16 +355,17 @@ def survivor_paths(
     survivor falls below the probability floor. mc mode compares
     ``draw(column, rows)``, the uniforms of clean-out ``column`` for the
     live rows (a slice or an index array into the block), with the same
-    branch segments and freezes the rows that flag. ``amps`` is never
-    written to. Every row goes through its own matrix products and the row
-    rules that ``manifold_population`` and ``PureState.norm`` also use, so
-    its result does not depend on the other rows.
+    branch segments and freezes the rows that flag. ``amps`` is copied once
+    and never written to: every step operator and clean-out updates that
+    copy in place. Every row goes through its own matrix products and the
+    row rules that ``manifold_population`` and ``PureState.norm`` also use,
+    so its result does not depend on the other rows.
     """
     norm2 = _row_norm2(amps)
     off = norm2[np.abs(norm2 - 1.0) > NORM_CHECK_ATOL]
     if off.size:
         raise ValueError(f"survivor paths start from normalized states (norm {math.sqrt(off[0])})")
-    entry = amps
+    amps = amps.copy()  # C-contiguous: the one block the kernel writes
     block = amps.shape[0]
     n_cleanouts = sum(len(step.cleanouts) for step in steps)
     rows = slice(None)  # the live rows: all of them until one drops out
@@ -379,10 +380,7 @@ def survivor_paths(
         if amps.shape[0] == 0:
             break
         for u, targets in step.unitaries:
-            amps = _apply_block(amps, space, u[rows], targets)
-        if amps is entry:
-            # A step with no transfer must not zero the caller's array.
-            amps = amps.copy()
+            _apply_block(amps, space, u[rows], targets)
         if monitor_top_fock:
             _check_top_fock(amps, space, norm2)
         for ch in step.cleanouts:

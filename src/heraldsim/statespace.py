@@ -11,8 +11,9 @@ index last. This module alone knows that layout: every read or write of
 one ion's levels (and, optionally, some Fock indices) goes through the
 strided view of :func:`_target_index`, through the basis indices of
 :func:`_pair_index` for a sideband transfer's pairs, or through the cyclic
-pass of :func:`_apply_product` over every ion. States are immutable; every
-operation returns a new value.
+pass of :func:`_apply_product` over every ion. A :class:`PureState` is
+immutable and every operation on one returns a new state; only the
+kernel's ``(block, dim)`` array is updated in place.
 
 Each reduction has one row-wise rule in split real arithmetic, with no BLAS
 call: :func:`_row_norm2` (norms, populations), :func:`_normalized` and
@@ -329,7 +330,7 @@ def _apply_pairs(
     amps: np.ndarray, space: StateSpace, op: PairRotations, ion: int
 ) -> np.ndarray:
     """Apply row b of ``op`` to ion ``ion`` and the Fock mode of row b of a
-    ``(block, dim)`` array; entries outside every pair are copied.
+    ``(block, dim)`` array in place; entries outside every pair stay.
 
     Each new entry is ``c*x + (re(a)*y + i*im(a)*y)``, where x is the entry,
     y its partner and a the coupling from y. Every factor has a zero
@@ -340,25 +341,29 @@ def _apply_pairs(
     # every setting of the other factors and every row.
     x = amps.T[index]
     y = x[:, ::-1]
-    out = amps.copy()
-    out.T[index] = op.c * x + (op.off.real * y + (1j * op.off.imag) * y)
-    return out
+    amps.T[index] = op.c * x + (op.off.real * y + (1j * op.off.imag) * y)
+    return amps
 
 
 def _apply_product(amps: np.ndarray, op: IonProduct) -> np.ndarray:
-    """Apply row b's product to row b of a ``(block, dim)`` array, one ion
-    at a time.
+    """Apply row b's product to row b of a C-contiguous ``(block, dim)``
+    array, in place, one ion at a time.
 
     When ion k's turn comes its level leads each row: viewed as ``(5,
     rest)``, the row times the factor is ``x.T @ u.T``, one ``(rest, 5) @
     (5, 5)`` product for the whole row, which leaves the ion's level last.
     After the last ion the axes are back in basis order, so no axis is
-    moved and no copy made."""
+    moved. The ions write in turn into one scratch array and into ``amps``,
+    and an odd ion count copies the scratch back once."""
     block = amps.shape[0]
+    src, dst = amps, np.empty_like(amps)
     for k in range(op.factors.shape[1]):
-        rows = amps.reshape(block, N_LEVELS, -1)
-        amps = np.swapaxes(rows, 1, 2) @ np.swapaxes(op.factors[:, k], 1, 2)
-    return amps.reshape(block, -1)
+        rows = np.swapaxes(src.reshape(block, N_LEVELS, -1), 1, 2)
+        np.matmul(rows, np.swapaxes(op.factors[:, k], 1, 2), out=dst.reshape(rows.shape))
+        src, dst = dst, src
+    if src is not amps:
+        amps[...] = src
+    return amps
 
 
 def _apply_block(
@@ -367,7 +372,8 @@ def _apply_block(
     u: np.ndarray | PairRotations | IonProduct,
     targets: tuple[int, ...],
 ) -> np.ndarray:
-    """Apply row b's operator ``u[b]`` to row b of a ``(block, dim)`` array.
+    """Apply row b's operator ``u[b]`` to row b of a C-contiguous, writable
+    ``(block, dim)`` array, in place, and return that array.
 
     ``u`` is a ``(block, d, d)`` stack, pair rotations on targets ``(ion,
     motion_axis)``, or an ion product on every ion of a register without a
@@ -382,24 +388,17 @@ def _apply_block(
     if isinstance(u, IonProduct):
         return _apply_product(amps, u)
     block, d = u.shape[0], u.shape[1]
-    first = targets[0] if targets else 0
-    if targets == tuple(range(first, first + len(targets))):
-        # One ascending run of factors: only the Fock mode follows the ions,
-        # so every factor before the run is a five-level ion.
-        psi = amps.reshape(block, N_LEVELS**first, d, -1)
-        return (u[:, None] @ psi).reshape(block, -1)
     axes = tuple(t + 1 for t in targets)
     front = range(1, len(targets) + 1)
     psi = np.moveaxis(amps.reshape((block,) + space.factor_dims), axes, front)
-    moved_shape = psi.shape
-    psi = u @ psi.reshape(block, d, -1)
-    return np.moveaxis(psi.reshape(moved_shape), front, axes).reshape(block, -1)
+    psi[...] = (u @ psi.reshape(block, d, -1)).reshape(psi.shape)
+    return amps
 
 
 def _apply_matrix(
     state: PureState, u: np.ndarray | PairRotations | IonProduct, targets: tuple[int, ...]
 ) -> PureState:
-    amps = _apply_block(state.amplitudes[None], state.space, u[None], targets)
+    amps = _apply_block(state.amplitudes[None].copy(), state.space, u[None], targets)
     return PureState(state.space, amps[0])
 
 

@@ -31,6 +31,7 @@ from heraldsim.protocols import (
     GateSpec,
     LeakageError,
     _Step,
+    addressed_builder,
     addressed_steps,
     bare_single_qubit,
     cz_builder,
@@ -292,14 +293,27 @@ def test_survivors_that_keep_little_match_the_closed_form():
 
 @pytest.mark.parametrize("mode", ["branch", "mc"])
 @pytest.mark.parametrize("transfers", [True, False])
-def test_kernel_leaves_its_input_unchanged(mode, transfers):
-    space = cz_space(3)
+@pytest.mark.parametrize("protocol", ["cz", "addressing"])
+@pytest.mark.parametrize("read_only", [False, True])
+def test_kernel_leaves_its_input_unchanged(mode, transfers, protocol, read_only):
+    # cz steps go through the pair rotations, a three-ion chain's through
+    # the product pass (an odd ion count); the runner passes a read-only
+    # broadcast of its input state.
     rng = np.random.default_rng(4)
-    steps = cz_builder(0.9, space)(rng.normal(0.0, 0.3, size=(3, 4)))
+    if protocol == "cz":
+        space = cz_space(3)
+        steps = cz_builder(0.9, space)(rng.normal(0.0, 0.3, size=(3, 4)))
+    else:
+        space = StateSpace(3)
+        gate = GateSpec(BlochAxis(1.1, 0.4), 2.0)
+        build = addressed_builder(gate, CrosstalkProfile((0.05, 1.0, 0.3)), 1)
+        steps = build(rng.normal(0.0, 0.3, size=(3, 2)))
     if not transfers:
         steps = [_Step((), step.cleanouts) for step in steps]
     amps = rng.normal(size=(3, space.dim)) + 1j * rng.normal(size=(3, space.dim))
     amps /= np.linalg.norm(amps, axis=1)[:, None]
+    if read_only:
+        amps = np.broadcast_to(amps[0], amps.shape)
     before = amps.copy()
     draw = (lambda col, rows: rng.random(3)[rows]) if mode == "mc" else None
     survivor_paths(amps, space, steps, draw)

@@ -26,6 +26,9 @@ one ion at a time in a cyclic pass. Its checks: the dense form is the
 ``np.kron`` of the factors; the pass equals ``np.einsum`` of the dense form
 to within a few roundings; a row's result does not depend on the block
 size; and an ion with crosstalk ratio 0 is left exactly as it was.
+
+The kernel updates the block it is given in place and returns it, so each
+check hands it a copy and computes its reference from the untouched states.
 """
 
 import cmath
@@ -154,7 +157,9 @@ def test_pairs_equal_the_unfused_dense_product(cutoff):
                 areas = random_areas(rng, block)
                 amps = random_states(rng, space, block)
                 op = sideband_fill(tones, space.fock_dim)(areas)
-                got = _apply_block(amps, space, op, (ion, space.motion_axis))
+                work = amps.copy()
+                got = _apply_block(work, space, op, (ion, space.motion_axis))
+                assert got is work
                 assert np.array_equal(got, unfused_product(amps, space, np.asarray(op), ion))
 
 
@@ -169,7 +174,7 @@ def test_pairs_equal_apply_unitary_of_sideband_unitary(cutoff):
                 areas = random_areas(rng, block)
                 amps = random_states(rng, space, block, bright=False)
                 got = _apply_block(
-                    amps, space, sideband_fill(tones, space.fock_dim)(areas), targets(ion)
+                    amps.copy(), space, sideband_fill(tones, space.fock_dim)(areas), targets(ion)
                 )
                 for row, area in enumerate(areas):
                     state = PureState(space, amps[row])
@@ -237,7 +242,9 @@ def test_product_pass_equals_einsum_of_the_dense_form(n_ions):
         op = IonProduct(random_factors(rng, block, n_ions))
         amps = random_states(rng, space, block)
         assert np.abs(amps[:, IonLevel.BRIGHT :: N_LEVELS]).min() > 0.0
-        got = _apply_block(amps, space, op, tuple(range(n_ions)))
+        work = amps.copy()
+        got = _apply_block(work, space, op, tuple(range(n_ions)))
+        assert got is work
         for row in range(block):
             # One row's dense matrix at a time: 156 MB at five ions.
             want = np.einsum("ij,j->i", np.asarray(op[row]), amps[row])
@@ -250,9 +257,9 @@ def test_product_row_does_not_depend_on_the_block(n_ions):
     space = StateSpace(n_ions)
     op = IonProduct(random_factors(rng, 64, n_ions))
     amps = random_states(rng, space, 64)
-    got = _apply_block(amps, space, op, tuple(range(n_ions)))
+    got = _apply_block(amps.copy(), space, op, tuple(range(n_ions)))
     for row in range(64):
-        alone = _apply_block(amps[row : row + 1], space, op[row : row + 1], tuple(range(n_ions)))
+        alone = _apply_block(amps[row : row + 1].copy(), space, op[row : row + 1], tuple(range(n_ions)))
         assert np.array_equal(alone[0], got[row])
 
 
@@ -269,10 +276,11 @@ def test_ratio_zero_ion_is_the_exact_identity():
         eye = op.factors.copy()
         eye[:, [j for j, r in enumerate(ratios) if r == 0.0]] = np.eye(N_LEVELS)
         assert np.array_equal(
-            _apply_block(amps, space, op, ions), _apply_block(amps, space, IonProduct(eye), ions)
+            _apply_block(amps.copy(), space, op, ions),
+            _apply_block(amps.copy(), space, IonProduct(eye), ions),
         )
     # Every ion at ratio 0: the state comes back bit for bit.
     space = StateSpace(3)
     amps = random_states(rng, space, 7)
     op = IonProduct(np.broadcast_to(still, (7, 3, N_LEVELS, N_LEVELS)))
-    assert np.array_equal(_apply_block(amps, space, op, (0, 1, 2)), amps)
+    assert np.array_equal(_apply_block(amps.copy(), space, op, (0, 1, 2)), amps)
