@@ -19,7 +19,9 @@ AVX512_ICL AVX512_SPR`` dispatch disabled. The chain entries
 per ion, whose last bits depend on the OpenBLAS kernel: Haswell fails all
 four, Sandybridge and Nehalem the three other than ``cli/chain4-mc``. A
 failure of only those entries on another CPU says the kernel differs, not
-the code.
+the code. ``test_entries_without_blas_hold_under_haswell`` reruns this file
+under ``OPENBLAS_CORETYPE=Haswell`` with those four deselected, on a CPU
+with AVX2.
 
 Last regenerated when trajectory streams became Philox streams keyed by
 the seed with the index in the counter. That moved 40 of the 52 hashes:
@@ -40,6 +42,8 @@ Regenerate, from the repository root:
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 from dataclasses import replace
@@ -47,6 +51,7 @@ from pathlib import Path
 
 import pytest
 
+import heraldsim
 from heraldsim import (
     InputSpec,
     certified_addressed_gate,
@@ -235,6 +240,41 @@ def test_cli_outputs_match_the_manifest(case, tmp_path):
 @pytest.mark.parametrize("name", sorted(_values()))
 def test_values_match_the_manifest(name):
     assert value_hash(name) == _manifest()[f"api/{name}"]
+
+
+# The entries whose last bits depend on the OpenBLAS kernel.
+BLAS_ENTRIES = (
+    "test_cli_outputs_match_the_manifest[chain4-branch]",
+    "test_cli_outputs_match_the_manifest[chain4-mc]",
+    "test_values_match_the_manifest[ensemble/chain4-mc]",
+    "test_values_match_the_manifest[no_flag_branch/addressing]",
+)
+
+
+def test_entries_without_blas_hold_under_haswell():
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+
+    if not __cpu_features__.get("AVX2"):
+        pytest.skip("this CPU cannot run the Haswell kernel")
+    here = Path(__file__)
+    skipped = BLAS_ENTRIES + ("test_entries_without_blas_hold_under_haswell",)
+    src = Path(heraldsim.__file__).parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", here.name]
+        + [f"--rootdir={here.parent}"]
+        + [f"--deselect={here.name}::{name}" for name in skipped],
+        cwd=here.parent,
+        env=dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stdout
+    # The coverage test, one per CLI case and one per value, less the four.
+    assert f"{len(CASES) + len(_values()) + 1 - len(BLAS_ENTRIES)} passed" in result.stdout
+    assert f"{len(skipped)} deselected" in result.stdout
 
 
 def _regenerate() -> None:
