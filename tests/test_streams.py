@@ -80,7 +80,8 @@ def test_fixed_model_without_uniforms_takes_no_stream(monkeypatch):
 
 @pytest.mark.parametrize("seed,error", [(-1, ValueError), (5.0, TypeError)])
 def test_seeds_that_seed_sequence_refuses_are_refused(seed, error):
-    # Seed 5 is drawn first, so 5.0 must not pass through its cached pool.
+    # Seed 5 is drawn first: a seed that numpy refuses stays refused after
+    # a valid draw, and 5.0 is not taken for the seed 5 it equals.
     draw_block(AmplitudeErrorModel.gaussian_iid(0.1), 2, 5, range(2))
     with pytest.raises(error):
         trajectory_rng(seed, 0)
