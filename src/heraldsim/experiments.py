@@ -65,10 +65,9 @@ MEMORY_BUDGET = 2 * 2**30
 # (~32 MB with numpy loaded); 10 leaves headroom.
 _STATE_COPIES = 10
 _PROCESS_BYTES = 64 * 2**20
-# A block runs at most _BLOCK_ROWS trajectories, and fewer when one row's
-# amplitudes or operators times the row count would pass _BLOCK_BYTES.
-_BLOCK_ROWS = 64
-_BLOCK_BYTES = 4 * 2**20
+# A block runs as many trajectories as fit in _BLOCK_BYTES of one row's
+# amplitudes or operators, whichever is larger, and at least one.
+_BLOCK_BYTES = 512 * 2**10
 # One sideband pair of one row: its coefficients (c and two complex
 # entries), and the kernel's basis indices of its two entries for each
 # level of the other ion.
@@ -291,7 +290,7 @@ def _operator_bytes(protocol: str, space: StateSpace) -> int:
 def _block_size(protocol: str, space: StateSpace) -> int:
     """Trajectories per block: derived from the register, never configured."""
     row_bytes = max(16 * space.dim, _operator_bytes(protocol, space))
-    return max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // row_bytes))
+    return max(1, _BLOCK_BYTES // row_bytes)
 
 
 def _estimated_bytes(protocol: str, space: StateSpace) -> int:

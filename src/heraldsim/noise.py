@@ -9,7 +9,9 @@ diagnostics can report them.
 Trajectory i of a run draws from its own stream, ``trajectory_rng(seed,
 i)``: a Philox generator keyed by the seed, with i in the upper half of
 its 256-bit counter. :func:`draw_block` gives a block of trajectories the
-same values from one generator, setting its counter to each row's stream.
+same values from one generator: it sets the counter to each row's stream
+and fills that row of one preallocated array per block, then scales the
+whole block's normals at once.
 """
 
 from __future__ import annotations
@@ -154,28 +156,44 @@ def draw_block(
 
     Row b holds what ``trajectory_rng(master_seed, indices[b])`` gives when
     it draws the errors and then the uniforms: the block's one Philox is
-    reset to each row's counter in turn. A model that draws nothing at
-    random takes no stream unless uniforms are asked for.
+    reset to each row's counter in turn and fills that row of two
+    preallocated arrays. The block's normals are then scaled at once as
+    numpy's ``normal`` does, ``0.0 + sigma * z``: the ``+ 0.0`` turns the
+    -0.0 of a zero sigma and a negative z into +0.0. A model that draws
+    nothing at random takes no stream unless uniforms are asked for.
     """
     _check_steps(n_steps)
-    errors, uniforms = [], []
+    indices = [operator.index(index) for index in indices]
+    if model.draws_random:
+        raw = np.empty((len(indices), n_steps))
+    else:
+        raw = np.tile(_raw_sequence(model, n_steps, None), (len(indices), 1))
+    uniforms = np.empty((len(indices), n_uniforms))
     if model.draws_random or n_uniforms:
         gen = np.random.Generator(np.random.Philox(master_seed))
+        # The smallest and largest index bound every row's range check.
+        for bound in (min(indices, default=0), max(indices, default=0)):
+            _counter(bound)
         # A fresh state (buffer_pos 4: empty), in ints the setter reads fast.
-        state = gen.bit_generator.state
+        bitgen, normal, uniform = gen.bit_generator, gen.standard_normal, gen.random
+        state = bitgen.state
         state["buffer"] = state["buffer"].tolist()
         state["state"]["key"] = state["state"]["key"].tolist()
-        for index in indices:
-            state["state"]["counter"] = _counter(index)
-            gen.bit_generator.state = state
+        counter = state["state"]["counter"] = state["state"]["counter"].tolist()
+        for b, index in enumerate(indices):
+            counter[2], counter[3] = index % 2**64, index >> 64
+            bitgen.state = state
             if model.draws_random:
-                errors.append(_raw_sequence(model, n_steps, gen))
+                normal(out=raw[b])
             if n_uniforms:
-                uniforms.append(gen.random(n_uniforms))
-    if not model.draws_random:
-        errors = np.tile(_raw_sequence(model, n_steps, None), (len(indices), 1))
-    uniforms = np.array(uniforms).reshape(len(indices), n_uniforms)
-    return *_clamped(np.array(errors)), uniforms
+                uniform(out=uniforms[b])
+    if model.draws_random:
+        raw *= model.sigma
+        raw += 0.0
+        if model.kind == "random_walk":
+            # The first value already includes one increment.
+            raw = model.value + np.cumsum(raw, axis=1)
+    return *_clamped(raw), uniforms
 
 
 def rms(errors: list[float]) -> float:
