@@ -16,15 +16,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heraldsim import experiments
 from heraldsim.dissipation import PROB_FLOOR, _sample_rows
 from heraldsim.experiments import (
     ExperimentSpec,
     InputSpec,
     _block_size,
+    _space_for,
     prepare_input,
     run_ensemble,
 )
-from heraldsim.noise import AmplitudeErrorModel, sample_errors_counted, trajectory_rng
+from heraldsim.noise import (
+    AmplitudeErrorModel,
+    draw_block,
+    sample_errors_counted,
+    trajectory_rng,
+)
 from heraldsim.protocols import (
     CrosstalkProfile,
     GateSpec,
@@ -168,9 +175,14 @@ PROTOCOLS_AND_MODES = pytest.mark.parametrize(
 @settings(max_examples=8, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_rows_equal_the_scalar_path(protocol, mode, data):
-    # 70 trials: a full block of 64 and a partial one.
+    # Blocks of 64 one-ion rows (800 B of operators each): 70 trials run a
+    # full block of 64 and a partial one, and the larger rows of cz and of
+    # a chain run more blocks.
     spec = data.draw(specs(protocol, mode, trials=70))
-    assert ensemble_rows(spec) == scalar_rows(spec)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "_BLOCK_BYTES", 64 * 800)
+        assert _block_size(spec.protocol, _space_for(spec)) <= 64
+        assert ensemble_rows(spec) == scalar_rows(spec)
 
 
 # --- single is the addressed gate on a one-ion chain -------------------------
@@ -231,22 +243,35 @@ def chain_spec(n_ions: int, trials: int, **overrides) -> ExperimentSpec:
 @pytest.mark.parametrize(
     "base",
     [
-        chain_spec(2, 131, mode="branch"),
-        chain_spec(3, 131),
+        chain_spec(2, 1, mode="branch"),
+        chain_spec(3, 1),
         ExperimentSpec(
             protocol="cz",
             error_model=AmplitudeErrorModel.gaussian_iid(0.4),
             input_state=InputSpec("bell"),
-            trials=131,
+            trials=1,
             master_seed=8,
             selectivity=0.8,
         ),
     ],
     ids=["chain2-branch", "chain3-mc", "cz-branch"],
 )
-def test_rows_do_not_depend_on_the_block_split(base):
-    reference = ensemble_rows(base)
-    for trials, workers in itertools.product((63, 64, 65, 131), (1, 2)):
+def test_rows_do_not_depend_on_the_block_split(base, monkeypatch):
+    # The base's trials are replaced by counts around the register's block
+    # size: one row short of a full block, a full block, one row over, and
+    # two full blocks and a partial one.
+    size = _block_size(base.protocol, _space_for(base))
+    longest = 2 * size + 3
+    blocks = []
+
+    def counted(model, n_steps, seed, indices, n_uniforms):
+        blocks.append(len(indices))
+        return draw_block(model, n_steps, seed, indices, n_uniforms)
+
+    monkeypatch.setattr(experiments, "draw_block", counted)
+    reference = ensemble_rows(dataclasses.replace(base, trials=longest))
+    assert blocks == [size, size, 3]
+    for trials, workers in itertools.product((size - 1, size, size + 1, longest), (1, 2)):
         spec = dataclasses.replace(base, trials=trials)
         assert ensemble_rows(spec, workers) == reference[:trials], (trials, workers)
 

@@ -56,15 +56,43 @@ MODELS = st.one_of(
 def test_rows_match_trajectory_rng(seed, k, base, offset, n, model, n_steps, n_uniforms):
     if seed == 2**128:
         seed += k
-    indices = range(base + offset, base + offset + n)
+    assert_rows_match(model, n_steps, seed, range(base + offset, base + offset + n), n_uniforms)
+
+
+def assert_rows_match(model, n_steps, seed, indices, n_uniforms):
+    """Each row of the block equals its own stream's draws bit for bit:
+    bytes, not ==, so a -0.0 where the stream gives +0.0 fails."""
     errors, clamps, uniforms = draw_block(model, n_steps, seed, indices, n_uniforms)
+    n = len(indices)
     assert errors.shape == (n, n_steps) and uniforms.shape == (n, n_uniforms)
     for row, i in enumerate(indices):
         rng = trajectory_rng(seed, i)
         expected, n_clamped = sample_errors_counted(model, n_steps, rng)
-        assert np.array_equal(errors[row], expected)
+        assert errors[row].tobytes() == np.array(expected).tobytes()
         assert clamps[row] == n_clamped
-        assert np.array_equal(uniforms[row], rng.random(n_uniforms))
+        assert uniforms[row].tobytes() == rng.random(n_uniforms).tobytes()
+
+
+@pytest.mark.parametrize(
+    "indices", [[9, 2, 5], [2**64 + 1, 0, 2**64 - 1, 7], [4, 4, 3]], ids=str
+)
+@pytest.mark.parametrize(
+    "model",
+    [AmplitudeErrorModel.gaussian_iid(0.7), AmplitudeErrorModel.random_walk(0.3, 0.1)],
+    ids=lambda model: model.kind,
+)
+def test_unordered_rows_match_trajectory_rng(indices, model):
+    # The block's range is checked on its smallest and largest index only;
+    # every row still draws from its own index's stream.
+    assert_rows_match(model, 3, 11, indices, 2)
+
+
+def test_a_zero_sigma_draws_positive_zeros():
+    # numpy's normal(0.0, 0.0) is 0.0 + 0.0 * z: +0.0 for every draw z,
+    # though 0.0 * z alone is -0.0 for about half of them.
+    model = AmplitudeErrorModel.gaussian_iid(0.0)
+    assert_rows_match(model, 8, 3, range(4), 0)
+    assert draw_block(model, 8, 3, range(4))[0].tobytes() == np.zeros((4, 8)).tobytes()
 
 
 def test_fixed_model_without_uniforms_takes_no_stream(monkeypatch):
@@ -95,6 +123,9 @@ def test_indices_outside_the_counter_are_refused(index):
         trajectory_rng(1, index)
     with pytest.raises(ValueError, match="trajectory index"):
         draw_block(AmplitudeErrorModel.gaussian_iid(0.1), 2, 1, [0, index])
+    # Not only the last row: a bad index in the middle refuses the block.
+    with pytest.raises(ValueError, match="trajectory index"):
+        draw_block(AmplitudeErrorModel.gaussian_iid(0.1), 2, 1, [0, index, 1])
 
 
 def test_the_last_index_has_its_own_stream():
