@@ -9,8 +9,6 @@ from .dissipation import (
     CleanoutChannel,
     HeraldRecord,
     aux_cleanout,
-    cleanout_branches,
-    cleanout_sample,
     level_cleanout,
     qubit_cleanout,
 )
@@ -36,6 +34,8 @@ from .protocols import (
     certified_addressed_gate,
     certified_cz,
     certified_single_qubit,
+    cleanout_branches,
+    cleanout_sample,
     cz_space,
     flag_probability,
     ideal_addressed_output,

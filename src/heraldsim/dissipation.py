@@ -14,19 +14,20 @@ The kernel :func:`heraldsim.protocols.survivor_paths` carries the survivor
 unnormalized, as the no-jump state of the quantum-jump picture: a clean-out
 hands its (ion, levels, fock) target to :mod:`heraldsim.statespace`, which
 alone knows the basis layout, to read the target population and zero the
-target in place. This module holds the channel and its branch arithmetic;
-:func:`cleanout_branches` and :func:`cleanout_sample` run the kernel over
-one clean-out.
+target in place. This module holds only the channel and its branch
+arithmetic, and imports nothing of the kernel; the one-clean-out wrappers
+:func:`~heraldsim.protocols.cleanout_branches` and
+:func:`~heraldsim.protocols.cleanout_sample` live beside the kernel they run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .statespace import AUX_MANIFOLD, IonLevel, PureState, QUBIT_MANIFOLD
+from .statespace import AUX_MANIFOLD, IonLevel, QUBIT_MANIFOLD
 
 PROB_FLOOR = 1e-14
 
@@ -91,18 +92,16 @@ class HeraldRecord:
 
 
 def _segment_table(
-    p: np.ndarray, selectivity: float | np.ndarray, q: np.ndarray | None = None
+    p: np.ndarray, selectivity: float | np.ndarray, q: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Probabilities of each row's branches, in the fixed order flagged
     target, flagged false positive, survivor, shape ``(block, 3)``; and
     which of them lie above PROB_FLOOR and are kept. ``selectivity`` is one
-    value, or one per row. ``q`` is the fraction the clean-out leaves, 1 - p
-    unless given: where p is close to 1, 1 - p has lost the digits that a
-    count of what is left keeps."""
+    value, or one per row. ``q`` is the fraction the clean-out leaves: 1 - p,
+    except where p is close to 1 and 1 - p has lost the digits that a count
+    of what is left keeps."""
     segments = np.empty((p.shape[0], 3))
     segments[:, 0] = p
-    if q is None:
-        q = 1.0 - p
     segments[:, 1] = (1.0 - selectivity) * q
     segments[:, 2] = selectivity * q
     return segments, segments > PROB_FLOOR
@@ -116,7 +115,7 @@ def survival_probability(p: np.ndarray, selectivity: float, q: np.ndarray) -> np
 
 
 def _sample_rows(
-    p: np.ndarray, selectivity: float, uniforms: np.ndarray, q: np.ndarray | None = None
+    p: np.ndarray, selectivity: float, uniforms: np.ndarray, q: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample one branch per row: the first kept segment whose running sum
     exceeds the row's uniform, else the last kept segment. Returns the taken
@@ -133,34 +132,3 @@ def _sample_rows(
     took_target = (uniforms < after_target) | ~kept[:, 1]
     taken = np.where(survived, survive, np.where(took_target, target, false_pos))
     return taken, ~survived
-
-
-def cleanout_branches(
-    state: PureState, ch: CleanoutChannel
-) -> list[tuple[PureState | None, float, bool]]:
-    """All branches of the channel as (state, probability, flagged) triples.
-
-    Branch order is fixed: flagged target branch, flagged false-positive
-    branch (selectivity < 1 only), surviving branch. Probabilities sum to 1;
-    branches below PROB_FLOOR are dropped.
-    """
-    # The kernel lives in protocols, which builds on this module.
-    from .protocols import _Step, _branches
-
-    branches, _ = _branches(state, (_Step((), (ch,)),))
-    return [(b.state, b.probability, b.flagged) for b in branches]
-
-
-def cleanout_sample(
-    state: PureState,
-    ch: CleanoutChannel,
-    rng: np.random.Generator,
-    step_index: int = 0,
-) -> tuple[PureState | None, HeraldRecord]:
-    """Sample one branch of the channel; statistically matches
-    :func:`cleanout_branches`."""
-    from .protocols import _Step, run_protocol
-
-    (branch,) = run_protocol(state, (_Step((), (ch,)),), "mc", rng).branches
-    (record,) = branch.records
-    return branch.state, replace(record, step_index=step_index)

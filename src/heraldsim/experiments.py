@@ -24,6 +24,7 @@ import numpy as np
 
 from .noise import AmplitudeErrorModel, draw_block
 from .protocols import (
+    DEFAULT_FOCK_CUTOFF,
     MODES,
     ONE_ION,
     CrosstalkProfile,
@@ -32,18 +33,18 @@ from .protocols import (
     chain_problem,
     cleanout_sites,
     cz_builder,
+    cz_problem,
     cz_space,
     ideal_addressed_output,
     ideal_cz_output,
-    _row_of,
     run_protocol,
     survivor_paths,
+    transfer_pass,
 )
 from .statespace import (
     N_LEVELS,
     PureState,
     StateSpace,
-    _apply_block,
     _check_real,
     _normalized,
     _row_fidelities,
@@ -121,7 +122,7 @@ class ExperimentSpec:
     gate: GateSpec | None = None
     selectivity: float = 1.0
     mode: str = "branch"
-    fock_cutoff: int = 3
+    fock_cutoff: int = DEFAULT_FOCK_CUTOFF
     crosstalk: tuple[float, ...] | None = None
     target: int = 0
 
@@ -147,13 +148,11 @@ class ExperimentSpec:
             raise ConfigError("the cz protocol takes no gate", "$.gate")
         if self.protocol != "cz" and self.gate is None:
             raise ConfigError(f"protocol {self.protocol!r} requires a gate", "$.gate")
-        if self.protocol == "cz" and self.fock_cutoff < 2:
-            raise ConfigError(
-                f"fock_cutoff {self.fock_cutoff} is too small: the entangling protocol "
-                "populates Fock 1 and needs headroom above it; use at least 2",
-                "$.fock_cutoff",
-            )
-        if self.protocol != "cz" and self.fock_cutoff != 3:  # only cz has motion
+        if self.protocol == "cz":
+            problem = cz_problem(2, self.fock_cutoff)
+            if problem is not None:
+                raise ConfigError(problem, "$.fock_cutoff")
+        elif self.fock_cutoff != DEFAULT_FOCK_CUTOFF:  # only cz has motion
             raise ConfigError("fock_cutoff applies to the cz protocol only", "$.fock_cutoff")
         if self.protocol == "addressing":
             self._check_crosstalk()
@@ -478,11 +477,7 @@ def _run_block(spec, indices, state, ideal, build, sites, bare) -> _Columns:
         sumsq = sumsq + errors[:, k] * errors[:, k]
     bare_fids = np.zeros(0)
     if bare:
-        amps = start.copy()
-        for step in steps:
-            for u, targets in step.unitaries:
-                _apply_block(amps, space, u, targets)
-        bare_fids = _row_fidelities(amps, ideal.amplitudes)
+        bare_fids = _row_fidelities(transfer_pass(start.copy(), space, steps), ideal.amplitudes)
     return _Columns(
         sites, paths.weight, fidelity, paths.alive, paths.done, paths.probs, clamps, sumsq, bare_fids
     )
@@ -659,7 +654,7 @@ def enumerate_trajectory(spec: ExperimentSpec, index: int = 0):
     """
     state = prepare_input(spec)
     errors, _, _ = draw_block(spec.error_model, spec.n_steps, spec.master_seed, [index])
-    steps = _row_of(_block_builder(spec)(errors), 0)
+    steps = _block_builder(spec)(errors)
     return run_protocol(state, steps, "branch", monitor_top_fock=state.space.has_motion)
 
 

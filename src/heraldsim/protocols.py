@@ -20,14 +20,17 @@ aggregates (state ``None``): flagged runs are discarded, so their internal
 state is never tracked. Each state therefore has one survivor path, and
 :func:`survivor_paths`, the one propagation kernel, drives blocks of states
 along it, unnormalized, as the no-jump states of the quantum-jump picture
-(Dalibard, Castin & Mølmer 1992). Both modes of :func:`run_protocol` are
-that kernel at block size 1; branch tables are read off the survivor path.
+(Dalibard, Castin & Mølmer 1992). The scalar steps are the block builders'
+output for one row, so both modes of :func:`run_protocol` are that kernel
+at block size 1; branch tables are read off the survivor path, and
+:func:`cleanout_branches` and :func:`cleanout_sample` run it over one
+clean-out.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -124,6 +127,20 @@ def chain_problem(ratios: Sequence[float], target: int) -> tuple[str, int | None
     return None
 
 
+def cz_problem(n_ions: int, fock_cutoff: int) -> str | None:
+    """Why the entangling gate cannot run on a register of ``n_ions`` ions
+    with this Fock cutoff, if it cannot: it needs two ions and a motional
+    mode with headroom above the Fock 1 state it populates."""
+    if n_ions != 2:
+        return "the entangling gate expects two ions and a motional mode"
+    if fock_cutoff < 2:
+        return (
+            f"fock_cutoff {fock_cutoff} leaves no headroom above the populated "
+            "Fock 1 state; use at least 2"
+        )
+    return None
+
+
 @dataclass(frozen=True)
 class Branch:
     """One protocol outcome: final state (None for flagged aggregates),
@@ -154,22 +171,13 @@ class _Step:
     of every ion on all of them (:class:`~heraldsim.statespace.IonProduct`,
     one pass over the register), or the pair rotations of a sideband
     transfer on ``(ion, motion_axis)``
-    (:class:`~heraldsim.statespace.PairRotations`). Steps of one
-    trajectory hold one operator each; steps of a block of trajectories
-    hold one per row, and indexing an operator selects rows.
+    (:class:`~heraldsim.statespace.PairRotations`). Every step holds one
+    operator per row of a block, and indexing an operator selects rows;
+    the steps of one trajectory are a block of one row.
     """
 
     unitaries: tuple[tuple[IonProduct | PairRotations, tuple[int, ...]], ...]
     cleanouts: tuple[CleanoutChannel, ...]
-
-
-def _row_of(steps: Sequence[_Step], row: int | None) -> tuple[_Step, ...]:
-    """The steps of one row of a block; with ``row`` None, one trajectory's
-    steps as a block of one row."""
-    return tuple(
-        _Step(tuple((u[row], t) for u, t in step.unitaries), step.cleanouts)
-        for step in steps
-    )
 
 
 @dataclass(frozen=True)
@@ -183,6 +191,15 @@ class _Builder:
 
     def __call__(self, errors: np.ndarray) -> tuple[_Step, ...]:
         return tuple(map(_Step, self.transfers(errors), self.cleanouts))
+
+
+def transfer_pass(amps: np.ndarray, space: StateSpace, steps: Sequence[_Step]) -> np.ndarray:
+    """Apply every step's transfers, and none of its clean-outs, to a
+    C-contiguous ``(block, dim)`` array in place: the uncertified baseline."""
+    for step in steps:
+        for u, targets in step.unitaries:
+            _apply_block(amps, space, u, targets)
+    return amps
 
 
 def cleanout_sites(
@@ -228,7 +245,8 @@ def run_protocol(
     branches are finalized as they occur or carried as aggregates and
     partitioned only at the end; flagged branches are terminal, so both give
     the same table. ``keep_intermediate`` (branch mode) also returns the
-    survivor after each step.
+    survivor after each step: the kernel's end state over each prefix of
+    the steps, which the deterministic kernel reproduces bit for bit.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -240,7 +258,7 @@ def run_protocol(
         paths = survivor_paths(
             state.amplitudes[None],
             state.space,
-            _row_of(steps, None),
+            steps,
             draw=lambda col, rows: rng.random(1),
             monitor_top_fock=monitor_top_fock,
         )
@@ -271,13 +289,8 @@ def _branches(
     positive W(c-1)·(1-s)(1-p_c), where W(c-1) is the survivor's
     probability before c; branches at or below PROB_FLOOR are dropped.
     """
-    paths = survivor_paths(
-        state.amplitudes[None],
-        state.space,
-        _row_of(steps, None),
-        monitor_top_fock=monitor_top_fock,
-        keep_intermediate=keep_intermediate,
-    )
+    start, space = state.amplitudes[None], state.space
+    paths = survivor_paths(start, space, steps, monitor_top_fock=monitor_top_fock)
     channels = [(si, ch) for si, step in enumerate(steps) for ch in step.cleanouts]
     selectivity = np.array([ch.selectivity for _, ch in channels])
     segments, kept = _segment_table(paths.target[0], selectivity, paths.rest[0])
@@ -295,11 +308,14 @@ def _branches(
         weight *= survive
         records += (HeraldRecord(si, ch.ion, False, survive),)
     if paths.alive[0]:
-        branches.append(Branch(PureState(state.space, paths.final[0]), weight, records))
+        branches.append(Branch(PureState(space, paths.final[0]), weight, records))
     intermediates = None
     if keep_intermediate:
-        after = [PureState(state.space, a[0]) if len(a) else None for a in paths.after_step]
-        intermediates = tuple(after + [None] * (len(steps) - len(after)))
+        # The full run has checked the top Fock state along every prefix.
+        prefixes = (survivor_paths(start, space, steps[: k + 1]) for k in range(len(steps)))
+        intermediates = tuple(
+            PureState(space, p.final[0]) if p.alive[0] else None for p in prefixes
+        )
     return branches, intermediates
 
 
@@ -317,9 +333,7 @@ class SurvivorPaths:
     clean-outs the row passed, its flag included. ``target``, ``rest`` and
     ``probs`` are 0.0 past a row's last clean-out. ``weight`` is the unflagged
     probability (branch mode) or 1.0/0.0 (mc mode). ``final`` holds the
-    normalized end states of the rows with ``alive`` set, in row order;
-    ``after_step``, when asked for, the normalized states of the live rows
-    after each step the block reached.
+    normalized end states of the rows with ``alive`` set, in row order.
     """
 
     weight: np.ndarray
@@ -330,7 +344,6 @@ class SurvivorPaths:
     probs: np.ndarray
     flags: np.ndarray
     done: np.ndarray
-    after_step: tuple[np.ndarray, ...] = ()
 
 
 def survivor_paths(
@@ -339,7 +352,6 @@ def survivor_paths(
     steps: Sequence[_Step],
     draw=None,
     monitor_top_fock: bool = False,
-    keep_intermediate: bool = False,
 ) -> SurvivorPaths:
     """Drive a ``(block, dim)`` array of normalized states along their
     unflagged path: the one propagation kernel of both modes.
@@ -374,7 +386,6 @@ def survivor_paths(
     rest = np.zeros((block, n_cleanouts))
     probs = np.zeros((block, n_cleanouts))
     flags = np.zeros((block, n_cleanouts), dtype=bool)
-    after_step = []
     col = 0
     for step in steps:
         if amps.shape[0] == 0:
@@ -413,15 +424,37 @@ def survivor_paths(
                 amps, norm2 = amps[live], norm2[live]
                 if rows.size == 0:
                     break
-        if keep_intermediate:
-            after_step.append(_normalized(amps))
     alive = np.zeros(block, dtype=bool)
     alive[rows] = True
     weight[~alive] = 0.0
     done = np.where(flags.any(axis=1), flags.argmax(axis=1) + 1, n_cleanouts)
-    return SurvivorPaths(
-        weight, alive, _normalized(amps), target, rest, probs, flags, done, tuple(after_step)
-    )
+    return SurvivorPaths(weight, alive, _normalized(amps), target, rest, probs, flags, done)
+
+
+def cleanout_branches(
+    state: PureState, ch: CleanoutChannel
+) -> list[tuple[PureState | None, float, bool]]:
+    """All branches of the channel as (state, probability, flagged) triples.
+
+    Branch order is fixed: flagged target branch, flagged false-positive
+    branch (selectivity < 1 only), surviving branch. Probabilities sum to 1;
+    branches below PROB_FLOOR are dropped.
+    """
+    branches, _ = _branches(state, (_Step((), (ch,)),))
+    return [(b.state, b.probability, b.flagged) for b in branches]
+
+
+def cleanout_sample(
+    state: PureState,
+    ch: CleanoutChannel,
+    rng: np.random.Generator,
+    step_index: int = 0,
+) -> tuple[PureState | None, HeraldRecord]:
+    """Sample one branch of the channel; statistically matches
+    :func:`cleanout_branches`."""
+    (branch,) = run_protocol(state, (_Step((), (ch,)),), "mc", rng).branches
+    (record,) = branch.records
+    return branch.state, replace(record, step_index=step_index)
 
 
 def no_flag_branch(outcome: ProtocolOutcome) -> Branch | None:
@@ -540,10 +573,9 @@ def bare_single_qubit(
     if state.space != StateSpace(1):
         raise ValueError("bare_single_qubit expects one ion and no motional mode")
     _require_qubit_manifold(state, 0)
-    final = state
-    for step in single_qubit_steps(spec, errors):
-        for u, targets in step.unitaries:
-            final = _apply_matrix(final, u, targets)
+    steps = single_qubit_steps(spec, errors)
+    amps = transfer_pass(state.amplitudes[None].copy(), state.space, steps)
+    final = PureState(state.space, amps[0])
     ideal = ideal_single_qubit_output(state, spec)
     return final, fidelity_up_to_global_phase(final, ideal)
 
@@ -627,7 +659,7 @@ def cz_steps(
     space: StateSpace | None = None,
 ) -> tuple[_Step, ...]:
     """The four transfers of the entangling gate, with their clean-outs."""
-    return _row_of(cz_builder(selectivity, space)(_error_row(errors, 4)), 0)
+    return cz_builder(selectivity, space)(_error_row(errors, 4))
 
 
 def certified_cz(
@@ -646,13 +678,9 @@ def certified_cz(
     an independent herald.
     """
     space = state.space
-    if space.n_ions != 2 or not space.has_motion:
-        raise ValueError("certified_cz expects two ions and a motional mode")
-    if space.fock_cutoff < 2:
-        raise ValueError(
-            f"fock_cutoff {space.fock_cutoff} leaves no headroom above the "
-            "populated Fock 1 state; use at least 2"
-        )
+    problem = cz_problem(space.n_ions, space.fock_cutoff)
+    if problem is not None:
+        raise ValueError(problem)
     _require_qubit_manifold(state, 0)
     _require_qubit_manifold(state, 1)
     if 1.0 - fock_population(state, 0) > POP_ATOL:
@@ -722,7 +750,7 @@ def addressed_steps(
 ) -> tuple[_Step, ...]:
     """Both halves of the addressed gate on a chain."""
     build = addressed_builder(spec, crosstalk, target, selectivity)
-    return _row_of(build(_error_row(errors, 2)), 0)
+    return build(_error_row(errors, 2))
 
 
 def ideal_addressed_output(chain: PureState, target: int, spec: GateSpec) -> PureState:

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from heraldsim.dissipation import (
     CleanoutChannel,
     aux_cleanout,
-    cleanout_branches,
-    cleanout_sample,
     level_cleanout,
     qubit_cleanout,
 )
@@ -23,7 +21,7 @@ from heraldsim.statespace import (
     basis_state,
     make_state,
 )
-from heraldsim.protocols import _Step, survivor_paths
+from heraldsim.protocols import _Step, cleanout_branches, cleanout_sample, survivor_paths
 from heraldsim.pulses import ToneSet, TransferPulse, five_level, transfer_unitary
 
 

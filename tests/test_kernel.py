@@ -319,6 +319,6 @@ def test_row_sampling_follows_the_segment_walk():
     for s in sorted({s for _, s, _ in cases}):
         block = [(p, u) for p, s2, u in cases if s2 == s]
         p, u = (np.array(col) for col in zip(*block))
-        taken, flagged = _sample_rows(p, s, u)
+        taken, flagged = _sample_rows(p, s, u, 1.0 - p)
         expected = [walk_segments(pi, s, ui) for pi, ui in block]
         assert list(zip(taken.tolist(), flagged.tolist())) == expected

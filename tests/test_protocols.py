@@ -14,6 +14,7 @@ from heraldsim.protocols import (
     certified_addressed_gate,
     certified_cz,
     certified_single_qubit,
+    cz_problem,
     cz_space,
     cz_steps,
     flag_probability,
@@ -377,7 +378,7 @@ class TestCertifiedCz:
         from heraldsim.statespace import _apply_matrix
 
         for u, targets in steps[1].unitaries:
-            phi2 = _apply_matrix(phi2, u, targets)
+            phi2 = _apply_matrix(phi2, u[0], targets)
         assert overlap(psi1, phi2) == pytest.approx(-math.sin(d2 / 2), abs=1e-12)
 
     def test_input_validation(self):
@@ -389,8 +390,11 @@ class TestCertifiedCz:
         with pytest.raises(ValueError):
             certified_cz(excited_motion, (0, 0, 0, 0))
         small = basis_state(cz_space(1), [IonLevel.Q0, IonLevel.Q0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             certified_cz(small, (0, 0, 0, 0))
+        # The one rule the config check also raises.
+        assert str(err.value) == cz_problem(2, 1)
+        assert "headroom" in str(err.value)
         ok = basis_state(space, [IonLevel.Q0, IonLevel.Q0])
         with pytest.raises(ValueError):
             certified_cz(ok, (0, 0))
@@ -499,9 +503,11 @@ class TestBrightIrreversibility:
 
     @staticmethod
     def factors(u, targets):
-        """The (matrix, targets) pairs an operator applies: each 5x5 factor
-        of a chain transfer on its own ion, or a sideband transfer's dense
-        matrix on its ion and the motional mode."""
+        """The (matrix, targets) pairs one trajectory's operator applies:
+        each 5x5 factor of a chain transfer on its own ion, or a sideband
+        transfer's dense matrix on its ion and the motional mode. A step
+        holds one operator per row, and ``u[0]`` is the trajectory's."""
+        u = u[0]
         if isinstance(u, IonProduct):
             assert targets == tuple(range(u.factors.shape[0]))
             return [(f, (j,)) for j, f in enumerate(u.factors)]
