@@ -333,7 +333,8 @@ class SurvivorPaths:
     clean-outs the row passed, its flag included. ``target``, ``rest`` and
     ``probs`` are 0.0 past a row's last clean-out. ``weight`` is the unflagged
     probability (branch mode) or 1.0/0.0 (mc mode). ``final`` holds the
-    normalized end states of the rows with ``alive`` set, in row order.
+    normalized end states of the rows with ``alive`` set, in row order; no
+    state between steps is kept (see :func:`survivor_paths`).
     """
 
     weight: np.ndarray
@@ -371,7 +372,9 @@ def survivor_paths(
     and never written to: every step operator and clean-out updates that
     copy in place. Every row goes through its own matrix products and the
     row rules that ``manifold_population`` and ``PureState.norm`` also use,
-    so its result does not depend on the other rows.
+    so its result does not depend on the other rows. It keeps no state
+    between steps: a survivor after step k, which :func:`run_protocol`
+    returns with ``keep_intermediate``, is its end state over ``steps[:k+1]``.
     """
     norm2 = _row_norm2(amps)
     off = norm2[np.abs(norm2 - 1.0) > NORM_CHECK_ATOL]

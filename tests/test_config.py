@@ -117,13 +117,15 @@ class TestParse:
         with pytest.raises(ConfigError):
             parse_config(doc, "cz")
 
-    def test_cz_cutoff_diagnostic(self):
+    # -1 has no register at all: the rule reads the cutoff, not a space.
+    @pytest.mark.parametrize("fock_cutoff", [-1, 0, 1])
+    def test_cz_cutoff_diagnostic(self, fock_cutoff):
         doc = {
             "protocol": "cz",
             "error_model": {"kind": "constant", "delta_pi": 0.0},
             "trials": 1,
             "master_seed": 0,
-            "fock_cutoff": 1,
+            "fock_cutoff": fock_cutoff,
         }
         with pytest.raises(ConfigError) as err:
             parse_config(doc, "cz")

@@ -5,6 +5,7 @@ is left out, since its imports are the package's public names, and so a
 re-export there does not count as a use."""
 
 import ast
+import graphlib
 import re
 from collections import Counter
 from functools import cache
@@ -98,3 +99,44 @@ def test_the_check_finds_an_unused_name():
     )
     words = Counter(WORD.findall(source + "kept()"))
     assert unused_names(source, words) == ["line 6: dropped"]
+
+
+def relative_imports(source: str) -> set[str]:
+    """The package modules ``source`` imports relatively, at any depth of
+    its syntax tree, so function-level imports count too."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:  # from . import a, b
+                found.update(alias.name for alias in node.names)
+            else:
+                found.add(node.module.split(".")[0])
+    return found
+
+
+def import_cycle(sources: dict[str, str]) -> list[str]:
+    """A cycle of the import graph of the named module sources, as the
+    modules along it with the first repeated at the end; [] if none."""
+    graph = {name: relative_imports(src) & sources.keys() for name, src in sources.items()}
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as err:
+        return err.args[1]
+    return []
+
+
+def test_the_package_has_no_import_cycle():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert import_cycle(sources) == []
+
+
+def test_the_check_finds_a_cycle_through_a_function_level_import():
+    sources = {
+        "a": "from .b import f\n",
+        "b": "import os\n\ndef g():\n    from .a import h\n    return h\n",
+        "c": "from . import a\n",
+    }
+    cycle = import_cycle(sources)
+    assert sorted(cycle) == ["a", "a", "b"] and cycle[0] == cycle[-1]
+    sources["b"] = "import os\n"
+    assert import_cycle(sources) == []
