@@ -3,7 +3,8 @@
 An :class:`ExperimentSpec` fixes everything about a run: protocol, gate,
 error model, selectivity, input preparation, trial count, master seed and
 execution mode. Trajectories draw their own error sequences (and, in mc
-mode, herald samples) from per-index generators split off the master seed,
+mode, clean-out uniforms) from their own Philox stream, keyed by the master
+seed with the trajectory index in its counter (:func:`~heraldsim.noise.draw_block`),
 so results are bit-identical for a given spec regardless of how trajectories
 are distributed over workers.
 
@@ -45,6 +46,7 @@ from .statespace import (
     N_LEVELS,
     PureState,
     StateSpace,
+    _BLOCK_BYTES,
     _check_real,
     _normalized,
     _row_fidelities,
@@ -66,9 +68,6 @@ MEMORY_BUDGET = 2 * 2**30
 # (~32 MB with numpy loaded); 10 leaves headroom.
 _STATE_COPIES = 10
 _PROCESS_BYTES = 64 * 2**20
-# A block runs as many trajectories as fit in _BLOCK_BYTES of one row's
-# amplitudes or operators, whichever is larger, and at least one.
-_BLOCK_BYTES = 512 * 2**10
 # One sideband pair of one row: its coefficients (c and two complex
 # entries), and the kernel's basis indices of its two entries for each
 # level of the other ion.

@@ -164,12 +164,13 @@ def draw_block(
     """
     _check_steps(n_steps)
     indices = [operator.index(index) for index in indices]
-    if model.draws_random:
+    draws_random = model.draws_random
+    if draws_random:
         raw = np.empty((len(indices), n_steps))
     else:
         raw = np.tile(_raw_sequence(model, n_steps, None), (len(indices), 1))
     uniforms = np.empty((len(indices), n_uniforms))
-    if model.draws_random or n_uniforms:
+    if draws_random or n_uniforms:
         gen = np.random.Generator(np.random.Philox(master_seed))
         # The smallest and largest index bound every row's range check.
         for bound in (min(indices, default=0), max(indices, default=0)):
@@ -180,14 +181,15 @@ def draw_block(
         state["buffer"] = state["buffer"].tolist()
         state["state"]["key"] = state["state"]["key"].tolist()
         counter = state["state"]["counter"] = state["state"]["counter"].tolist()
-        for b, index in enumerate(indices):
+        fill_uniforms = n_uniforms > 0
+        for index, raw_row, uniform_row in zip(indices, raw, uniforms):
             counter[2], counter[3] = index % 2**64, index >> 64
             bitgen.state = state
-            if model.draws_random:
-                normal(out=raw[b])
-            if n_uniforms:
-                uniform(out=uniforms[b])
-    if model.draws_random:
+            if draws_random:
+                normal(out=raw_row)
+            if fill_uniforms:
+                uniform(out=uniform_row)
+    if draws_random:
         raw *= model.sigma
         raw += 0.0
         if model.kind == "random_walk":

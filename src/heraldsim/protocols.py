@@ -62,6 +62,7 @@ from .statespace import (
     _normalized,
     _row_norm2,
     _subset_norm2,
+    _work,
     _zero_target,
     fidelity_up_to_global_phase,
     fock_population,
@@ -246,15 +247,21 @@ def run_protocol(
     partitioned only at the end; flagged branches are terminal, so both give
     the same table. ``keep_intermediate`` (branch mode) also returns the
     survivor after each step: the kernel's end state over each prefix of
-    the steps, which the deterministic kernel reproduces bit for bit.
+    the steps, which the deterministic kernel reproduces bit for bit. An
+    option the mode would ignore, ``rng`` in branch mode or
+    ``keep_intermediate`` in mc mode, raises ValueError.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if flag_query not in FLAG_QUERIES:
         raise ValueError(f"flag_query must be one of {FLAG_QUERIES}, got {flag_query!r}")
+    if mode == "branch" and rng is not None:
+        raise ValueError("branch mode draws nothing; pass rng in mc mode only")
     if mode == "mc":
         if rng is None:
             raise ValueError("mc mode requires a random generator")
+        if keep_intermediate:
+            raise ValueError("keep_intermediate applies to branch mode only")
         paths = survivor_paths(
             state.amplitudes[None],
             state.space,
@@ -380,7 +387,11 @@ def survivor_paths(
     off = norm2[np.abs(norm2 - 1.0) > NORM_CHECK_ATOL]
     if off.size:
         raise ValueError(f"survivor paths start from normalized states (norm {math.sqrt(off[0])})")
-    amps = amps.copy()  # C-contiguous: the one block the kernel writes
+    # The one block the kernel writes: a C-contiguous copy in a work array,
+    # which no returned array holds (final is normalized into a new one).
+    work = _work("block", amps.shape)
+    work[...] = amps
+    amps = work
     block = amps.shape[0]
     n_cleanouts = sum(len(step.cleanouts) for step in steps)
     rows = slice(None)  # the live rows: all of them until one drops out

@@ -19,6 +19,11 @@ Each reduction has one row-wise rule in split real arithmetic, with no BLAS
 call: :func:`_row_norm2` (norms, populations), :func:`_normalized` and
 :func:`_row_overlaps`. The one-state functions are these rules at one row,
 so a state and a kernel row agree to the bit on any BLAS kernel.
+
+The kernel's block-sized arrays (the survivor block, the pair gather and
+its products, the product pass's scratch) are views of work arrays that
+each thread keeps between runs, one per role, so repeated blocks reuse the
+same memory; see :func:`_work`.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import threading
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import lru_cache
@@ -50,6 +56,28 @@ class IonLevel(IntEnum):
 
 QUBIT_MANIFOLD = frozenset({IonLevel.Q0, IonLevel.Q1})
 AUX_MANIFOLD = frozenset({IonLevel.AUX_PLUS, IonLevel.AUX_MINUS})
+
+# A block runs as many trajectories as fit in _BLOCK_BYTES of one row's
+# amplitudes or operators, whichever is larger, and at least one; work
+# arrays up to this size are kept between runs.
+_BLOCK_BYTES = 512 * 2**10
+_kept = threading.local()
+
+
+def _work(role: str, shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialized C-contiguous complex128 array of ``shape``: a view
+    of this thread's work array for ``role``, grown to the largest request,
+    or a fresh array when it would pass one block's bytes. The view is valid
+    until the next request for the same role, so no returned array may hold
+    it."""
+    size = math.prod(shape)
+    if 16 * size > _BLOCK_BYTES:
+        return np.empty(shape, dtype=np.complex128)
+    buffer = getattr(_kept, role, None)
+    if buffer is None or buffer.size < size:
+        buffer = np.empty(size, dtype=np.complex128)
+        setattr(_kept, role, buffer)
+    return buffer[:size].reshape(shape)
 
 
 def _check_real(**values) -> None:
@@ -323,7 +351,11 @@ def _pair_index(space: StateSpace, ion: int, tones) -> np.ndarray:
     after = space.dim // (before * N_LEVELS * f)
     stride = after * f  # from one level of the ion to the next
     others = np.arange(before)[:, None] * (N_LEVELS * stride) + np.arange(after) * f
-    return others.reshape(-1, 1, 1) + _pair_ends(tones, stride)
+    index = others.reshape(-1, 1, 1) + _pair_ends(tones, stride)
+    # Checked once here: the kernel gathers with mode="clip".
+    if ((index < 0) | (index >= space.dim)).any():
+        raise ValueError(f"pair tones {tones} reach outside the basis of {space}")
+    return index
 
 
 def _apply_pairs(
@@ -337,11 +369,18 @@ def _apply_pairs(
     component, so every real product is rounded once, and the sums are
     those of the dense product that rounds each complex product once."""
     index = _pair_index(space, ion, op.tones)
+    shape = index.shape + amps.shape[:1]
     # Basis index first: one gather gives both entries of every pair, for
-    # every setting of the other factors and every row.
-    x = amps.T[index]
+    # every setting of the other factors and every row. mode="clip" writes
+    # straight into the work array; "raise" would buffer the result.
+    x = np.take(amps.T, index, axis=0, out=_work("pairs", shape), mode="clip")
     y = x[:, ::-1]
-    amps.T[index] = op.c * x + (op.off.real * y + (1j * op.off.imag) * y)
+    # c*x + (re*y + (1j*im)*y): the same operations on the same operands.
+    new = np.multiply(op.c, x, out=_work("pairs.c", shape))
+    mixed = np.multiply(op.off.real, y, out=_work("pairs.re", shape))
+    mixed += np.multiply(1j * op.off.imag, y, out=_work("pairs.im", shape))
+    new += mixed
+    amps.T[index] = new
     return amps
 
 
@@ -353,10 +392,10 @@ def _apply_product(amps: np.ndarray, op: IonProduct) -> np.ndarray:
     rest)``, the row times the factor is ``x.T @ u.T``, one ``(rest, 5) @
     (5, 5)`` product for the whole row, which leaves the ion's level last.
     After the last ion the axes are back in basis order, so no axis is
-    moved. The ions write in turn into one scratch array and into ``amps``,
-    and an odd ion count copies the scratch back once."""
+    moved. The ions write in turn into one scratch work array and into
+    ``amps``, and an odd ion count copies the scratch back once."""
     block = amps.shape[0]
-    src, dst = amps, np.empty_like(amps)
+    src, dst = amps, _work("product", amps.shape)
     for k in range(op.factors.shape[1]):
         rows = np.swapaxes(src.reshape(block, N_LEVELS, -1), 1, 2)
         np.matmul(rows, np.swapaxes(op.factors[:, k], 1, 2), out=dst.reshape(rows.shape))

@@ -10,6 +10,9 @@ and worker count. An independent closed form checks the rows' physics.
 import dataclasses
 import itertools
 import math
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -36,6 +39,7 @@ from heraldsim.protocols import (
     CrosstalkProfile,
     GateSpec,
     addressed_steps,
+    cleanout_sites,
     cz_space,
     cz_steps,
     ideal_addressed_output,
@@ -44,6 +48,7 @@ from heraldsim.protocols import (
     no_flag_branch,
     run_protocol,
     single_qubit_steps,
+    survivor_paths,
 )
 from heraldsim.statespace import BlochAxis, StateSpace, fidelity_up_to_global_phase
 
@@ -322,3 +327,99 @@ def test_row_sampling_follows_the_segment_walk():
         taken, flagged = _sample_rows(p, s, u, 1.0 - p)
         expected = [walk_segments(pi, s, ui) for pi, ui in block]
         assert list(zip(taken.tolist(), flagged.tolist())) == expected
+
+
+# --- (d) the work arrays the kernel keeps between runs -----------------------
+
+
+def cz_spec(trials: int, **overrides) -> ExperimentSpec:
+    base = dict(
+        protocol="cz",
+        error_model=AmplitudeErrorModel.gaussian_iid(0.05),
+        input_state=InputSpec("bell"),
+        trials=trials,
+        master_seed=17,
+        selectivity=0.95,
+    )
+    base.update(overrides)
+    return ExperimentSpec(**base)
+
+
+def kernel_inputs(spec: ExperimentSpec) -> tuple:
+    """``survivor_paths``' arguments for all of the spec's trajectories as
+    one block, as the runner drives a block."""
+    state = prepare_input(spec)
+    mc = spec.mode == "mc"
+    build = experiments._block_builder(spec)
+    errors, _, uniforms = draw_block(
+        spec.error_model,
+        spec.n_steps,
+        spec.master_seed,
+        range(spec.trials),
+        len(cleanout_sites(build.cleanouts)) if mc else 0,
+    )
+    start = np.broadcast_to(state.amplitudes, (spec.trials, state.space.dim))
+    draw = (lambda col, live: uniforms[live, col]) if mc else None
+    return start, state.space, build(errors), draw, state.space.has_motion
+
+
+def ensemble_bytes(spec: ExperimentSpec) -> str:
+    stats, rows = run_ensemble(spec, return_rows=True)
+    return repr(stats.to_dict()) + repr([dataclasses.astuple(row) for row in rows])
+
+
+def in_new_thread(fn, *args):
+    """``fn(*args)`` in a thread of its own, which starts with no work arrays."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn, *args).result()
+
+
+def test_results_do_not_alias_the_work_arrays():
+    paths = survivor_paths(*kernel_inputs(cz_spec(40)))
+    assert paths.alive.all()  # final is the whole block, normalized
+    kept = {name: value.copy() for name, value in vars(paths).items()}
+    # More rows of another protocol in fewer bytes reuse the work arrays in
+    # place; a larger cz block grows them.
+    survivor_paths(*kernel_inputs(chain_spec(2, 100, mode="branch")))
+    survivor_paths(*kernel_inputs(cz_spec(109, master_seed=18)))
+    for name, value in vars(paths).items():
+        assert value.tobytes() == kept[name].tobytes(), name
+
+
+def test_runs_do_not_depend_on_earlier_runs():
+    specs = [cz_spec(250), chain_spec(4, 60), cz_spec(250, mode="mc", master_seed=19)]
+    alone = [in_new_thread(ensemble_bytes, spec) for spec in specs]
+    assert in_new_thread(lambda: [ensemble_bytes(spec) for spec in specs]) == alone
+    assert in_new_thread(lambda: [ensemble_bytes(spec) for spec in specs[::-1]]) == alone[::-1]
+
+
+def test_each_thread_keeps_its_own_work_arrays():
+    # More threads than the two cores, switching often: numpy releases the
+    # interpreter lock inside the kernel's array operations, so threads that
+    # shared work arrays would overwrite each other's blocks.
+    specs = [cz_spec(250), chain_spec(4, 60), cz_spec(250, mode="mc"), chain_spec(3, 80)]
+    sequential = [ensemble_bytes(spec) for spec in specs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(specs)) as pool:
+            for _ in range(2):
+                futures = [pool.submit(ensemble_bytes, spec) for spec in specs]
+                assert [f.result(timeout=120) for f in futures] == sequential
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_warm_cz_block_allocates_at_most_two_blocks():
+    # Without the kept work arrays one cz-branch block at Fock cutoff 3 (109
+    # rows, 174 KB) peaked at ~5.5 blocks above its start.
+    inputs = kernel_inputs(cz_spec(_block_size("cz", cz_space())))
+    survivor_paths(*inputs)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        survivor_paths(*inputs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 2 * 16 * inputs[0].size

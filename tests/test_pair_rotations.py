@@ -51,6 +51,7 @@ from heraldsim.statespace import (
     BlochAxis,
     IonLevel,
     IonProduct,
+    PairRotations,
     PureState,
     StateSpace,
     _apply_block,
@@ -188,6 +189,22 @@ def test_pairs_equal_apply_unitary_of_sideband_unitary(cutoff):
                     else:
                         diff = np.abs(got[row] - state.amplitudes)
                         assert diff.max() <= 2.0**-52
+
+
+def test_pairs_outside_the_register_are_refused():
+    # The kernel gathers with mode="clip", which would read the last entry
+    # for any index past it; the index table refuses such pairs instead.
+    space = StateSpace(2, 2)
+    n = space.fock_dim + 1  # one pair more than the Fock mode holds
+    op = PairRotations(
+        ((IonLevel.Q0, 0, IonLevel.BRIGHT, 0, n),),
+        space.fock_dim,
+        np.ones((n, 1)),
+        np.zeros((2, n, 1), dtype=np.complex128),
+    )
+    amps = random_states(np.random.default_rng(5), space, 1)
+    with pytest.raises(ValueError, match="outside the basis"):
+        _apply_block(amps, space, op, (1, space.motion_axis))
 
 
 def test_cz_operator_bytes_grow_linearly_in_the_cutoff():

@@ -162,13 +162,54 @@ class TestCertifiedSingleQubit:
             )
 
     @pytest.mark.parametrize(
-        "keyword,message",
-        [("mode", "mode must be one of"), ("flag_query", "flag_query must be one of")],
+        "entry,options,message",
+        [
+            pytest.param(entry, options, message, id=f"{entry}-{name}")
+            for entry in (
+                "run_protocol",
+                "certified_single_qubit",
+                "certified_cz",
+                "certified_addressed_gate",
+            )
+            for name, options, message in (
+                ("mode", {"mode": "sometimes"}, "mode must be one of"),
+                ("flag_query", {"flag_query": "sometimes"}, "flag_query must be one of"),
+                # Options the mode would ignore; the addressed gate has no
+                # keep_intermediate.
+                ("rng-in-branch", {"rng": 0}, "pass rng in mc mode only"),
+                (
+                    "intermediates-in-mc",
+                    {"mode": "mc", "rng": 0, "keep_intermediate": True},
+                    "keep_intermediate applies to branch mode only",
+                ),
+            )
+            if not (entry == "certified_addressed_gate" and "keep_intermediate" in options)
+        ],
     )
-    def test_run_protocol_refuses_unknown_choices(self, keyword, message):
-        state = basis_state(StateSpace(1), [IonLevel.Q0])
+    def test_run_protocol_refuses_unknown_choices(self, entry, options, message):
+        if "rng" in options:
+            options = options | {"rng": np.random.default_rng(options["rng"])}
+        gate = GateSpec(BlochAxis(0.5, 0.0), 1.0)
+        one_ion = basis_state(StateSpace(1), [IonLevel.Q0])
+        calls = {
+            "run_protocol": lambda **kw: run_protocol(one_ion, (), **kw),
+            "certified_single_qubit": lambda **kw: certified_single_qubit(
+                one_ion, gate, (0, 0), **kw
+            ),
+            "certified_cz": lambda **kw: certified_cz(
+                basis_state(cz_space(), [IonLevel.Q0, IonLevel.Q0]), (0, 0, 0, 0), **kw
+            ),
+            "certified_addressed_gate": lambda **kw: certified_addressed_gate(
+                basis_state(StateSpace(2), [IonLevel.Q0, IonLevel.Q0]),
+                0,
+                gate,
+                CrosstalkProfile((1.0, 0.1)),
+                (0, 0),
+                **kw,
+            ),
+        }
         with pytest.raises(ValueError, match=message):
-            run_protocol(state, (), **{keyword: "sometimes"})
+            calls[entry](**options)
 
     def test_mc_agrees_with_enumeration(self):
         spec = GateSpec(BlochAxis(1.0, 0.0), 1.5)
