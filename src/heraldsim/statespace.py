@@ -375,7 +375,8 @@ def _apply_pairs(
     # straight into the work array; "raise" would buffer the result.
     x = np.take(amps.T, index, axis=0, out=_work("pairs", shape), mode="clip")
     y = x[:, ::-1]
-    # c*x + (re*y + (1j*im)*y): the same operations on the same operands.
+    # c*x + (re*y + (1j*im)*y) one operation at a time: the same operations
+    # on the same operands as the expression, so the same bits.
     new = np.multiply(op.c, x, out=_work("pairs.c", shape))
     mixed = np.multiply(op.off.real, y, out=_work("pairs.re", shape))
     mixed += np.multiply(1j * op.off.imag, y, out=_work("pairs.im", shape))

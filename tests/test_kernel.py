@@ -5,6 +5,9 @@ a time. Its rows must equal, by ``repr``, the rows rebuilt one trajectory at
 a time from the public functions (trajectory_rng -> sample_errors_counted ->
 *_steps -> run_protocol -> fidelity_up_to_global_phase), at any block split
 and worker count. An independent closed form checks the rows' physics.
+The work arrays the kernel keeps between runs leak into no result, no
+later run and no other thread, and a warm block allocates little beside
+them.
 """
 
 import dataclasses
