@@ -107,11 +107,13 @@ def _segment_table(
     return segments, segments > PROB_FLOOR
 
 
-def survival_probability(p: np.ndarray, selectivity: float, q: np.ndarray) -> np.ndarray:
-    """Survivor branch probability s·q of each row, for target fractions p
-    that leave fractions q; 0.0 where it is dropped below PROB_FLOOR."""
-    segments, kept = _segment_table(p, selectivity, q)
-    return np.where(kept[:, 2], segments[:, 2], 0.0)
+def survival_probability(selectivity: float, q: np.ndarray) -> np.ndarray:
+    """Survivor branch probability s·q of each row, for clean-outs that
+    leave fractions q; 0.0 where it is dropped below PROB_FLOOR. The same
+    product and the same strict test as the survivor column of
+    :func:`_segment_table`, without the rest of the table."""
+    survive = selectivity * q
+    return np.where(survive > PROB_FLOOR, survive, 0.0)
 
 
 def _sample_rows(

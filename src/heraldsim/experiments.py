@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import operator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
@@ -482,19 +481,44 @@ def _run_block(spec, indices, state, ideal, build, sites, bare) -> _Columns:
     )
 
 
-def _run_rows(spec: ExperimentSpec, workers: int, bare: bool = False) -> _Columns:
-    """Every trajectory's columns in index order, over ``workers`` processes."""
-    processes = worker_processes(spec, workers)
-    if processes == 1:
-        return _run_batch(spec, 0, spec.trials, bare)
-    bounds = np.linspace(0, spec.trials, processes + 1, dtype=int)
-    with ProcessPoolExecutor(max_workers=processes) as pool:
+class _Pool:
+    """The worker processes of one command's runs: started by the first run
+    that needs more than one process, and shut down when the command ends."""
+
+    def __init__(self, workers: int):
+        self.workers = workers
+        self.executor = None
+
+    def __enter__(self) -> _Pool:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.executor is not None:
+            self.executor.shutdown()
+
+    def rows(self, spec: ExperimentSpec, bare: bool = False) -> _Columns:
+        """Every trajectory's columns in index order, over the workers."""
+        processes = worker_processes(spec, self.workers)
+        if processes == 1:
+            return _run_batch(spec, 0, spec.trials, bare)
+        if self.executor is None:
+            # Imported here, so a run in one process never loads multiprocessing.
+            from concurrent.futures import ProcessPoolExecutor
+
+            self.executor = ProcessPoolExecutor(max_workers=processes)
+        bounds = np.linspace(0, spec.trials, processes + 1, dtype=int)
         futures = [
-            pool.submit(_run_batch, spec, int(a), int(b), bare)
+            self.executor.submit(_run_batch, spec, int(a), int(b), bare)
             for a, b in zip(bounds[:-1], bounds[1:])
             if b > a
         ]
         return _joined([fut.result() for fut in futures])
+
+
+def _run_rows(spec: ExperimentSpec, workers: int, bare: bool = False) -> _Columns:
+    """Every trajectory's columns in index order, over ``workers`` processes."""
+    with _Pool(workers) as pool:
+        return pool.rows(spec, bare)
 
 
 def _flag_values(spec: ExperimentSpec, cols: _Columns) -> tuple[np.ndarray, np.ndarray]:
@@ -698,11 +722,14 @@ def sweep(
     values: Sequence[float],
     workers: int = 1,
 ) -> list[tuple[float, EnsembleStatistics]]:
-    """One independent, reproducible ensemble per parameter value."""
-    return [
-        (float(v), run_ensemble(_with_parameter(base, parameter, float(v)), workers))
-        for v in values
-    ]
+    """One independent, reproducible ensemble per parameter value. The
+    points that run on more than one process share one pool."""
+    with _Pool(workers) as pool:
+        results = []
+        for v in values:
+            spec = _with_parameter(base, parameter, float(v))
+            results.append((float(v), _reduce(spec, pool.rows(spec))))
+        return results
 
 
 @dataclass(frozen=True)

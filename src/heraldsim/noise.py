@@ -11,13 +11,15 @@ i)``: a Philox generator keyed by the seed, with i in the upper half of
 its 256-bit counter. :func:`draw_block` gives a block of trajectories the
 same values from one generator: it sets the counter to each row's stream
 and fills that row of one preallocated array per block, then scales the
-whole block's normals at once.
+whole block's normals at once. The generator is set up once per thread
+and seed, and kept while the thread's blocks draw with that seed.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,6 +39,8 @@ FORMAT = {
 }
 
 _CLAMP_MAX = float(np.nextafter(np.pi, 0.0))
+# Each thread's Philox of the seed it last drew with; see _stream.
+_streams = threading.local()
 
 
 @dataclass(frozen=True)
@@ -155,8 +159,9 @@ def draw_block(
     clean-out uniforms.
 
     Row b holds what ``trajectory_rng(master_seed, indices[b])`` gives when
-    it draws the errors and then the uniforms: the block's one Philox is
-    reset to each row's counter in turn and fills that row of two
+    it draws the errors and then the uniforms: the thread's Philox for the
+    seed (built by the first block that draws with it, see :func:`_stream`)
+    is reset to each row's counter in turn and fills that row of two
     preallocated arrays. The block's normals are then scaled at once as
     numpy's ``normal`` does, ``0.0 + sigma * z``: the ``+ 0.0`` turns the
     -0.0 of a zero sigma and a negative z into +0.0. A model that draws
@@ -171,16 +176,10 @@ def draw_block(
         raw = np.tile(_raw_sequence(model, n_steps, None), (len(indices), 1))
     uniforms = np.empty((len(indices), n_uniforms))
     if draws_random or n_uniforms:
-        gen = np.random.Generator(np.random.Philox(master_seed))
+        bitgen, normal, uniform, state, counter = _stream(master_seed)
         # The smallest and largest index bound every row's range check.
         for bound in (min(indices, default=0), max(indices, default=0)):
             _counter(bound)
-        # A fresh state (buffer_pos 4: empty), in ints the setter reads fast.
-        bitgen, normal, uniform = gen.bit_generator, gen.standard_normal, gen.random
-        state = bitgen.state
-        state["buffer"] = state["buffer"].tolist()
-        state["state"]["key"] = state["state"]["key"].tolist()
-        counter = state["state"]["counter"] = state["state"]["counter"].tolist()
         fill_uniforms = n_uniforms > 0
         for index, raw_row, uniform_row in zip(indices, raw, uniforms):
             counter[2], counter[3] = index % 2**64, index >> 64
@@ -196,6 +195,28 @@ def draw_block(
             # The first value already includes one increment.
             raw = model.value + np.cumsum(raw, axis=1)
     return *_clamped(raw), uniforms
+
+
+def _stream(master_seed: int):
+    """This thread's Philox keyed by ``master_seed``: its bit generator, the
+    ``standard_normal`` and ``random`` of its ``Generator``, a fresh state
+    of it (buffer_pos 4: empty) in ints the state setter reads fast, and
+    that state's counter words. Built on the first draw with a seed and
+    kept while the thread draws with that seed; the state is only ever
+    written to the bit generator, so it stays fresh but for the counter
+    words 2-3 that each row sets."""
+    seed = operator.index(master_seed)
+    kept = getattr(_streams, "kept", None)
+    if kept is None or kept[0] != seed:
+        gen = np.random.Generator(np.random.Philox(seed))
+        bitgen = gen.bit_generator
+        state = bitgen.state
+        state["buffer"] = state["buffer"].tolist()
+        state["state"]["key"] = state["state"]["key"].tolist()
+        counter = state["state"]["counter"] = state["state"]["counter"].tolist()
+        kept = (seed, bitgen, gen.standard_normal, gen.random, state, counter)
+        _streams.kept = kept
+    return kept[1:]
 
 
 def rms(errors: list[float]) -> float:

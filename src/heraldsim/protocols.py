@@ -377,13 +377,21 @@ def survivor_paths(
     live rows (a slice or an index array into the block), with the same
     branch segments and freezes the rows that flag. ``amps`` is copied once
     and never written to: every step operator and clean-out updates that
-    copy in place. Every row goes through its own matrix products and the
+    copy in place. A start that is one state broadcast over the block (row
+    stride 0), as the runner passes, has its squared norm taken once, from
+    one row. Every row goes through its own matrix products and the
     row rules that ``manifold_population`` and ``PureState.norm`` also use,
     so its result does not depend on the other rows. It keeps no state
     between steps: a survivor after step k, which :func:`run_protocol`
     returns with ``keep_intermediate``, is its end state over ``steps[:k+1]``.
     """
-    norm2 = _row_norm2(amps)
+    block = amps.shape[0]
+    if amps.strides[0] == 0:
+        # One state broadcast over the block: the row rule gives every row
+        # the first row's bits.
+        norm2 = np.repeat(_row_norm2(amps[:1]), block)
+    else:
+        norm2 = _row_norm2(amps)
     off = norm2[np.abs(norm2 - 1.0) > NORM_CHECK_ATOL]
     if off.size:
         raise ValueError(f"survivor paths start from normalized states (norm {math.sqrt(off[0])})")
@@ -392,7 +400,6 @@ def survivor_paths(
     work = _work("block", amps.shape)
     work[...] = amps
     amps = work
-    block = amps.shape[0]
     n_cleanouts = sum(len(step.cleanouts) for step in steps)
     rows = slice(None)  # the live rows: all of them until one drops out
     weight = np.ones(block)
@@ -421,7 +428,7 @@ def survivor_paths(
                 left[lost] = _row_norm2(amps[lost])
                 q[lost] = left[lost] / norm2[lost]
             if draw is None:
-                taken = survival_probability(p, ch.selectivity, q)
+                taken = survival_probability(ch.selectivity, q)
                 live = taken > 0.0
                 weight[rows] *= taken
             else:
@@ -627,7 +634,8 @@ def cz_builder(selectivity: float = 1.0, space: StateSpace | None = None):
     Simultaneous tones of one transfer touch disjoint level pairs, so each
     transfer is a set of commuting two-level rotations sharing one area
     error: the pair rotations of its Fock pairs, with each row's
-    coefficients. No dense operator is built.
+    coefficients. One sideband fill gives all six rotations of a block. No
+    dense operator is built.
     """
     if space is None:
         space = cz_space()
@@ -635,16 +643,27 @@ def cz_builder(selectivity: float = 1.0, space: StateSpace | None = None):
     g_up = (IonLevel.Q0, IonLevel.AUX_MINUS)
     f = space.motion_axis
     s = selectivity
-    fdim = space.fock_dim
     # Blue sideband out of the excited state plus carrier out of the ground
     # state, both on ion m.
-    on_m = sideband_fill((("blue", e_up, 0.0), ("carrier", g_up, 0.0)), fdim)
-    carrier_m = sideband_fill((("carrier", g_up, 0.0),), fdim)
+    on_m = (("blue", e_up, 0.0), ("carrier", g_up, 0.0))
+    carrier_m = (("carrier", g_up, 0.0),)
     # Red sidebands bringing both of ion n's qubit levels down one motional
     # quantum into its auxiliaries; the third transfer flips the excited
     # tone's phase.
-    on_n = sideband_fill((("red", e_up, 0.0), ("red", g_up, 0.0)), fdim)
-    on_n_flipped = sideband_fill((("red", e_up, math.pi), ("red", g_up, 0.0)), fdim)
+    on_n = (("red", e_up, 0.0), ("red", g_up, 0.0))
+    on_n_flipped = (("red", e_up, math.pi), ("red", g_up, 0.0))
+    # Each rotation with the transfer whose area it takes.
+    fill = sideband_fill(
+        (
+            (on_m, 0),
+            (carrier_m, 1),
+            (on_n, 1),
+            (carrier_m, 2),
+            (on_n_flipped, 2),
+            (on_m, 3),
+        ),
+        space.fock_dim,
+    )
     cleanouts = (
         (qubit_cleanout(0, s),),
         (
@@ -656,12 +675,12 @@ def cz_builder(selectivity: float = 1.0, space: StateSpace | None = None):
     )
 
     def transfers(errors: np.ndarray):
-        a1, a2, a3, a4 = (math.pi + errors[:, k] for k in range(4))
+        m1, m2, n2, m3, n3, m4 = fill(math.pi + errors)
         return (
-            ((on_m(a1), (0, f)),),
-            ((carrier_m(a2), (0, f)), (on_n(a2), (1, f))),
-            ((carrier_m(a3), (0, f)), (on_n_flipped(a3), (1, f))),
-            ((on_m(a4), (0, f)),),
+            ((m1, (0, f)),),
+            ((m2, (0, f)), (n2, (1, f))),
+            ((m3, (0, f)), (n3, (1, f))),
+            ((m4, (0, f)),),
         )
 
     return _Builder(transfers, cleanouts)

@@ -230,39 +230,57 @@ def sideband_unitary(pulse: SidebandPulse, space: StateSpace) -> np.ndarray:
         raise ValueError(
             f"{pulse.kind} sideband requires fock_cutoff >= 1, got {space.fock_cutoff}"
         )
-    fill = sideband_fill(((pulse.kind, pulse.levels, pulse.phase),), space.fock_dim)
-    return np.asarray(fill(np.array([pulse.area]))[0])
+    tones = ((pulse.kind, pulse.levels, pulse.phase),)
+    (op,) = sideband_fill(((tones, 0),), space.fock_dim)(np.array([[pulse.area]]))
+    return np.asarray(op[0])
 
 
-def sideband_fill(tones, fock_dim: int):
-    """Ion-and-mode rotations of simultaneous sideband tones sharing one
-    area, for a block of areas.
+def sideband_fill(tone_sets, fock_dim: int):
+    """Ion-and-mode rotations of several sets of simultaneous sideband
+    tones, for a block of areas.
 
-    ``tones`` holds ``(kind, (lower, upper), phase)`` triples driving
-    disjoint level pairs, so their two-level rotations commute and form one
-    :class:`~heraldsim.statespace.PairRotations`. The pair table and phase
-    factors are computed here, once; the returned function maps areas of
-    shape ``(block,)`` to every pair's coefficients in every row: c, and
-    the two off-diagonal entries of the pair's 2x2 block.
+    ``tone_sets`` holds ``(tones, column)`` pairs. ``tones`` holds ``(kind,
+    (lower, upper), phase)`` triples driving disjoint level pairs, so their
+    two-level rotations commute and form one
+    :class:`~heraldsim.statespace.PairRotations`; they share the area in
+    ``column`` of each row. The pair tables and phase factors are computed
+    here, once. The returned function maps areas of shape ``(block,
+    columns)`` to one rotation per tone set, holding every pair's
+    coefficients in every row: c, and the two off-diagonal entries of the
+    pair's 2x2 block. One ``cos``, one ``sin`` and one complex product fill
+    the pairs of every set at once, and each rotation's arrays are slices
+    of those: the same operations on the same operands as one fill per
+    set, so the same bits.
     """
-    table, scales, factors = [], [], []
-    for kind, levels, phase in tones:
-        start_lo, start_up, tone_scales = _fock_pairs(kind, fock_dim)
-        lo, up = (int(lv) for lv in levels)
-        table.append((lo, start_lo, up, start_up, tone_scales.size))
-        scales.append(tone_scales)
-        # The lowering entry's phase factor, then the raising entry's.
-        lowering, raising = cmath.exp(1j * phase), cmath.exp(-1j * phase)
-        factors.append(np.repeat([[lowering], [raising]], tone_scales.size, axis=1))
-    table = tuple(table)
+    tables, columns, scales, factors, bounds = [], [], [], [], [0]
+    for tones, column in tone_sets:
+        table = []
+        for kind, levels, phase in tones:
+            start_lo, start_up, tone_scales = _fock_pairs(kind, fock_dim)
+            lo, up = (int(lv) for lv in levels)
+            table.append((lo, start_lo, up, start_up, tone_scales.size))
+            scales.append(tone_scales)
+            columns.append(np.full(tone_scales.size, column))
+            # The lowering entry's phase factor, then the raising entry's.
+            lowering, raising = cmath.exp(1j * phase), cmath.exp(-1j * phase)
+            factors.append(np.repeat([[lowering], [raising]], tone_scales.size, axis=1))
+        tables.append(tuple(table))
+        bounds.append(bounds[-1] + sum(n for *_, n in table))
     # One row per pair, broadcast against the areas.
+    columns = np.concatenate(columns)
     scales = np.concatenate(scales)[:, None]
     factors = np.concatenate(factors, axis=1)[:, :, None]
+    spans = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
-    def fill(areas: np.ndarray) -> PairRotations:
-        half = scales * (0.5 * areas)
+    def fill(areas: np.ndarray) -> tuple[PairRotations, ...]:
+        # Each pair's row of half areas, pairs first.
+        half = scales * (0.5 * areas).T[columns]
         c, s = np.cos(half), np.sin(half)
-        return PairRotations(table, fock_dim, c, _minus_i_times(s, factors))
+        off = _minus_i_times(s, factors)
+        return tuple(
+            PairRotations(table, fock_dim, c[span], off[:, span])
+            for table, span in zip(tables, spans)
+        )
 
     return fill
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 from dataclasses import replace
@@ -429,6 +430,27 @@ class TestSweep:
     def test_unknown_parameter(self):
         with pytest.raises(ValueError):
             sweep(single_spec(trials=5), "detuning", [0.1])
+
+    def test_points_share_one_pool(self, monkeypatch):
+        # A counting stand-in for the process pool, run on threads.
+        started, closed = [], []
+
+        class Counted(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+            def shutdown(self, *args, **kwargs):
+                closed.append(True)
+                super().shutdown(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+        spec = single_spec(error_model=AmplitudeErrorModel.gaussian_iid(0.1), trials=40)
+        values = [0.02, 0.05, 0.1]
+        pooled = sweep(spec, "sigma", values, workers=2)
+        assert started == [2] and closed == [True]
+        assert pooled == sweep(spec, "sigma", values, workers=1)
+        assert started == [2]
 
     def test_quadratic_flag_scaling(self):
         values = np.logspace(-3, -1, 6)

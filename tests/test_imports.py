@@ -2,11 +2,15 @@
 module defines is named somewhere else. Standard library only: the import
 statements and definitions come from each module's syntax tree. ``__init__``
 is left out, since its imports are the package's public names, and so a
-re-export there does not count as a use."""
+re-export there does not count as a use. Importing the package loads no
+process pool machinery: a run in one process never needs it."""
 
 import ast
 import graphlib
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from functools import cache
 from pathlib import Path
@@ -140,3 +144,16 @@ def test_the_check_finds_a_cycle_through_a_function_level_import():
     assert sorted(cycle) == ["a", "a", "b"] and cycle[0] == cycle[-1]
     sources["b"] = "import os\n"
     assert import_cycle(sources) == []
+
+
+def test_importing_the_package_loads_no_multiprocessing():
+    code = "import sys, heraldsim\nprint('multiprocessing' in sys.modules)\n"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

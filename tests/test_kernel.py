@@ -5,9 +5,9 @@ a time. Its rows must equal, by ``repr``, the rows rebuilt one trajectory at
 a time from the public functions (trajectory_rng -> sample_errors_counted ->
 *_steps -> run_protocol -> fidelity_up_to_global_phase), at any block split
 and worker count. An independent closed form checks the rows' physics.
-The work arrays the kernel keeps between runs leak into no result, no
-later run and no other thread, and a warm block allocates little beside
-them.
+The work arrays the kernel keeps between runs, and the generator a thread
+keeps for the seed it last drew with, leak into no result, no later run
+and no other thread, and a warm block allocates little beside them.
 """
 
 import dataclasses
@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heraldsim import experiments
-from heraldsim.dissipation import PROB_FLOOR, _sample_rows
+from heraldsim.dissipation import PROB_FLOOR, _sample_rows, _segment_table, survival_probability
 from heraldsim.experiments import (
     ExperimentSpec,
     InputSpec,
@@ -332,6 +332,29 @@ def test_row_sampling_follows_the_segment_walk():
         assert list(zip(taken.tolist(), flagged.tolist())) == expected
 
 
+@pytest.mark.parametrize("s", [0.0, 0.3, 0.95, 1.0])
+def test_survival_is_the_survivor_column_of_the_segment_table(s):
+    # q for s*q at the floor, a few ulps either side of it, and ordinary
+    # fractions; at s = 1 the product is q itself.
+    near = PROB_FLOOR / s if s else PROB_FLOOR
+    q = [0.0, 0.5, 1.0, PROB_FLOOR, near]
+    for _ in range(3):
+        q += [np.nextafter(q[-2], 0.0), np.nextafter(q[-1], 1.0)]
+    q = np.array(q)
+    p = 1.0 - q
+    segments, kept = _segment_table(p, s, q)
+    expected = np.where(kept[:, 2], segments[:, 2], 0.0)
+    assert survival_probability(s, q).tobytes() == expected.tobytes()
+    if s:
+        # The floor itself is dropped, the value above it kept.
+        survive = s * q
+        assert (survive < PROB_FLOOR).any() and (survive > PROB_FLOOR).any()
+    if s == 1.0:
+        assert survival_probability(s, np.array([PROB_FLOOR]))[0] == 0.0
+        above = np.nextafter(PROB_FLOOR, 1.0)
+        assert survival_probability(s, np.array([above]))[0] == above
+
+
 # --- (d) the work arrays the kernel keeps between runs -----------------------
 
 
@@ -426,3 +449,57 @@ def test_a_warm_cz_block_allocates_at_most_two_blocks():
     finally:
         tracemalloc.stop()
     assert peak - start <= 2 * 16 * inputs[0].size
+
+
+def test_a_broadcast_start_gives_the_bytes_of_its_copy():
+    # The kernel takes one squared norm for a start that is one state
+    # broadcast over the block (row stride 0).
+    for spec in (cz_spec(40), chain_spec(3, 30, mode="mc")):
+        start, *rest = kernel_inputs(spec)
+        assert start.strides[0] == 0
+        broadcast = survivor_paths(start, *rest)
+        copied = survivor_paths(start.copy(), *rest)
+        for name, value in vars(broadcast).items():
+            assert value.tobytes() == vars(copied)[name].tobytes(), name
+
+
+def test_a_broadcast_start_that_is_not_normalized_is_refused():
+    start, *rest = kernel_inputs(cz_spec(5))
+    scaled = np.broadcast_to(1.01 * start[0], start.shape)
+    messages = []
+    for amps in (scaled, scaled.copy()):
+        with pytest.raises(ValueError, match="start from normalized states") as err:
+            survivor_paths(amps, *rest)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+# --- (e) the generator a thread keeps for its seed ---------------------------
+
+
+def philox_seeds(monkeypatch) -> list:
+    """The seed of every ``np.random.Philox`` built from now on, in order."""
+    built, philox = [], np.random.Philox
+
+    def counted(seed=None, **kwargs):
+        built.append(seed)
+        return philox(seed, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    return built
+
+
+def test_a_thread_builds_one_philox_per_seed(monkeypatch):
+    spec = cz_spec(3 * _block_size("cz", cz_space()) + 1, mode="mc")
+    built = philox_seeds(monkeypatch)
+    in_new_thread(run_ensemble, spec)
+    assert built == [17]  # four blocks
+    # Kept while the seed repeats; another seed replaces it.
+    in_new_thread(lambda: [run_ensemble(dataclasses.replace(spec, master_seed=m)) for m in (17, 17, 18, 17)])
+    assert built == [17, 17, 18, 17]
+
+
+def test_runs_after_another_seed_equal_runs_alone():
+    specs = [cz_spec(250, mode="mc", master_seed=m) for m in (21, 22, 21)]
+    alone = [in_new_thread(ensemble_bytes, spec) for spec in specs]
+    assert in_new_thread(lambda: [ensemble_bytes(spec) for spec in specs]) == alone

@@ -109,6 +109,13 @@ def dense_fill(tones, fock_dim: int, areas: np.ndarray) -> np.ndarray:
     return u
 
 
+def fill_one(tones, fock_dim: int):
+    """The fill of one tone set, mapping areas of shape ``(block,)`` to its
+    rotation."""
+    fill = sideband_fill(((tones, 0),), fock_dim)
+    return lambda areas: fill(areas[:, None])[0]
+
+
 def random_areas(rng, block: int) -> np.ndarray:
     # Errors up to 3 pi either way: |delta| > pi wraps the rotation.
     return math.pi + rng.uniform(-3 * math.pi, 3 * math.pi, block)
@@ -144,8 +151,28 @@ def test_dense_form_is_the_dense_fill(cutoff):
     for tones in CZ_TRANSFERS + SINGLE_TONES:
         for block in BLOCKS:
             areas = random_areas(rng, block)
-            op = sideband_fill(tones, fock_dim)(areas)
+            op = fill_one(tones, fock_dim)(areas)
             assert np.array_equal(np.asarray(op), dense_fill(tones, fock_dim, areas))
+
+
+@pytest.mark.parametrize("cutoff", range(2, 6))
+def test_one_fill_of_several_tone_sets_is_one_fill_per_set(cutoff):
+    # The entangling gate's six rotations, each with the column its area
+    # comes from, against each set filled on its own from that column.
+    rng = np.random.default_rng(300 + cutoff)
+    fock_dim = cutoff + 1
+    on_m, carrier_m, on_n, on_n_flipped = CZ_TRANSFERS
+    sets = ((on_m, 0), (carrier_m, 1), (on_n, 1), (carrier_m, 2), (on_n_flipped, 2), (on_m, 3))
+    for block in BLOCKS:
+        areas = math.pi + rng.uniform(-3 * math.pi, 3 * math.pi, (block, 4))
+        ops = sideband_fill(sets, fock_dim)(areas)
+        assert len(ops) == len(sets)
+        for op, (tones, column) in zip(ops, sets):
+            alone = fill_one(tones, fock_dim)(areas[:, column].copy())
+            assert op.tones == alone.tones and op.fock_dim == fock_dim
+            assert op.c.shape == alone.c.shape and op.off.shape == alone.off.shape
+            assert op.c.tobytes() == alone.c.tobytes()
+            assert op.off.tobytes() == alone.off.tobytes()
 
 
 @pytest.mark.parametrize("cutoff", CUTOFFS)
@@ -157,7 +184,7 @@ def test_pairs_equal_the_unfused_dense_product(cutoff):
             for ion in (0, 1):
                 areas = random_areas(rng, block)
                 amps = random_states(rng, space, block)
-                op = sideband_fill(tones, space.fock_dim)(areas)
+                op = fill_one(tones, space.fock_dim)(areas)
                 work = amps.copy()
                 got = _apply_block(work, space, op, (ion, space.motion_axis))
                 assert got is work
@@ -175,7 +202,7 @@ def test_pairs_equal_apply_unitary_of_sideband_unitary(cutoff):
                 areas = random_areas(rng, block)
                 amps = random_states(rng, space, block, bright=False)
                 got = _apply_block(
-                    amps.copy(), space, sideband_fill(tones, space.fock_dim)(areas), targets(ion)
+                    amps.copy(), space, fill_one(tones, space.fock_dim)(areas), targets(ion)
                 )
                 for row, area in enumerate(areas):
                     state = PureState(space, amps[row])

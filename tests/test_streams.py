@@ -1,10 +1,11 @@
 """A block's trajectory streams, drawn from one generator, against trajectory_rng.
 
 Trajectory i's stream is a Philox keyed by the master seed with i in words
-2-3 of its counter. ``draw_block`` builds one Philox per block and sets its
-counter to each row's stream in turn. The oracle is the public scalar path:
-one ``trajectory_rng`` per row, errors through ``sample_errors_counted``,
-then the row's clean-out uniforms.
+2-3 of its counter. ``draw_block`` takes the Philox its thread keeps for
+the seed (built once per thread and seed) and sets its counter to each
+row's stream in turn. The oracle is the public scalar path: one
+``trajectory_rng`` per row, errors through ``sample_errors_counted``, then
+the row's clean-out uniforms.
 """
 
 import os
