@@ -422,7 +422,8 @@ def test_runs_do_not_depend_on_earlier_runs():
 def test_each_thread_keeps_its_own_work_arrays():
     # More threads than the two cores, switching often: numpy releases the
     # interpreter lock inside the kernel's array operations, so threads that
-    # shared work arrays would overwrite each other's blocks.
+    # shared work arrays would overwrite each other's blocks, and threads
+    # that shared a generator would draw from each other's seeds (17 and 4).
     specs = [cz_spec(250), chain_spec(4, 60), cz_spec(250, mode="mc"), chain_spec(3, 80)]
     sequential = [ensemble_bytes(spec) for spec in specs]
     interval = sys.getswitchinterval()
