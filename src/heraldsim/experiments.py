@@ -46,8 +46,10 @@ from .statespace import (
     PureState,
     StateSpace,
     _BLOCK_BYTES,
+    _Register,
     _check_real,
     _normalized,
+    _public_fidelities,
     _row_fidelities,
     _row_norm2,
     make_state,
@@ -61,10 +63,14 @@ _WILSON_Z = 1.96  # 95% interval
 
 # Largest estimated peak memory of one run, over all its processes.
 MEMORY_BUDGET = 2 * 2**30
-# Peak RSS of an 8-, 9- or 10-ion addressing ensemble is 4.6-6.2 state
-# vectors per block row (input, ideal output, the kernel's block and its
-# product pass's scratch array) over that of the process before it runs
-# (~32 MB with numpy loaded); 10 leaves headroom.
+# Peak RSS of an 8-, 9- or 10-ion addressing ensemble (one row per block)
+# is 4.0-4.5 five-level state vectors over that of the process before it
+# runs (~30 MB with numpy loaded): the input, the ideal output and the
+# transients of building it, and the scoring row; the kernel's block and
+# its product pass's scratch hold register rows, (4/5)**n_ions of a vector
+# each. It was 4.6-6.1 when the kernel ran on five levels. The estimate is
+# unchanged, so it now overstates the kernel by (5/4)**n_ions; 10 leaves
+# headroom.
 _STATE_COPIES = 10
 _PROCESS_BYTES = 64 * 2**20
 # One sideband pair of one row: its coefficients (c and two complex
@@ -285,8 +291,12 @@ def _operator_bytes(protocol: str, space: StateSpace) -> int:
 
 
 def _block_size(protocol: str, space: StateSpace) -> int:
-    """Trajectories per block: derived from the register, never configured."""
-    row_bytes = max(16 * space.dim, _operator_bytes(protocol, space))
+    """Trajectories per block, never configured: as many as one block's
+    bytes hold of a row of the kernel's four-level register, on which every
+    runner input runs, or of one trajectory's step operators, whichever is
+    larger."""
+    register = _Register(space.n_ions, space.fock_cutoff)
+    row_bytes = max(16 * register.dim, _operator_bytes(protocol, space))
     return max(1, _BLOCK_BYTES // row_bytes)
 
 
@@ -468,7 +478,7 @@ def _run_block(spec, indices, state, ideal, build, sites, bare) -> _Columns:
     start = np.broadcast_to(state.amplitudes, (n, space.dim))
     paths = survivor_paths(start, space, steps, draw, monitor_top_fock=space.has_motion)
     fidelity = np.zeros(n)
-    fidelity[paths.alive] = _row_fidelities(paths.final, ideal.amplitudes)
+    fidelity[paths.alive] = _public_fidelities(paths.final, ideal.amplitudes, space)
     # Python's sum(v * v for v in errs), column by column.
     sumsq = np.zeros(n)
     for k in range(spec.n_steps):

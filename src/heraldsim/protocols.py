@@ -59,10 +59,13 @@ from .statespace import (
     _apply_block,
     _apply_matrix,
     _check_real,
+    _into_register,
     _normalized,
+    _public_rows,
+    _register,
     _row_norm2,
+    _subset,
     _subset_norm2,
-    _work,
     _zero_target,
     fidelity_up_to_global_phase,
     fock_population,
@@ -221,9 +224,13 @@ def _check_top_fock(amps: np.ndarray, space: StateSpace, norm2: np.ndarray) -> N
     """Raise if any row of a ``(block, dim)`` array of unnormalized states
     with squared norms ``norm2`` has reached the top Fock state."""
     if space.has_motion:
+        top = frozenset({space.fock_cutoff})
+        # Most blocks hold exactly nothing there: one test instead of a sum.
+        if not _subset(amps, space, 0, None, top).any():
+            return
         # Relative to each row's norm: a raw population would understate the
         # leak of a row whose survivor has lost most of its norm.
-        leak = _subset_norm2(amps, space, 0, None, frozenset({space.fock_cutoff})) / norm2
+        leak = _subset_norm2(amps, space, 0, None, top) / norm2
         over = leak[leak > LEAK_ATOL]
         if over.size:
             raise LeakageError(f"population {over[0]:.3e} at the Fock cutoff; raise fock_cutoff")
@@ -275,7 +282,7 @@ def run_protocol(
                 cleanout_sites([step.cleanouts for step in steps])[: paths.done[0]]
             )
         )
-        final = PureState(state.space, paths.final[0]) if paths.alive[0] else None
+        final = _public_state(state.space, paths)
         return ProtocolOutcome((Branch(final, 1.0, records),), "mc")
     branches, intermediates = _branches(state, steps, monitor_top_fock, keep_intermediate)
     branches.sort(key=_branch_sort_key)
@@ -315,15 +322,19 @@ def _branches(
         weight *= survive
         records += (HeraldRecord(si, ch.ion, False, survive),)
     if paths.alive[0]:
-        branches.append(Branch(PureState(space, paths.final[0]), weight, records))
+        branches.append(Branch(_public_state(space, paths), weight, records))
     intermediates = None
     if keep_intermediate:
         # The full run has checked the top Fock state along every prefix.
         prefixes = (survivor_paths(start, space, steps[: k + 1]) for k in range(len(steps)))
-        intermediates = tuple(
-            PureState(space, p.final[0]) if p.alive[0] else None for p in prefixes
-        )
+        intermediates = tuple(_public_state(space, p) for p in prefixes)
     return branches, intermediates
+
+
+def _public_state(space: StateSpace, paths: SurvivorPaths) -> PureState | None:
+    """The end state of a one-row run in the public layout, or None if the
+    row did not survive."""
+    return PureState(space, _public_rows(paths.final, space)[0]) if paths.alive[0] else None
 
 
 @dataclass(frozen=True)
@@ -340,7 +351,11 @@ class SurvivorPaths:
     clean-outs the row passed, its flag included. ``target``, ``rest`` and
     ``probs`` are 0.0 past a row's last clean-out. ``weight`` is the unflagged
     probability (branch mode) or 1.0/0.0 (mc mode). ``final`` holds the
-    normalized end states of the rows with ``alive`` set, in row order; no
+    normalized end states of the rows with ``alive`` set, in row order, in
+    the layout the kernel ran them on: the four-level register (narrower
+    than the space) or the space itself. ``statespace._public_rows`` writes
+    them into the public layout, and ``statespace._public_fidelities``
+    scores them against a public state with the bits of those rows. No
     state between steps is kept (see :func:`survivor_paths`).
     """
 
@@ -375,18 +390,30 @@ def survivor_paths(
     survivor falls below the probability floor. mc mode compares
     ``draw(column, rows)``, the uniforms of clean-out ``column`` for the
     live rows (a slice or an index array into the block), with the same
-    branch segments and freezes the rows that flag. ``amps`` is copied once
-    and never written to: every step operator and clean-out updates that
-    copy in place. A start that is one state broadcast over the block (row
-    stride 0), as the runner passes, has its squared norm taken once, from
-    one row. Every row goes through its own matrix products and the
-    row rules that ``manifold_population`` and ``PureState.norm`` also use,
-    so its result does not depend on the other rows. It keeps no state
+    branch segments and freezes the rows that flag.
+
+    The kernel runs on a register. Flagged branches leave the path, so
+    nothing ever enters Bright: when the start has no Bright amplitude and
+    every step operator keeps it so, as every runner input does, the rows
+    hold only each ion's other four levels, ``4**n_ions * fock_dim``
+    amplitudes, and the ion products apply the 4x4 block of each factor;
+    any other start or step runs on the space's five levels. ``amps`` is
+    copied once, into that register, and never written to: every step
+    operator and clean-out updates that copy in place. A start that is one
+    state broadcast over the block (row stride 0), as the runner passes, is
+    read at one row to choose the register, and has its squared norm taken
+    once, from one row. Every row goes through its own matrix products and
+    the row rules that ``manifold_population`` and ``PureState.norm`` also
+    use, so its result does not depend on the other rows. It keeps no state
     between steps: a survivor after step k, which :func:`run_protocol`
     returns with ``keep_intermediate``, is its end state over ``steps[:k+1]``.
     """
-    block = amps.shape[0]
-    if amps.strides[0] == 0:
+    block, broadcast = amps.shape[0], amps.strides[0] == 0
+    register = _register(space, amps, [u for step in steps for u, _ in step.unitaries])
+    # The one block the kernel writes: a C-contiguous copy in a work array,
+    # which no returned array holds (final is normalized into a new one).
+    amps = _into_register(amps, space, register)
+    if broadcast:
         # One state broadcast over the block: the row rule gives every row
         # the first row's bits.
         norm2 = np.repeat(_row_norm2(amps[:1]), block)
@@ -395,11 +422,6 @@ def survivor_paths(
     off = norm2[np.abs(norm2 - 1.0) > NORM_CHECK_ATOL]
     if off.size:
         raise ValueError(f"survivor paths start from normalized states (norm {math.sqrt(off[0])})")
-    # The one block the kernel writes: a C-contiguous copy in a work array,
-    # which no returned array holds (final is normalized into a new one).
-    work = _work("block", amps.shape)
-    work[...] = amps
-    amps = work
     n_cleanouts = sum(len(step.cleanouts) for step in steps)
     rows = slice(None)  # the live rows: all of them until one drops out
     weight = np.ones(block)
@@ -412,13 +434,13 @@ def survivor_paths(
         if amps.shape[0] == 0:
             break
         for u, targets in step.unitaries:
-            _apply_block(amps, space, u[rows], targets)
+            _apply_block(amps, register, u[rows], targets)
         if monitor_top_fock:
-            _check_top_fock(amps, space, norm2)
+            _check_top_fock(amps, register, norm2)
         for ch in step.cleanouts:
-            pop = _subset_norm2(amps, space, ch.ion, ch.levels, ch.fock)
+            pop = _subset_norm2(amps, register, ch.ion, ch.levels, ch.fock)
             p = np.minimum(pop / norm2, 1.0)
-            _zero_target(amps, space, ch.ion, ch.levels, ch.fock)
+            _zero_target(amps, register, ch.ion, ch.levels, ch.fock)
             left = norm2 - pop
             q = 1.0 - p
             # Taking off more than half the norm cancels bits; count what is

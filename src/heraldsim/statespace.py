@@ -7,13 +7,26 @@ tensor factor.
 
 Basis ordering is fixed and golden-value tests depend on it: per-ion levels
 in the order (Q0, Q1, AUX_PLUS, AUX_MINUS, BRIGHT), ion index major, Fock
-index last. This module alone knows that layout: every read or write of
-one ion's levels (and, optionally, some Fock indices) goes through the
-strided view of :func:`_target_index`, through the basis indices of
-:func:`_pair_index` for a sideband transfer's pairs, or through the cyclic
-pass of :func:`_apply_product` over every ion. A :class:`PureState` is
-immutable and every operation on one returns a new state; only the
-kernel's ``(block, dim)`` array is updated in place.
+index last. This module alone knows that layout, and the kernel's register
+beside it: every read or write of one ion's levels (and, optionally, some
+Fock indices) goes through the strided view of :func:`_target_index`,
+through the basis indices of :func:`_pair_index` for a sideband transfer's
+pairs, or through the cyclic pass of :func:`_apply_product` over every ion.
+Each of these reads the level count of the layout it is given. A
+:class:`PureState` is immutable and every operation on one returns a new
+state; only the kernel's ``(block, dim)`` array is updated in place.
+
+The register (:class:`_Register`) is the layout the survivor kernel runs
+on when nothing can reach Bright: each ion keeps Q0, Q1, AUX_PLUS and
+AUX_MINUS, in the same order, so a row holds ``4**n_ions * fock_dim``
+amplitudes. Flagged branches leave the survivor path, so Bright is never
+populated on it, and the register is exact, not an approximation.
+:func:`_register` chooses it from the start and the step operators,
+:func:`_into_register` gathers a start into it, :func:`_public_rows` writes
+its rows back into +0s of the public layout, and
+:func:`_public_fidelities` scores them with the bits of those written-back
+rows. The public basis, :class:`StateSpace`, :class:`PureState` and every
+one-state function stay five-level.
 
 Each reduction has one row-wise rule in split real arithmetic, with no BLAS
 call: :func:`_row_norm2` (norms, populations), :func:`_normalized` and
@@ -21,9 +34,9 @@ call: :func:`_row_norm2` (norms, populations), :func:`_normalized` and
 so a state and a kernel row agree to the bit on any BLAS kernel.
 
 The kernel's block-sized arrays (the survivor block, the pair gather and
-its products, the product pass's scratch) are views of work arrays that
-each thread keeps between runs, one per role, so repeated blocks reuse the
-same memory; see :func:`_work`.
+its products, the product pass's scratch, the scoring row) are views of
+work arrays that each thread keeps between runs, one per role, so repeated
+blocks reuse the same memory; see :func:`_work`.
 """
 
 from __future__ import annotations
@@ -35,7 +48,7 @@ import threading
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -64,20 +77,22 @@ _BLOCK_BYTES = 512 * 2**10
 _kept = threading.local()
 
 
-def _work(role: str, shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialized C-contiguous complex128 array of ``shape``: a view
-    of this thread's work array for ``role``, grown to the largest request,
-    or a fresh array when it would pass one block's bytes. The view is valid
-    until the next request for the same role, so no returned array may hold
-    it."""
-    size = math.prod(shape)
-    if 16 * size > _BLOCK_BYTES:
-        return np.empty(shape, dtype=np.complex128)
+def _work(role: str, shape: tuple[int, ...], dtype=np.complex128) -> np.ndarray:
+    """An uninitialized C-contiguous array of ``shape`` and ``dtype``
+    (complex128 or float64): a view of this thread's work array for
+    ``role``, grown to the largest request, or a fresh array when it would
+    pass one block's bytes. The view is valid until the next request for the
+    same role, so no returned array may hold it."""
+    count = math.prod(shape)
+    nbytes = count * np.dtype(dtype).itemsize
+    if nbytes > _BLOCK_BYTES:
+        return np.empty(shape, dtype=dtype)
+    size = -(-nbytes // 16)  # complex128 entries that hold nbytes
     buffer = getattr(_kept, role, None)
     if buffer is None or buffer.size < size:
         buffer = np.empty(size, dtype=np.complex128)
         setattr(_kept, role, buffer)
-    return buffer[:size].reshape(shape)
+    return buffer[:size].view(dtype)[:count].reshape(shape)
 
 
 def _check_real(**values) -> None:
@@ -120,6 +135,8 @@ class StateSpace:
 
     n_ions: int
     fock_cutoff: int = 0
+    # Levels per ion in this layout; the kernel's register keeps four.
+    levels: ClassVar[int] = N_LEVELS
 
     def __post_init__(self) -> None:
         if self.n_ions < 1:
@@ -137,7 +154,7 @@ class StateSpace:
 
     @property
     def factor_dims(self) -> tuple[int, ...]:
-        dims = (N_LEVELS,) * self.n_ions
+        dims = (self.levels,) * self.n_ions
         return dims + (self.fock_dim,) if self.has_motion else dims
 
     @property
@@ -149,7 +166,7 @@ class StateSpace:
 
     @property
     def dim(self) -> int:
-        return N_LEVELS**self.n_ions * self.fock_dim
+        return self.levels**self.n_ions * self.fock_dim
 
     def index(self, levels: Sequence[IonLevel | int], fock: int = 0) -> int:
         """Flat basis index of the product state with the given ion levels."""
@@ -160,10 +177,19 @@ class StateSpace:
         idx = 0
         for lv in levels:
             lv = int(lv)
-            if not 0 <= lv < N_LEVELS:
+            if not 0 <= lv < self.levels:
                 raise ValueError(f"invalid level {lv}")
-            idx = idx * N_LEVELS + lv
+            idx = idx * self.levels + lv
         return idx * self.fock_dim + fock
+
+
+class _Register(StateSpace):
+    """The kernel's register of a space: each ion keeps Q0, Q1, AUX_PLUS and
+    AUX_MINUS, in basis order, and the Fock mode stays. Bright is dropped,
+    so a row holds ``4**n_ions * fock_dim`` amplitudes. Never equal to a
+    :class:`StateSpace`."""
+
+    levels = N_LEVELS - 1
 
 
 @dataclass(frozen=True)
@@ -348,9 +374,9 @@ def _pair_index(space: StateSpace, ion: int, tones) -> np.ndarray:
     setting of the other factors: shape ``(others, 2, pairs)``."""
     shape, _, _ = _target_index(space, ion, None, None)
     before, f = shape[0], shape[-1]
-    after = space.dim // (before * N_LEVELS * f)
+    after = space.dim // (before * space.levels * f)
     stride = after * f  # from one level of the ion to the next
-    others = np.arange(before)[:, None] * (N_LEVELS * stride) + np.arange(after) * f
+    others = np.arange(before)[:, None] * (space.levels * stride) + np.arange(after) * f
     index = others.reshape(-1, 1, 1) + _pair_ends(tones, stride)
     # Checked once here: the kernel gathers with mode="clip".
     if ((index < 0) | (index >= space.dim)).any():
@@ -385,21 +411,24 @@ def _apply_pairs(
     return amps
 
 
-def _apply_product(amps: np.ndarray, op: IonProduct) -> np.ndarray:
+def _apply_product(amps: np.ndarray, space: StateSpace, op: IonProduct) -> np.ndarray:
     """Apply row b's product to row b of a C-contiguous ``(block, dim)``
-    array, in place, one ion at a time.
+    array of ``space``, in place, one ion at a time.
 
-    When ion k's turn comes its level leads each row: viewed as ``(5,
-    rest)``, the row times the factor is ``x.T @ u.T``, one ``(rest, 5) @
-    (5, 5)`` product for the whole row, which leaves the ion's level last.
-    After the last ion the axes are back in basis order, so no axis is
-    moved. The ions write in turn into one scratch work array and into
+    Each factor is sliced to the space's L levels: on the register, the
+    4x4 block that a factor whose Bright row and column are the unit vector
+    leaves. When ion k's turn comes its level leads each row: viewed as
+    ``(L, rest)``, the row times the factor is ``x.T @ u.T``, one ``(rest,
+    L) @ (L, L)`` product for the whole row, which leaves the ion's level
+    last. After the last ion the axes are back in basis order, so no axis
+    is moved. The ions write in turn into one scratch work array and into
     ``amps``, and an odd ion count copies the scratch back once."""
-    block = amps.shape[0]
+    block, levels = amps.shape[0], space.levels
+    factors = op.factors[..., :levels, :levels]
     src, dst = amps, _work("product", amps.shape)
-    for k in range(op.factors.shape[1]):
-        rows = np.swapaxes(src.reshape(block, N_LEVELS, -1), 1, 2)
-        np.matmul(rows, np.swapaxes(op.factors[:, k], 1, 2), out=dst.reshape(rows.shape))
+    for k in range(factors.shape[1]):
+        rows = np.swapaxes(src.reshape(block, levels, -1), 1, 2)
+        np.matmul(rows, np.swapaxes(factors[:, k], 1, 2), out=dst.reshape(rows.shape))
         src, dst = dst, src
     if src is not amps:
         amps[...] = src
@@ -426,7 +455,7 @@ def _apply_block(
     if isinstance(u, PairRotations):
         return _apply_pairs(amps, space, u, targets[0])
     if isinstance(u, IonProduct):
-        return _apply_product(amps, u)
+        return _apply_product(amps, space, u)
     block, d = u.shape[0], u.shape[1]
     axes = tuple(t + 1 for t in targets)
     front = range(1, len(targets) + 1)
@@ -483,9 +512,9 @@ def _as_index(values: frozenset[int]) -> slice | list[int]:
 
 @lru_cache(maxsize=256)
 def _target_index(space: StateSpace, ion: int, levels: _Values, fock: _Values):
-    """The shape ``(5**ion, 5, rest, fock_dim)`` that gives one ion's level
-    and the Fock index an axis each after the row axis, and the subset's
-    index along those two axes."""
+    """The shape ``(L**ion, L, rest, fock_dim)``, for the space's L levels
+    per ion, that gives one ion's level and the Fock index an axis each
+    after the row axis, and the subset's index along those two axes."""
     if not 0 <= ion < space.n_ions:
         raise ValueError(f"ion index {ion} out of range [0, {space.n_ions})")
     if fock is not None:
@@ -496,7 +525,17 @@ def _target_index(space: StateSpace, ion: int, levels: _Values, fock: _Values):
                 raise ValueError(f"fock index {n} out of range for {space}")
     levels = slice(None) if levels is None else _as_index(levels)
     fock = slice(None) if fock is None else _as_index(fock)
-    return (N_LEVELS**ion, N_LEVELS, -1, space.fock_dim), levels, fock
+    return (space.levels**ion, space.levels, -1, space.fock_dim), levels, fock
+
+
+def _subset(
+    amps: np.ndarray, space: StateSpace, ion: int, levels: _Values, fock: _Values
+) -> np.ndarray:
+    """The entries of each row of a ``(block, dim)`` array where the ion's
+    level is in ``levels`` and the Fock index in ``fock``: a strided view
+    where both are evenly spaced, else a copy."""
+    shape, levels, fock = _target_index(space, ion, levels, fock)
+    return amps.reshape((amps.shape[0],) + shape)[:, :, levels][..., fock]
 
 
 def _subset_norm2(
@@ -504,10 +543,9 @@ def _subset_norm2(
 ) -> np.ndarray:
     """Squared norm of each row of a ``(block, dim)`` array on the subset
     where the ion's level is in ``levels`` and the Fock index in ``fock``:
-    :func:`_row_norm2` of a contiguous copy of the strided view (faster to
+    :func:`_row_norm2` of a contiguous copy of :func:`_subset` (faster to
     square than the view), in basis index order."""
-    shape, levels, fock = _target_index(space, ion, levels, fock)
-    view = amps.reshape((amps.shape[0],) + shape)[:, :, levels][..., fock]
+    view = _subset(amps, space, ion, levels, fock)
     return _row_norm2(np.ascontiguousarray(view).reshape(amps.shape[0], -1))
 
 
@@ -561,17 +599,23 @@ def fidelity_up_to_global_phase(a: PureState, b: PureState) -> float:
     return float(_row_fidelities(*_one_row(a, b))[0])
 
 
-def _row_overlaps(rows: np.ndarray, ideal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """re and im of <row|ideal> for each row of a ``(block, n)`` array, as
-    sum(ar*br + ai*bi) and sum(ar*bi - ai*br): each real product rounds once
-    (a complex product may fuse them, by CPU), and rows sum as in
-    :func:`_row_norm2`."""
+def _overlap_terms(rows: np.ndarray, ideal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The terms ar*br + ai*bi and ar*bi - ai*br of <row|ideal> for each
+    row of a ``(block, n)`` array: each real product rounds once (a complex
+    product may fuse them, by CPU)."""
     ar, ai, br, bi = rows.real, rows.imag, ideal.real, ideal.imag
     # In-place adds: two (block, n) temporaries rather than four, same bits.
     re = ar * br
     re += ai * bi
     im = ar * bi
     im -= ai * br
+    return re, im
+
+
+def _row_overlaps(rows: np.ndarray, ideal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """re and im of <row|ideal> for each row of a ``(block, n)`` array: the
+    sums of :func:`_overlap_terms`, each row summed as in :func:`_row_norm2`."""
+    re, im = _overlap_terms(rows, ideal)
     return re.sum(axis=-1), im.sum(axis=-1)
 
 
@@ -579,4 +623,93 @@ def _row_fidelities(rows: np.ndarray, ideal: np.ndarray) -> np.ndarray:
     """|<row|ideal>|^2 of each row, re**2 + im**2 of :func:`_row_overlaps`;
     :func:`fidelity_up_to_global_phase` is this at one row."""
     re, im = _row_overlaps(rows, ideal)
+    return re**2 + im**2
+
+
+# --- the kernel's register ---------------------------------------------------
+
+# The flat entries of a 5x5 factor's Bright column and row, less their
+# diagonal entry, and that entry.
+_OTHERS = np.arange(IonLevel.BRIGHT)
+_BRIGHT_OFF = np.concatenate([_OTHERS * N_LEVELS + IonLevel.BRIGHT, IonLevel.BRIGHT * N_LEVELS + _OTHERS])
+_BRIGHT_DIAG = IonLevel.BRIGHT * (N_LEVELS + 1)
+
+
+def _keeps_bright_empty(u: np.ndarray | PairRotations | IonProduct) -> bool:
+    """Whether every row of the operator maps the states with no ion in
+    Bright to themselves: pair rotations none of whose tones names Bright,
+    or an ion product whose factors' Bright row and column are the unit
+    vector. A dense stack is not inspected."""
+    if isinstance(u, PairRotations):
+        return all(IonLevel.BRIGHT not in (lo, up) for lo, _, up, _, _ in u.tones)
+    if isinstance(u, IonProduct):
+        flat = u.factors.reshape(-1, N_LEVELS * N_LEVELS)
+        off = np.take(flat, _BRIGHT_OFF, axis=1)
+        return not off.any() and (flat[:, _BRIGHT_DIAG] == 1.0).all()
+    return False
+
+
+# Enough for the spaces of the runs one process alternates between.
+@lru_cache(maxsize=8)
+def _register_basis(space: StateSpace, levels: int) -> np.ndarray:
+    """The basis index in ``space`` of each entry of the layout whose ions
+    keep their first ``levels`` levels, in that layout's order."""
+    index = np.arange(space.dim).reshape(space.factor_dims)
+    return index[(slice(levels),) * space.n_ions].reshape(-1)
+
+
+def _register(space: StateSpace, amps: np.ndarray, operators) -> StateSpace:
+    """The layout the kernel runs a ``(block, space.dim)`` start on: the
+    space's four-level :class:`_Register` when the start has exactly zero
+    amplitude wherever some ion is Bright and every operator keeps that so,
+    else the space itself. A start broadcast over the block (row stride 0)
+    is read at one row."""
+    register = _Register(space.n_ions, space.fock_cutoff)
+    rows = amps[:1] if amps.strides[0] == 0 else amps
+    kept = np.count_nonzero(rows[:, _register_basis(space, register.levels)])
+    if kept == np.count_nonzero(rows) and all(map(_keeps_bright_empty, operators)):
+        return register
+    return space
+
+
+def _into_register(amps: np.ndarray, space: StateSpace, register: StateSpace) -> np.ndarray:
+    """The register's entries of each row of a ``(block, space.dim)``
+    array, C-contiguous, in the kernel's block work array. A start
+    broadcast over the block is gathered from one row."""
+    work = _work("block", (amps.shape[0], register.dim))
+    rows = amps[:1] if amps.strides[0] == 0 else amps
+    work[...] = rows[:, _register_basis(space, register.levels)]
+    return work
+
+
+def _layout_basis(space: StateSpace, width: int) -> np.ndarray:
+    """The basis index in ``space`` of each entry of kernel rows of
+    ``width`` amplitudes: the register's, or the space's own when they are
+    as wide as it."""
+    levels = space.levels if width == space.dim else _Register.levels
+    return _register_basis(space, levels)
+
+
+def _public_rows(rows: np.ndarray, space: StateSpace) -> np.ndarray:
+    """Kernel rows of the space written into +0s of its public layout."""
+    public = np.zeros((rows.shape[0], space.dim), dtype=np.complex128)
+    public[:, _layout_basis(space, rows.shape[1])] = rows
+    return public
+
+
+def _public_fidelities(rows: np.ndarray, ideal: np.ndarray, space: StateSpace) -> np.ndarray:
+    """:func:`_row_fidelities` of kernel rows of the space against a state
+    of its public layout, with the bits of the rows written back by
+    :func:`_public_rows`: each term of :func:`_row_overlaps` is taken at the
+    entries the rows hold and written where the public layout holds them,
+    into a row of +0s, which is summed as that rule sums. The terms it
+    leaves out are +-0, which change no sum but the sign of a zero one."""
+    basis = _layout_basis(space, rows.shape[1])
+    terms = _work("terms", (rows.shape[0], space.dim), np.float64)
+    terms[...] = 0.0
+    sums = []
+    for held in _overlap_terms(rows, ideal[basis]):
+        terms[:, basis] = held
+        sums.append(terms.sum(axis=-1))
+    re, im = sums
     return re**2 + im**2
