@@ -68,9 +68,8 @@ MEMORY_BUDGET = 2 * 2**30
 # runs (~30 MB with numpy loaded): the input, the ideal output and the
 # transients of building it, and the scoring row; the kernel's block and
 # its product pass's scratch hold register rows, (4/5)**n_ions of a vector
-# each. It was 4.6-6.1 when the kernel ran on five levels. The estimate is
-# unchanged, so it now overstates the kernel by (5/4)**n_ions; 10 leaves
-# headroom.
+# each. The estimate counts five-level vectors throughout, so it
+# overstates the kernel by (5/4)**n_ions; 10 leaves headroom.
 _STATE_COPIES = 10
 _PROCESS_BYTES = 64 * 2**20
 # One sideband pair of one row: its coefficients (c and two complex

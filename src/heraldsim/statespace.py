@@ -651,9 +651,12 @@ def _keeps_bright_empty(u: np.ndarray | PairRotations | IonProduct) -> bool:
 
 # Enough for the spaces of the runs one process alternates between.
 @lru_cache(maxsize=8)
-def _register_basis(space: StateSpace, levels: int) -> np.ndarray:
-    """The basis index in ``space`` of each entry of the layout whose ions
-    keep their first ``levels`` levels, in that layout's order."""
+def _basis(space: StateSpace, width: int) -> np.ndarray:
+    """The basis index in ``space`` of each entry of kernel rows of
+    ``width`` amplitudes: the entries of its four-level register, in
+    register order, or every entry when the rows are as wide as the
+    space."""
+    levels = space.levels if width == space.dim else _Register.levels
     index = np.arange(space.dim).reshape(space.factor_dims)
     return index[(slice(levels),) * space.n_ions].reshape(-1)
 
@@ -666,7 +669,7 @@ def _register(space: StateSpace, amps: np.ndarray, operators) -> StateSpace:
     is read at one row."""
     register = _Register(space.n_ions, space.fock_cutoff)
     rows = amps[:1] if amps.strides[0] == 0 else amps
-    kept = np.count_nonzero(rows[:, _register_basis(space, register.levels)])
+    kept = np.count_nonzero(rows[:, _basis(space, register.dim)])
     if kept == np.count_nonzero(rows) and all(map(_keeps_bright_empty, operators)):
         return register
     return space
@@ -678,22 +681,14 @@ def _into_register(amps: np.ndarray, space: StateSpace, register: StateSpace) ->
     broadcast over the block is gathered from one row."""
     work = _work("block", (amps.shape[0], register.dim))
     rows = amps[:1] if amps.strides[0] == 0 else amps
-    work[...] = rows[:, _register_basis(space, register.levels)]
+    work[...] = rows[:, _basis(space, register.dim)]
     return work
-
-
-def _layout_basis(space: StateSpace, width: int) -> np.ndarray:
-    """The basis index in ``space`` of each entry of kernel rows of
-    ``width`` amplitudes: the register's, or the space's own when they are
-    as wide as it."""
-    levels = space.levels if width == space.dim else _Register.levels
-    return _register_basis(space, levels)
 
 
 def _public_rows(rows: np.ndarray, space: StateSpace) -> np.ndarray:
     """Kernel rows of the space written into +0s of its public layout."""
     public = np.zeros((rows.shape[0], space.dim), dtype=np.complex128)
-    public[:, _layout_basis(space, rows.shape[1])] = rows
+    public[:, _basis(space, rows.shape[1])] = rows
     return public
 
 
@@ -704,7 +699,7 @@ def _public_fidelities(rows: np.ndarray, ideal: np.ndarray, space: StateSpace) -
     entries the rows hold and written where the public layout holds them,
     into a row of +0s, which is summed as that rule sums. The terms it
     leaves out are +-0, which change no sum but the sign of a zero one."""
-    basis = _layout_basis(space, rows.shape[1])
+    basis = _basis(space, rows.shape[1])
     terms = _work("terms", (rows.shape[0], space.dim), np.float64)
     terms[...] = 0.0
     sums = []
