@@ -47,9 +47,10 @@ from .statespace import (
     StateSpace,
     _BLOCK_BYTES,
     _Register,
+    _basis,
     _check_real,
     _normalized,
-    _public_fidelities,
+    _qubit_indices,
     _row_fidelities,
     _row_norm2,
     make_state,
@@ -64,12 +65,13 @@ _WILSON_Z = 1.96  # 95% interval
 # Largest estimated peak memory of one run, over all its processes.
 MEMORY_BUDGET = 2 * 2**30
 # Peak RSS of an 8-, 9- or 10-ion addressing ensemble (one row per block)
-# is 4.0-4.5 five-level state vectors over that of the process before it
+# is 4.0-4.3 five-level state vectors over that of the process before it
 # runs (~30 MB with numpy loaded): the input, the ideal output and the
-# transients of building it, and the scoring row; the kernel's block and
-# its product pass's scratch hold register rows, (4/5)**n_ions of a vector
-# each. The estimate counts five-level vectors throughout, so it
-# overstates the kernel by (5/4)**n_ions; 10 leaves headroom.
+# transients of building it. The kernel's block and its product pass's
+# scratch are register rows, (4/5)**n_ions of a vector each, and the
+# fidelity reads only the ideal's nonzero entries. The estimate counts
+# five-level vectors throughout, so it overstates the kernel by
+# (5/4)**n_ions; 10 leaves headroom.
 _STATE_COPIES = 10
 _PROCESS_BYTES = 64 * 2**20
 # One sideband pair of one row: its coefficients (c and two complex
@@ -353,15 +355,6 @@ def _input_problem(spec: ExperimentSpec, n_ions: int) -> str | None:
     return None
 
 
-def _qubit_indices(space: StateSpace) -> np.ndarray:
-    """Flat basis index of every qubit-manifold label k: bit i of k, from
-    the most significant, is ion i's qubit level."""
-    n = space.n_ions
-    powers = N_LEVELS ** np.arange(n - 1, -1, -1)
-    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    return bits @ powers * space.fock_dim
-
-
 def _qubit_state(space: StateSpace, values) -> PureState:
     """The normalized state with each qubit label's amplitude, in
     :func:`_qubit_indices` order, added into zeros as ``make_state`` adds
@@ -477,7 +470,8 @@ def _run_block(spec, indices, state, ideal, build, sites, bare) -> _Columns:
     start = np.broadcast_to(state.amplitudes, (n, space.dim))
     paths = survivor_paths(start, space, steps, draw, monitor_top_fock=space.has_motion)
     fidelity = np.zeros(n)
-    fidelity[paths.alive] = _public_fidelities(paths.final, ideal.amplitudes, space)
+    scored = ideal.amplitudes[_basis(space, paths.final.shape[1])]
+    fidelity[paths.alive] = _row_fidelities(paths.final, scored)
     # Python's sum(v * v for v in errs), column by column.
     sumsq = np.zeros(n)
     for k in range(spec.n_steps):

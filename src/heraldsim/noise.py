@@ -107,16 +107,22 @@ class AmplitudeErrorModel:
 
 
 def _raw_sequence(
-    model: AmplitudeErrorModel, n_steps: int, rng: np.random.Generator
+    model: AmplitudeErrorModel, n_steps: int, normals: np.ndarray | None
 ) -> np.ndarray:
+    """The model's values over ``n_steps`` steps, from standard normals of
+    shape ``(..., n_steps)`` for a model that draws at random, or from none
+    for one that does not. Gaussian values are numpy's ``normal`` bit for
+    bit: ``0.0 + sigma * z``, where the ``+ 0.0`` turns the -0.0 of a zero
+    sigma and a negative z into +0.0."""
     if model.kind == "constant":
         return np.full(n_steps, model.value)
-    if model.kind == "gaussian_iid":
-        return rng.normal(0.0, model.sigma, size=n_steps)
     if model.kind == "linear_drift":
         return model.value + model.slope * np.arange(n_steps)
+    steps = 0.0 + model.sigma * normals
+    if model.kind == "gaussian_iid":
+        return steps
     # random_walk: the first value already includes one increment.
-    return model.value + np.cumsum(rng.normal(0.0, model.sigma, size=n_steps))
+    return model.value + np.cumsum(steps, axis=-1)
 
 
 def _clamped(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -136,7 +142,8 @@ def sample_errors_counted(
 ) -> tuple[list[float], int]:
     """Draw a length-n_steps error sequence; returns (values, clamp count)."""
     _check_steps(n_steps)
-    errors, clamps = _clamped(_raw_sequence(model, n_steps, rng))
+    normals = rng.standard_normal(n_steps) if model.draws_random else None
+    errors, clamps = _clamped(_raw_sequence(model, n_steps, normals))
     return errors.tolist(), int(clamps)
 
 
@@ -162,18 +169,15 @@ def draw_block(
     it draws the errors and then the uniforms: the thread's Philox for the
     seed (built by the first block that draws with it, see :func:`_stream`)
     is reset to each row's counter in turn and fills that row of two
-    preallocated arrays. The block's normals are then scaled at once as
-    numpy's ``normal`` does, ``0.0 + sigma * z``: the ``+ 0.0`` turns the
-    -0.0 of a zero sigma and a negative z into +0.0. A model that draws
-    nothing at random takes no stream unless uniforms are asked for.
+    preallocated arrays. The block's normals then become the model's
+    values at once, through :func:`_raw_sequence`, as one row's do in
+    :func:`sample_errors_counted`. A model that draws nothing at random
+    takes no stream unless uniforms are asked for.
     """
     _check_steps(n_steps)
     indices = [operator.index(index) for index in indices]
     draws_random = model.draws_random
-    if draws_random:
-        raw = np.empty((len(indices), n_steps))
-    else:
-        raw = np.tile(_raw_sequence(model, n_steps, None), (len(indices), 1))
+    normals = np.empty((len(indices), n_steps))
     uniforms = np.empty((len(indices), n_uniforms))
     if draws_random or n_uniforms:
         bitgen, normal, uniform, state, counter = _stream(master_seed)
@@ -181,20 +185,15 @@ def draw_block(
         for bound in (min(indices, default=0), max(indices, default=0)):
             _counter(bound)
         fill_uniforms = n_uniforms > 0
-        for index, raw_row, uniform_row in zip(indices, raw, uniforms):
+        for index, normal_row, uniform_row in zip(indices, normals, uniforms):
             counter[2], counter[3] = index % 2**64, index >> 64
             bitgen.state = state
             if draws_random:
-                normal(out=raw_row)
+                normal(out=normal_row)
             if fill_uniforms:
                 uniform(out=uniform_row)
-    if draws_random:
-        raw *= model.sigma
-        raw += 0.0
-        if model.kind == "random_walk":
-            # The first value already includes one increment.
-            raw = model.value + np.cumsum(raw, axis=1)
-    return *_clamped(raw), uniforms
+    raw = _raw_sequence(model, n_steps, normals if draws_random else None)
+    return *_clamped(np.broadcast_to(raw, normals.shape)), uniforms
 
 
 def _stream(master_seed: int):

@@ -62,7 +62,6 @@ from .statespace import (
     _into_register,
     _normalized,
     _public_rows,
-    _register,
     _row_norm2,
     _subset,
     _subset_norm2,
@@ -354,9 +353,10 @@ class SurvivorPaths:
     normalized end states of the rows with ``alive`` set, in row order, in
     the layout the kernel ran them on: the four-level register (narrower
     than the space) or the space itself. ``statespace._public_rows`` writes
-    them into the public layout, and ``statespace._public_fidelities``
-    scores them against a public state with the bits of those rows. No
-    state between steps is kept (see :func:`survivor_paths`).
+    them into the public layout. A row scored against a public state's
+    entries at ``statespace._basis`` has the fidelity of that written-back
+    row, since an overlap sums only where the state is nonzero. No state
+    between steps is kept (see :func:`survivor_paths`).
     """
 
     weight: np.ndarray
@@ -409,10 +409,10 @@ def survivor_paths(
     returns with ``keep_intermediate``, is its end state over ``steps[:k+1]``.
     """
     block, broadcast = amps.shape[0], amps.strides[0] == 0
-    register = _register(space, amps, [u for step in steps for u, _ in step.unitaries])
     # The one block the kernel writes: a C-contiguous copy in a work array,
     # which no returned array holds (final is normalized into a new one).
-    amps = _into_register(amps, space, register)
+    operators = [u for step in steps for u, _ in step.unitaries]
+    amps, register = _into_register(amps, space, operators)
     if broadcast:
         # One state broadcast over the block: the row rule gives every row
         # the first row's bits.
@@ -470,7 +470,9 @@ def survivor_paths(
     alive = np.zeros(block, dtype=bool)
     alive[rows] = True
     weight[~alive] = 0.0
-    done = np.where(flags.any(axis=1), flags.argmax(axis=1) + 1, n_cleanouts)
+    done = np.full(block, n_cleanouts)
+    if n_cleanouts:  # argmax refuses an empty axis
+        done = np.where(flags.any(axis=1), flags.argmax(axis=1) + 1, n_cleanouts)
     return SurvivorPaths(weight, alive, _normalized(amps), target, rest, probs, flags, done)
 
 
@@ -649,7 +651,7 @@ def ideal_cz_output(state: PureState) -> PureState:
 
 
 @lru_cache(maxsize=_BUILDERS_KEPT)
-def cz_builder(selectivity: float = 1.0, space: StateSpace | None = None):
+def cz_builder(selectivity: float, space: StateSpace):
     """Block builder of the entangling gate: maps errors of shape
     ``(block, 4)`` to the four transfers of every row, with their clean-outs.
 
@@ -659,8 +661,6 @@ def cz_builder(selectivity: float = 1.0, space: StateSpace | None = None):
     coefficients. One sideband fill gives all six rotations of a block. No
     dense operator is built.
     """
-    if space is None:
-        space = cz_space()
     e_up = (IonLevel.Q1, IonLevel.AUX_PLUS)
     g_up = (IonLevel.Q0, IonLevel.AUX_MINUS)
     f = space.motion_axis
@@ -710,8 +710,8 @@ def cz_builder(selectivity: float = 1.0, space: StateSpace | None = None):
 
 def cz_steps(
     errors: tuple[float, float, float, float],
-    selectivity: float = 1.0,
-    space: StateSpace | None = None,
+    selectivity: float,
+    space: StateSpace,
 ) -> tuple[_Step, ...]:
     """The four transfers of the entangling gate, with their clean-outs."""
     return cz_builder(selectivity, space)(_error_row(errors, 4))

@@ -21,22 +21,25 @@ on when nothing can reach Bright: each ion keeps Q0, Q1, AUX_PLUS and
 AUX_MINUS, in the same order, so a row holds ``4**n_ions * fock_dim``
 amplitudes. Flagged branches leave the survivor path, so Bright is never
 populated on it, and the register is exact, not an approximation.
-:func:`_register` chooses it from the start and the step operators,
-:func:`_into_register` gathers a start into it, :func:`_public_rows` writes
-its rows back into +0s of the public layout, and
-:func:`_public_fidelities` scores them with the bits of those written-back
-rows. The public basis, :class:`StateSpace`, :class:`PureState` and every
-one-state function stay five-level.
+:func:`_into_register` chooses it from the start and the step operators
+and gathers the start into it, :func:`_basis` gives the public index of
+each of its entries, and :func:`_public_rows` writes its rows back into +0s
+of the public layout. The public basis, :class:`StateSpace`,
+:class:`PureState` and every one-state function stay five-level;
+:func:`_qubit_indices` gives the qubit manifold's indices in either layout.
 
 Each reduction has one row-wise rule in split real arithmetic, with no BLAS
 call: :func:`_row_norm2` (norms, populations), :func:`_normalized` and
 :func:`_row_overlaps`. The one-state functions are these rules at one row,
-so a state and a kernel row agree to the bit on any BLAS kernel.
+so a state and a kernel row agree to the bit on any BLAS kernel. An
+overlap sums only the entries where the ideal is nonzero, so a register
+row scored against the ideal's register entries has the bits of the same
+row written back into the public layout and scored against the ideal.
 
 The kernel's block-sized arrays (the survivor block, the pair gather and
-its products, the product pass's scratch, the scoring row) are views of
-work arrays that each thread keeps between runs, one per role, so repeated
-blocks reuse the same memory; see :func:`_work`.
+its products, the product pass's scratch) are views of work arrays that
+each thread keeps between runs, one per role, so repeated blocks reuse the
+same memory; see :func:`_work`.
 """
 
 from __future__ import annotations
@@ -77,22 +80,20 @@ _BLOCK_BYTES = 512 * 2**10
 _kept = threading.local()
 
 
-def _work(role: str, shape: tuple[int, ...], dtype=np.complex128) -> np.ndarray:
-    """An uninitialized C-contiguous array of ``shape`` and ``dtype``
-    (complex128 or float64): a view of this thread's work array for
-    ``role``, grown to the largest request, or a fresh array when it would
-    pass one block's bytes. The view is valid until the next request for the
-    same role, so no returned array may hold it."""
+def _work(role: str, shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialized C-contiguous complex array of ``shape``: a view of
+    this thread's work array for ``role``, grown to the largest request, or
+    a fresh array when it would pass one block's bytes. The view is valid
+    until the next request for the same role, so no returned array may hold
+    it."""
     count = math.prod(shape)
-    nbytes = count * np.dtype(dtype).itemsize
-    if nbytes > _BLOCK_BYTES:
-        return np.empty(shape, dtype=dtype)
-    size = -(-nbytes // 16)  # complex128 entries that hold nbytes
+    if count * 16 > _BLOCK_BYTES:
+        return np.empty(shape, dtype=np.complex128)
     buffer = getattr(_kept, role, None)
-    if buffer is None or buffer.size < size:
-        buffer = np.empty(size, dtype=np.complex128)
+    if buffer is None or buffer.size < count:
+        buffer = np.empty(count, dtype=np.complex128)
         setattr(_kept, role, buffer)
-    return buffer[:size].view(dtype)[:count].reshape(shape)
+    return buffer[:count].reshape(shape)
 
 
 def _check_real(**values) -> None:
@@ -244,6 +245,14 @@ def basis_state(
 ) -> PureState:
     """Product basis state with the given per-ion levels and Fock index."""
     return make_state(space, [(space.index(levels, fock), 1.0)])
+
+
+def _qubit_indices(space: StateSpace) -> np.ndarray:
+    """Flat basis index of every qubit-manifold label k: bit i of k, from
+    the most significant, is ion i's qubit level."""
+    place = np.arange(space.n_ions - 1, -1, -1)
+    bits = (np.arange(2**space.n_ions)[:, None] >> place) & 1
+    return bits @ space.levels**place * space.fock_dim
 
 
 def plus_minus_n_vectors(axis: BlochAxis) -> tuple[np.ndarray, np.ndarray]:
@@ -599,23 +608,22 @@ def fidelity_up_to_global_phase(a: PureState, b: PureState) -> float:
     return float(_row_fidelities(*_one_row(a, b))[0])
 
 
-def _overlap_terms(rows: np.ndarray, ideal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The terms ar*br + ai*bi and ar*bi - ai*br of <row|ideal> for each
-    row of a ``(block, n)`` array: each real product rounds once (a complex
-    product may fuse them, by CPU)."""
-    ar, ai, br, bi = rows.real, rows.imag, ideal.real, ideal.imag
-    # In-place adds: two (block, n) temporaries rather than four, same bits.
+def _row_overlaps(rows: np.ndarray, ideal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """re and im of <row|ideal> for each row of a ``(block, n)`` array,
+    summed over the entries where ``ideal`` is nonzero: every other term of
+    a finite row is a product with an exact zero. The terms ar*br + ai*bi
+    and ar*bi - ai*br round each real product once (a complex product may
+    fuse them, by CPU), and each row is summed as in :func:`_row_norm2`."""
+    support = np.flatnonzero(ideal)
+    # np.take gathers into a new C-contiguous array, so each row sums on its
+    # own; rows[:, support] need not be C-contiguous.
+    a, b = np.take(rows, support, axis=1), ideal[support]
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    # In-place adds: two temporaries rather than four, same bits.
     re = ar * br
     re += ai * bi
     im = ar * bi
     im -= ai * br
-    return re, im
-
-
-def _row_overlaps(rows: np.ndarray, ideal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """re and im of <row|ideal> for each row of a ``(block, n)`` array: the
-    sums of :func:`_overlap_terms`, each row summed as in :func:`_row_norm2`."""
-    re, im = _overlap_terms(rows, ideal)
     return re.sum(axis=-1), im.sum(axis=-1)
 
 
@@ -661,28 +669,25 @@ def _basis(space: StateSpace, width: int) -> np.ndarray:
     return index[(slice(levels),) * space.n_ions].reshape(-1)
 
 
-def _register(space: StateSpace, amps: np.ndarray, operators) -> StateSpace:
-    """The layout the kernel runs a ``(block, space.dim)`` start on: the
-    space's four-level :class:`_Register` when the start has exactly zero
-    amplitude wherever some ion is Bright and every operator keeps that so,
-    else the space itself. A start broadcast over the block (row stride 0)
-    is read at one row."""
+def _into_register(
+    amps: np.ndarray, space: StateSpace, operators
+) -> tuple[np.ndarray, StateSpace]:
+    """The entries of each row of a ``(block, space.dim)`` start in the
+    layout the kernel runs it on, C-contiguous, in the kernel's block work
+    array, and that layout: the space's four-level :class:`_Register` when
+    the start has exactly zero amplitude wherever some ion is Bright and
+    every operator keeps that so, else the space itself. A start broadcast
+    over the block (row stride 0) is read and gathered at one row."""
     register = _Register(space.n_ions, space.fock_cutoff)
     rows = amps[:1] if amps.strides[0] == 0 else amps
-    kept = np.count_nonzero(rows[:, _basis(space, register.dim)])
-    if kept == np.count_nonzero(rows) and all(map(_keeps_bright_empty, operators)):
-        return register
-    return space
-
-
-def _into_register(amps: np.ndarray, space: StateSpace, register: StateSpace) -> np.ndarray:
-    """The register's entries of each row of a ``(block, space.dim)``
-    array, C-contiguous, in the kernel's block work array. A start
-    broadcast over the block is gathered from one row."""
+    kept = rows[:, _basis(space, register.dim)]
+    if np.count_nonzero(kept) != np.count_nonzero(rows) or not all(
+        map(_keeps_bright_empty, operators)
+    ):
+        register, kept = space, rows
     work = _work("block", (amps.shape[0], register.dim))
-    rows = amps[:1] if amps.strides[0] == 0 else amps
-    work[...] = rows[:, _basis(space, register.dim)]
-    return work
+    work[...] = kept
+    return work, register
 
 
 def _public_rows(rows: np.ndarray, space: StateSpace) -> np.ndarray:
@@ -690,21 +695,3 @@ def _public_rows(rows: np.ndarray, space: StateSpace) -> np.ndarray:
     public = np.zeros((rows.shape[0], space.dim), dtype=np.complex128)
     public[:, _basis(space, rows.shape[1])] = rows
     return public
-
-
-def _public_fidelities(rows: np.ndarray, ideal: np.ndarray, space: StateSpace) -> np.ndarray:
-    """:func:`_row_fidelities` of kernel rows of the space against a state
-    of its public layout, with the bits of the rows written back by
-    :func:`_public_rows`: each term of :func:`_row_overlaps` is taken at the
-    entries the rows hold and written where the public layout holds them,
-    into a row of +0s, which is summed as that rule sums. The terms it
-    leaves out are +-0, which change no sum but the sign of a zero one."""
-    basis = _basis(space, rows.shape[1])
-    terms = _work("terms", (rows.shape[0], space.dim), np.float64)
-    terms[...] = 0.0
-    sums = []
-    for held in _overlap_terms(rows, ideal[basis]):
-        terms[:, basis] = held
-        sums.append(terms.sum(axis=-1))
-    re, im = sums
-    return re**2 + im**2

@@ -23,11 +23,18 @@ the code. ``test_entries_without_blas_hold_under_haswell`` reruns this file
 under ``OPENBLAS_CORETYPE=Haswell`` with those four deselected, on a CPU
 with AVX2.
 
-Last regenerated when the kernel began to run on a four-level register
-(each ion without its never-populated Bright level). Its norms and
-populations sum fewer terms, so a chain row's last bits can move: that
-moved the three files of ``cli/chain4-branch`` and ``api/ensemble/chain4-mc``,
-4 of the 52 hashes. The single and cz entries did not move. Before that,
+Last regenerated when an overlap began to sum only the entries where the
+ideal is nonzero, so that the runner scores the kernel's register rows
+directly. The terms left out are exact zeros; only the pairwise grouping
+of the others changed, which moved ``api/ensemble/chain4-mc``,
+``cli/chain4-branch/run_summary.json``,
+``cli/chain4-branch/run_trajectories.csv`` and
+``cli/chain4-mc/run_summary.json``, 4 of the 52 hashes. The single and cz
+entries did not move. Before that, when the kernel began to run on a
+four-level register (each ion without its never-populated Bright level),
+its norms and populations summed fewer terms: that moved the three files
+of ``cli/chain4-branch`` and ``api/ensemble/chain4-mc``, 4 of the 52
+hashes. Before that,
 when trajectory streams became Philox streams keyed by the seed with the
 index in the counter, 40 of the 52 hashes moved: every file of every CLI
 case except ``constant`` and ``linear_drift``, whose models draw nothing
@@ -41,6 +48,9 @@ did not move. Never update the manifest to make a failing change pass.
 Regenerate, from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
+
+It prints the key of every hash that changed, so a values change can
+record which entries moved.
 """
 
 import hashlib
@@ -287,8 +297,12 @@ def _regenerate() -> None:
         for case in CASES:
             manifest |= cli_hashes(case, 1, Path(tmp))
     manifest |= {f"api/{name}": value_hash(name) for name in _values()}
+    old = _manifest() if MANIFEST.exists() else {}
+    moved = sorted(k for k in manifest.keys() | old.keys() if manifest.get(k) != old.get(k))
     MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(manifest)} hashes to {MANIFEST}", file=sys.stderr)
+    print(f"wrote {len(manifest)} hashes to {MANIFEST}; {len(moved)} moved:", file=sys.stderr)
+    for key in moved:
+        print(f"  {key}", file=sys.stderr)
 
 
 if __name__ == "__main__":

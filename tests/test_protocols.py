@@ -1,15 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from heraldsim.dissipation import HeraldRecord
 from heraldsim.protocols import (
+    ONE_ION,
     Branch,
     CrosstalkProfile,
     GateSpec,
     LeakageError,
     _Step,
+    addressed_steps,
     bare_single_qubit,
     certified_addressed_gate,
     certified_cz,
@@ -26,6 +29,7 @@ from heraldsim.protocols import (
     no_flag_branch,
     run_protocol,
     step_flag_rates,
+    transfer_pass,
 )
 from heraldsim.statespace import (
     BlochAxis,
@@ -247,6 +251,22 @@ class TestCertifiedSingleQubit:
                 assert b.state is None
             else:
                 np.testing.assert_array_equal(a.state.amplitudes, b.state.amplitudes)
+
+
+    @pytest.mark.parametrize("mode", ["branch", "mc"])
+    def test_steps_without_cleanouts_give_one_unflagged_branch(self, mode):
+        rng = np.random.default_rng(8)
+        gate = GateSpec(BlochAxis(0.9, 0.2), 2.2)
+        state = random_qubit_state(rng)
+        steps = addressed_steps(gate, ONE_ION, 0, (0.3, -0.2))
+        steps = [replace(step, cleanouts=()) for step in steps]
+        mc = {"rng": np.random.default_rng(1)} if mode == "mc" else {}
+        (branch,) = run_protocol(state, steps, mode, **mc).branches
+        assert (branch.flagged, branch.probability, branch.records) == (False, 1.0, ())
+        bare = transfer_pass(state.amplitudes[None].copy(), state.space, steps)[0]
+        # The kernel normalizes its end state and transfer_pass does not, so
+        # they agree to a few units of rounding.
+        np.testing.assert_allclose(branch.state.amplitudes, bare, rtol=0, atol=2e-15)
 
 
 class TestBareSingleQubit:

@@ -28,6 +28,7 @@ from heraldsim.statespace import (
     PureState,
     StateSpace,
     _normalized,
+    _qubit_indices,
     _row_fidelities,
     _row_norm2,
     _row_overlaps,
@@ -118,6 +119,38 @@ def test_rows_are_the_same_at_block_one_and_block_64(space):
     for f in functions:
         whole, alone = each_row(f)
         assert whole.tobytes() == np.concatenate(alone).tobytes()
+
+
+# Rows wider than numpy's 128-term pairwise block, against ideals with a
+# few nonzero entries: the qubit manifold of 3 and 4 ions, and 5 spread
+# entries of a 300-entry row.
+SPARSE = {
+    "3ions-qubits": (250, _qubit_indices(StateSpace(3, 1))),
+    "4ions-qubits": (625, _qubit_indices(StateSpace(4))),
+    "spread": (300, np.array([0, 7, 129, 200, 299])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPARSE))
+def test_overlaps_sum_over_the_ideals_support(case):
+    # The terms where the ideal is zero are exact zeros: the overlap is that
+    # of the support's columns alone, summed as each row's own contiguous
+    # terms, at block 64 and at block 1.
+    width, support = SPARSE[case]
+    rng = np.random.default_rng(61)
+    rows = rng.normal(size=(BLOCK, width)) + 1j * rng.normal(size=(BLOCK, width))
+    ideal = np.zeros(width, dtype=complex)
+    ideal[support] = rng.normal(size=support.size) + 1j * rng.normal(size=support.size)
+    a, b = np.ascontiguousarray(rows[:, support]), ideal[support]
+    want = np.concatenate(
+        [
+            (a.real * b.real + a.imag * b.imag).sum(axis=1),
+            (a.real * b.imag - a.imag * b.real).sum(axis=1),
+        ]
+    )
+    assert np.concatenate(_row_overlaps(rows, ideal)).tobytes() == want.tobytes()
+    alone = [_row_overlaps(rows[i : i + 1], ideal) for i in range(BLOCK)]
+    assert np.concatenate([np.concatenate(o) for o in zip(*alone)]).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("space", SPACES, ids=space_id)
