@@ -353,10 +353,11 @@ class SurvivorPaths:
     normalized end states of the rows with ``alive`` set, in row order, in
     the layout the kernel ran them on: the four-level register (narrower
     than the space) or the space itself. ``statespace._public_rows`` writes
-    them into the public layout. A row scored against a public state's
-    entries at ``statespace._basis`` has the fidelity of that written-back
-    row, since an overlap sums only where the state is nonzero. No state
-    between steps is kept (see :func:`survivor_paths`).
+    them into the public layout. Scored against the entries at
+    ``statespace._basis`` of a public state with no Bright amplitude, a
+    row has the bits of that written-back row's fidelity, since an overlap
+    sums only where the state is nonzero. No state between steps is kept
+    (see :func:`survivor_paths`).
     """
 
     weight: np.ndarray

@@ -33,8 +33,9 @@ call: :func:`_row_norm2` (norms, populations), :func:`_normalized` and
 :func:`_row_overlaps`. The one-state functions are these rules at one row,
 so a state and a kernel row agree to the bit on any BLAS kernel. An
 overlap sums only the entries where the ideal is nonzero, so a register
-row scored against the ideal's register entries has the bits of the same
-row written back into the public layout and scored against the ideal.
+row scored against the register entries of an ideal with no Bright
+amplitude has the bits of the same row written back into the public
+layout and scored against the whole ideal.
 
 The kernel's block-sized arrays (the survivor block, the pair gather and
 its products, the product pass's scratch) are views of work arrays that
