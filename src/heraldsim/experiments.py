@@ -449,15 +449,20 @@ def _run_batch(spec: ExperimentSpec, start: int, stop: int, bare: bool = False) 
     fidelity after the same two transfers without clean-outs.
     """
     state = prepare_input(spec)
-    ideal = _ideal_output(spec, state)
+    ideal = _ideal_output(spec, state).amplitudes
+    # The kernel's rows are register rows: score them against the ideal's
+    # register entries, gathered once per run.
+    scored = ideal[_basis(state.space)]
     build = _block_builder(spec)
     sites = cleanout_sites(build.cleanouts)
     size = _block_size(spec.protocol, state.space)
     blocks = [range(first, min(first + size, stop)) for first in range(start, stop, size)]
-    return _joined([_run_block(spec, ids, state, ideal, build, sites, bare) for ids in blocks])
+    return _joined(
+        [_run_block(spec, ids, state, ideal, scored, build, sites, bare) for ids in blocks]
+    )
 
 
-def _run_block(spec, indices, state, ideal, build, sites, bare) -> _Columns:
+def _run_block(spec, indices, state, ideal, scored, build, sites, bare) -> _Columns:
     space, n = state.space, len(indices)
     mc = spec.mode == "mc"
     # Each row draws its errors and then, in mc mode, its clean-out uniforms
@@ -470,7 +475,6 @@ def _run_block(spec, indices, state, ideal, build, sites, bare) -> _Columns:
     start = np.broadcast_to(state.amplitudes, (n, space.dim))
     paths = survivor_paths(start, space, steps, draw, monitor_top_fock=space.has_motion)
     fidelity = np.zeros(n)
-    scored = ideal.amplitudes[_basis(space, paths.final.shape[1])]
     fidelity[paths.alive] = _row_fidelities(paths.final, scored)
     # Python's sum(v * v for v in errs), column by column.
     sumsq = np.zeros(n)
@@ -478,7 +482,7 @@ def _run_block(spec, indices, state, ideal, build, sites, bare) -> _Columns:
         sumsq = sumsq + errors[:, k] * errors[:, k]
     bare_fids = np.zeros(0)
     if bare:
-        bare_fids = _row_fidelities(transfer_pass(start.copy(), space, steps), ideal.amplitudes)
+        bare_fids = _row_fidelities(transfer_pass(start.copy(), space, steps), ideal)
     return _Columns(
         sites, paths.weight, fidelity, paths.alive, paths.done, paths.probs, clamps, sumsq, bare_fids
     )

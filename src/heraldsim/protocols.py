@@ -255,7 +255,9 @@ def run_protocol(
     survivor after each step: the kernel's end state over each prefix of
     the steps, which the deterministic kernel reproduces bit for bit. An
     option the mode would ignore, ``rng`` in branch mode or
-    ``keep_intermediate`` in mc mode, raises ValueError.
+    ``keep_intermediate`` in mc mode, raises ValueError, and so does a
+    state with amplitude where some ion is Bright, which the kernel's
+    four-level register cannot hold.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -350,10 +352,9 @@ class SurvivorPaths:
     clean-outs the row passed, its flag included. ``target``, ``rest`` and
     ``probs`` are 0.0 past a row's last clean-out. ``weight`` is the unflagged
     probability (branch mode) or 1.0/0.0 (mc mode). ``final`` holds the
-    normalized end states of the rows with ``alive`` set, in row order, in
-    the layout the kernel ran them on: the four-level register (narrower
-    than the space) or the space itself. ``statespace._public_rows`` writes
-    them into the public layout. Scored against the entries at
+    normalized end states of the rows with ``alive`` set, in row order, as
+    rows of the space's four-level register; ``statespace._public_rows``
+    writes them into the public layout. Scored against the entries at
     ``statespace._basis`` of a public state with no Bright amplitude, a
     row has the bits of that written-back row's fidelity, since an overlap
     sums only where the state is nonzero. No state between steps is kept
@@ -393,27 +394,26 @@ def survivor_paths(
     live rows (a slice or an index array into the block), with the same
     branch segments and freezes the rows that flag.
 
-    The kernel runs on a register. Flagged branches leave the path, so
-    nothing ever enters Bright: when the start has no Bright amplitude and
-    every step operator keeps it so, as every runner input does, the rows
-    hold only each ion's other four levels, ``4**n_ions * fock_dim``
-    amplitudes, and the ion products apply the 4x4 block of each factor;
-    any other start or step runs on the space's five levels. ``amps`` is
-    copied once, into that register, and never written to: every step
-    operator and clean-out updates that copy in place. A start that is one
-    state broadcast over the block (row stride 0), as the runner passes, is
-    read at one row to choose the register, and has its squared norm taken
-    once, from one row. Every row goes through its own matrix products and
-    the row rules that ``manifold_population`` and ``PureState.norm`` also
-    use, so its result does not depend on the other rows. It keeps no state
-    between steps: a survivor after step k, which :func:`run_protocol`
-    returns with ``keep_intermediate``, is its end state over ``steps[:k+1]``.
+    The kernel runs on the four-level register. Only the clean-out fills
+    Bright and flagged branches leave the path, so a survivor never holds
+    Bright amplitude: the rows hold each ion's other four levels,
+    ``4**n_ions * fock_dim`` amplitudes, and the ion products apply the 4x4
+    block of each factor. A start with nonzero amplitude on any state where
+    some ion is Bright raises ValueError. ``amps`` is copied once, into the
+    register, and never written to: every step operator and clean-out
+    updates that copy in place. A start that is one state broadcast over
+    the block (row stride 0), as the runner passes, is read and gathered at
+    one row, and has its squared norm taken once, from one row. Every row
+    goes through its own matrix products and the row rules that
+    ``manifold_population`` and ``PureState.norm`` also use, so its result
+    does not depend on the other rows. It keeps no state between steps: a
+    survivor after step k, which :func:`run_protocol` returns with
+    ``keep_intermediate``, is its end state over ``steps[:k+1]``.
     """
     block, broadcast = amps.shape[0], amps.strides[0] == 0
     # The one block the kernel writes: a C-contiguous copy in a work array,
     # which no returned array holds (final is normalized into a new one).
-    operators = [u for step in steps for u, _ in step.unitaries]
-    amps, register = _into_register(amps, space, operators)
+    amps, register = _into_register(amps, space)
     if broadcast:
         # One state broadcast over the block: the row rule gives every row
         # the first row's bits.
@@ -484,7 +484,8 @@ def cleanout_branches(
 
     Branch order is fixed: flagged target branch, flagged false-positive
     branch (selectivity < 1 only), surviving branch. Probabilities sum to 1;
-    branches below PROB_FLOOR are dropped.
+    branches below PROB_FLOOR are dropped. A state with amplitude where
+    some ion is Bright raises ValueError, as in :func:`survivor_paths`.
     """
     branches, _ = _branches(state, (_Step((), (ch,)),))
     return [(b.state, b.probability, b.flagged) for b in branches]

@@ -16,15 +16,19 @@ Each of these reads the level count of the layout it is given. A
 :class:`PureState` is immutable and every operation on one returns a new
 state; only the kernel's ``(block, dim)`` array is updated in place.
 
-The register (:class:`_Register`) is the layout the survivor kernel runs
-on when nothing can reach Bright: each ion keeps Q0, Q1, AUX_PLUS and
-AUX_MINUS, in the same order, so a row holds ``4**n_ions * fock_dim``
-amplitudes. Flagged branches leave the survivor path, so Bright is never
-populated on it, and the register is exact, not an approximation.
-:func:`_into_register` chooses it from the start and the step operators
-and gathers the start into it, :func:`_basis` gives the public index of
-each of its entries, and :func:`_public_rows` writes its rows back into +0s
-of the public layout. The public basis, :class:`StateSpace`,
+The register (:class:`_Register`) is the one layout the survivor kernel
+runs on: each ion keeps Q0, Q1, AUX_PLUS and AUX_MINUS, in the same order,
+so a row holds ``4**n_ions * fock_dim`` amplitudes. Only the clean-out
+fills Bright, and a flagged branch leaves the survivor path, so a survivor
+never holds Bright amplitude and the register is exact, not an
+approximation. :func:`_into_register` gathers a start into it and refuses
+one with Bright amplitude, :func:`_basis` gives the public index of each of
+its entries, and :func:`_public_rows` writes its rows back into +0s of the
+public layout. The step operators are trusted to keep Bright empty, as
+every builder's do: an ion product applies each factor's 4x4 block, a pair
+rotation that names Bright reaches outside the register's basis and
+:func:`_pair_index` refuses it, and a dense stack on an ion does not fit
+the register's factors. The public basis, :class:`StateSpace`,
 :class:`PureState` and every one-state function stay five-level;
 :func:`_qubit_indices` gives the qubit manifold's indices in either layout.
 
@@ -637,62 +641,35 @@ def _row_fidelities(rows: np.ndarray, ideal: np.ndarray) -> np.ndarray:
 
 # --- the kernel's register ---------------------------------------------------
 
-# The flat entries of a 5x5 factor's Bright column and row, less their
-# diagonal entry, and that entry.
-_OTHERS = np.arange(IonLevel.BRIGHT)
-_BRIGHT_OFF = np.concatenate([_OTHERS * N_LEVELS + IonLevel.BRIGHT, IonLevel.BRIGHT * N_LEVELS + _OTHERS])
-_BRIGHT_DIAG = IonLevel.BRIGHT * (N_LEVELS + 1)
-
-
-def _keeps_bright_empty(u: np.ndarray | PairRotations | IonProduct) -> bool:
-    """Whether every row of the operator maps the states with no ion in
-    Bright to themselves: pair rotations none of whose tones names Bright,
-    or an ion product whose factors' Bright row and column are the unit
-    vector. A dense stack is not inspected."""
-    if isinstance(u, PairRotations):
-        return all(IonLevel.BRIGHT not in (lo, up) for lo, _, up, _, _ in u.tones)
-    if isinstance(u, IonProduct):
-        flat = u.factors.reshape(-1, N_LEVELS * N_LEVELS)
-        off = np.take(flat, _BRIGHT_OFF, axis=1)
-        return not off.any() and (flat[:, _BRIGHT_DIAG] == 1.0).all()
-    return False
-
 
 # Enough for the spaces of the runs one process alternates between.
 @lru_cache(maxsize=8)
-def _basis(space: StateSpace, width: int) -> np.ndarray:
-    """The basis index in ``space`` of each entry of kernel rows of
-    ``width`` amplitudes: the entries of its four-level register, in
-    register order, or every entry when the rows are as wide as the
-    space."""
-    levels = space.levels if width == space.dim else _Register.levels
+def _basis(space: StateSpace) -> np.ndarray:
+    """The basis index in ``space`` of each entry of its four-level
+    register, in register order."""
     index = np.arange(space.dim).reshape(space.factor_dims)
-    return index[(slice(levels),) * space.n_ions].reshape(-1)
+    return index[(slice(_Register.levels),) * space.n_ions].reshape(-1)
 
 
-def _into_register(
-    amps: np.ndarray, space: StateSpace, operators
-) -> tuple[np.ndarray, StateSpace]:
-    """The entries of each row of a ``(block, space.dim)`` start in the
-    layout the kernel runs it on, C-contiguous, in the kernel's block work
-    array, and that layout: the space's four-level :class:`_Register` when
-    the start has exactly zero amplitude wherever some ion is Bright and
-    every operator keeps that so, else the space itself. A start broadcast
-    over the block (row stride 0) is read and gathered at one row."""
+def _into_register(amps: np.ndarray, space: StateSpace) -> tuple[np.ndarray, _Register]:
+    """The entries of each row of a ``(block, space.dim)`` start on the
+    space's four-level :class:`_Register`, C-contiguous, in the kernel's
+    block work array, and that register. Raises ValueError when the start
+    has nonzero amplitude on any state where some ion is Bright. A start
+    broadcast over the block (row stride 0) is read and gathered at one
+    row."""
     register = _Register(space.n_ions, space.fock_cutoff)
     rows = amps[:1] if amps.strides[0] == 0 else amps
-    kept = rows[:, _basis(space, register.dim)]
-    if np.count_nonzero(kept) != np.count_nonzero(rows) or not all(
-        map(_keeps_bright_empty, operators)
-    ):
-        register, kept = space, rows
+    kept = rows[:, _basis(space)]
+    if np.count_nonzero(kept) != np.count_nonzero(rows):
+        raise ValueError("the survivor kernel starts only from states with no Bright amplitude")
     work = _work("block", (amps.shape[0], register.dim))
     work[...] = kept
     return work, register
 
 
 def _public_rows(rows: np.ndarray, space: StateSpace) -> np.ndarray:
-    """Kernel rows of the space written into +0s of its public layout."""
+    """Register rows of the space written into +0s of its public layout."""
     public = np.zeros((rows.shape[0], space.dim), dtype=np.complex128)
-    public[:, _basis(space, rows.shape[1])] = rows
+    public[:, _basis(space)] = rows
     return public

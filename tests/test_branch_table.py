@@ -71,6 +71,19 @@ def oracle_mask(space: StateSpace, ch) -> np.ndarray:
     return mask
 
 
+def bright_mask(space: StateSpace) -> np.ndarray:
+    """Basis states where some ion is Bright."""
+    return (basis_digits(space)[: space.n_ions] == IonLevel.BRIGHT).any(axis=0)
+
+
+def no_bright_rows(rng, space: StateSpace, block: int) -> np.ndarray:
+    """Random normalized rows with 0 wherever some ion is Bright: the
+    starts the survivor kernel takes."""
+    amps = rng.normal(size=(block, space.dim)) + 1j * rng.normal(size=(block, space.dim))
+    amps[:, bright_mask(space)] = 0.0
+    return amps / np.linalg.norm(amps, axis=1)[:, None]
+
+
 def oracle_apply(psi: np.ndarray, space: StateSpace, u: np.ndarray, targets) -> np.ndarray:
     """u on the target factors of one state vector, by tensor contraction."""
     k = len(targets)
@@ -222,15 +235,15 @@ def assert_same_survivor(state: PureState, probability: float, want: np.ndarray)
 def test_kernel_cleans_out_exactly_the_masked_target(space, levels, fock, ion):
     ch = level_cleanout(ion, levels, fock=fock)
     rng = np.random.default_rng(ion * 31 + len(levels))
-    amps = rng.normal(size=(5, space.dim)) + 1j * rng.normal(size=(5, space.dim))
-    amps /= np.linalg.norm(amps, axis=1)[:, None]
+    amps = no_bright_rows(rng, space, 5)
     paths = survivor_paths(amps, space, [_Step((), (ch,))])
     mask = oracle_mask(space, ch)
     p = np.sum(np.abs(amps[:, mask]) ** 2, axis=1)
     np.testing.assert_allclose(paths.target[:, 0], p, rtol=1e-13)
     survivors = np.where(mask, 0.0, amps)
     survivors /= np.linalg.norm(survivors, axis=1)[:, None]
-    np.testing.assert_allclose(paths.final, survivors, atol=1e-14)
+    # Register rows: the basis order with every Bright state left out.
+    np.testing.assert_allclose(paths.final, survivors[:, ~bright_mask(space)], atol=1e-14)
     assert paths.alive.all()
 
 
@@ -310,8 +323,7 @@ def test_kernel_leaves_its_input_unchanged(mode, transfers, protocol, read_only)
         steps = build(rng.normal(0.0, 0.3, size=(3, 2)))
     if not transfers:
         steps = [_Step((), step.cleanouts) for step in steps]
-    amps = rng.normal(size=(3, space.dim)) + 1j * rng.normal(size=(3, space.dim))
-    amps /= np.linalg.norm(amps, axis=1)[:, None]
+    amps = no_bright_rows(rng, space, 3)
     if read_only:
         amps = np.broadcast_to(amps[0], amps.shape)
     before = amps.copy()

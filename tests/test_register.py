@@ -1,13 +1,15 @@
 """The survivor kernel's four-level register against five-level oracles.
 
-Flagged branches leave the survivor path, so Bright is never populated on
-it: when a start has no Bright amplitude and every step operator keeps it
-so, ``survivor_paths`` runs on each ion's other four levels. These tests
-check that premise for every operator the builders make, check the
-register against a dense five-level oracle (``np.kron`` of the per-ion
-matrices and explicit projector clean-outs, numpy only), check that any
-other start runs on five levels, and guard, without timing, that a chain
-block holds register rows.
+Only the clean-out fills Bright, and flagged branches leave the survivor
+path, so a survivor never holds Bright amplitude: ``survivor_paths`` runs
+on each ion's other four levels only. It refuses a start with Bright
+amplitude but does not inspect the step operators, so the explicit factor
+and dense-matrix checks below, over every operator the builders make, are
+the only guard of that premise. These tests also check the register
+against a dense five-level oracle (``np.kron`` of the per-ion matrices and
+explicit projector clean-outs, numpy only), check that every entry point
+refuses a start with Bright amplitude, and guard, without timing, that a
+chain block holds register rows.
 """
 
 import math
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 
 from heraldsim import experiments
-from heraldsim.dissipation import PROB_FLOOR, aux_cleanout
+from heraldsim.dissipation import PROB_FLOOR, aux_cleanout, qubit_cleanout
 from heraldsim.experiments import ExperimentSpec, InputSpec, _block_size, prepare_input
 from heraldsim.noise import AmplitudeErrorModel, draw_block
 from heraldsim.protocols import (
@@ -28,6 +30,9 @@ from heraldsim.protocols import (
     LeakageError,
     _Step,
     addressed_builder,
+    certified_single_qubit,
+    cleanout_branches,
+    cleanout_sample,
     cleanout_sites,
     cz_builder,
     cz_space,
@@ -44,7 +49,6 @@ from heraldsim.statespace import (
     PairRotations,
     PureState,
     StateSpace,
-    _keeps_bright_empty,
 )
 
 BRIGHT = int(IonLevel.BRIGHT)
@@ -110,7 +114,6 @@ def test_every_builder_operator_keeps_bright_empty(name, space, build):
     steps = build(random_errors(rng, 9, n_steps))
     for step in steps:
         for u, _ in step.unitaries:
-            assert _keeps_bright_empty(u)
             if isinstance(u, IonProduct):
                 # Each factor's Bright row and column are the unit vector.
                 unit = np.eye(N_LEVELS)[BRIGHT]
@@ -280,23 +283,30 @@ def test_the_register_matches_the_dense_oracle(name, space, build, n_steps, seed
 
 
 @pytest.mark.parametrize("name,space,build,n_steps", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
-def test_a_start_with_bright_amplitude_runs_on_five_levels(name, space, build, n_steps):
-    # 1e-150 at one Bright state: the four-level register would drop it.
-    # Every transfer is the identity on Bright and no clean-out targets it,
-    # so the survivor keeps it, divided by the survivor's norm.
+def test_a_start_with_bright_amplitude_is_refused(name, space, build, n_steps):
+    # 1e-150 at one Bright state: the four-level register cannot hold it,
+    # and dropping it would pass silently.
     rng = np.random.default_rng(5)
     amps = qubit_start(rng, space).amplitudes.copy()
-    faint = np.flatnonzero(bright_mask(space))[-1]
-    amps[faint] = 1e-150
+    amps[np.flatnonzero(bright_mask(space))[-1]] = 1e-150
     start = PureState(space, amps)
     steps = build(rng.normal(0.0, 0.3, size=(1, n_steps)))
-    outcome = run_protocol(start, steps, "branch", monitor_top_fock=space.has_motion)
-    table, final = oracle(space, start.amplitudes, steps)
-    assert_table_matches(outcome, table)
-    survivor = no_flag_branch(outcome).state.amplitudes
-    assert survivor[faint] != 0.0
-    np.testing.assert_allclose(survivor[faint], final[faint], rtol=1e-12, atol=0)
-    np.testing.assert_allclose(survivor, final, rtol=0, atol=1e-12)
+    ch = qubit_cleanout(0, 0.9)
+    runs = [
+        lambda: survivor_paths(amps[None], space, steps),
+        # The runner's start: one state broadcast over the block.
+        lambda: survivor_paths(np.broadcast_to(amps, (3, space.dim)), space, steps),
+        lambda: run_protocol(start, steps, "branch"),
+        lambda: run_protocol(start, steps, "mc", np.random.default_rng(0)),
+        lambda: cleanout_branches(start, ch),
+        lambda: cleanout_sample(start, ch, np.random.default_rng(0)),
+    ]
+    if name == "single":
+        # Its qubit-manifold check (POP_ATOL) lets 1e-300 outside through.
+        runs.append(lambda: certified_single_qubit(start, random_gate(rng), (0.1, -0.2)))
+    for run in runs:
+        with pytest.raises(ValueError, match="Bright"):
+            run()
 
 
 # --- the top-Fock check ------------------------------------------------------
