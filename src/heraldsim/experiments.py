@@ -47,9 +47,7 @@ from .statespace import (
     StateSpace,
     _BLOCK_BYTES,
     _Register,
-    _basis,
     _check_real,
-    _normalized,
     _qubit_indices,
     _row_fidelities,
     _row_norm2,
@@ -64,19 +62,18 @@ _WILSON_Z = 1.96  # 95% interval
 
 # Largest estimated peak memory of one run, over all its processes.
 MEMORY_BUDGET = 2 * 2**30
-# Peak RSS of an 8-, 9- or 10-ion addressing ensemble (one row per block)
-# is 4.0-4.3 five-level state vectors over that of the process before it
-# runs (~30 MB with numpy loaded): the input, the ideal output and the
-# transients of building it. The kernel's block and its product pass's
-# scratch are register rows, (4/5)**n_ions of a vector each, and the
-# fidelity reads only the ideal's nonzero entries. The estimate counts
-# five-level vectors throughout, so it overstates the kernel by
-# (5/4)**n_ions; 10 leaves headroom.
+# Peak RSS of a 9-, 10- or 11-ion addressing ensemble (one row per block)
+# is 6.2, 4.6 and 4.1 rows of the kernel's register over that of the
+# process before it runs (~30 MB with numpy loaded): about 9 MiB and 4
+# rows, for the input, the ideal output and the transients of building
+# them, the kernel's block and its product pass's scratch. 10 leaves
+# headroom; the largest chain accepted, 11 ions, peaks at 0.42 of its
+# estimate.
 _STATE_COPIES = 10
 _PROCESS_BYTES = 64 * 2**20
 # One sideband pair of one row: its coefficients (c and two complex
 # entries), and the kernel's basis indices of its two entries for each
-# level of the other ion.
+# level of the other ion, counted at five levels where the register has 4.
 _PAIR_BYTES = 8 + 2 * 16 + 2 * N_LEVELS * 8
 
 
@@ -302,9 +299,10 @@ def _block_size(protocol: str, space: StateSpace) -> int:
 
 
 def _estimated_bytes(protocol: str, space: StateSpace) -> int:
-    """Rough peak memory of one run: the process, plus a few state vectors
-    and the step operators of every row of one block."""
-    per_row = 16 * _STATE_COPIES * space.dim + _operator_bytes(protocol, space)
+    """Rough peak memory of one run: the process, plus a few rows of the
+    kernel's register and the step operators of every row of one block."""
+    register = _Register(space.n_ions, space.fock_cutoff)
+    per_row = 16 * _STATE_COPIES * register.dim + _operator_bytes(protocol, space)
     return _PROCESS_BYTES + _block_size(protocol, space) * per_row
 
 
@@ -350,18 +348,15 @@ def _input_problem(spec: ExperimentSpec, n_ions: int) -> str | None:
         amps = inp.amplitudes
         if amps is None or len(amps) != 2**n_ions:
             return f"expected {2**n_ions} qubit-manifold amplitudes"
-        if not 0.0 < _row_norm2(np.array([amps]))[0] < math.inf:  # as _normalized
+        if not 0.0 < _row_norm2(np.array([[a for a in amps if a]]))[0] < math.inf:  # as make_state
             return "amplitudes must be finite and not all zero, with a squared norm in float range"
     return None
 
 
 def _qubit_state(space: StateSpace, values) -> PureState:
-    """The normalized state with each qubit label's amplitude, in
-    :func:`_qubit_indices` order, added into zeros as ``make_state`` adds
-    its entries."""
-    amps = np.zeros(space.dim, dtype=np.complex128)
-    amps[_qubit_indices(space)] += values
-    return PureState(space, _normalized(amps[None])[0])
+    """The state ``make_state`` builds from each qubit label's amplitude, in
+    :func:`_qubit_indices` order."""
+    return make_state(space, zip(_qubit_indices(space).tolist(), values))
 
 
 def _qubit_product_state(space: StateSpace, per_ion: list[tuple[complex, complex]]) -> PureState:
@@ -374,15 +369,18 @@ def _qubit_product_state(space: StateSpace, per_ion: list[tuple[complex, complex
 
 def prepare_input(spec: ExperimentSpec) -> PureState:
     """Build the initial state named by the spec's input preparation."""
-    space = _space_for(spec)
+    return _input_on(spec, _space_for(spec))
+
+
+def _input_on(spec: ExperimentSpec, space: StateSpace) -> PureState:
+    """The spec's input on ``space``, its public space or that space's
+    register: the same entries, so the same bits, in either layout."""
     inp = spec.input_state
     if inp.kind == "plus_n":
         plus, _ = plus_minus_n_vectors(spec.gate.axis)
         return _qubit_product_state(space, [(plus[0], plus[1])] * space.n_ions)
     if inp.kind == "bell":
-        return make_state(
-            space, [(space.index([0, 0]), 1.0), (space.index([1, 1]), 1.0)]
-        )
+        return _qubit_state(space, [1.0, 0.0, 0.0, 1.0])
     if inp.kind == "basis":
         chars = _BASIS_CHARS[spec.protocol]
         return _qubit_product_state(space, [chars[ch] for ch in inp.label])
@@ -448,21 +446,18 @@ def _run_batch(spec: ExperimentSpec, start: int, stop: int, bare: bool = False) 
     With ``bare`` (single protocol) they also hold each trajectory's
     fidelity after the same two transfers without clean-outs.
     """
-    state = prepare_input(spec)
+    space = _space_for(spec)
+    # The input and its ideal live on the register, as the kernel's rows do.
+    state = _input_on(spec, _Register(space.n_ions, space.fock_cutoff))
     ideal = _ideal_output(spec, state).amplitudes
-    # The kernel's rows are register rows: score them against the ideal's
-    # register entries, gathered once per run.
-    scored = ideal[_basis(state.space)]
     build = _block_builder(spec)
     sites = cleanout_sites(build.cleanouts)
-    size = _block_size(spec.protocol, state.space)
+    size = _block_size(spec.protocol, space)
     blocks = [range(first, min(first + size, stop)) for first in range(start, stop, size)]
-    return _joined(
-        [_run_block(spec, ids, state, ideal, scored, build, sites, bare) for ids in blocks]
-    )
+    return _joined([_run_block(spec, ids, state, ideal, build, sites, bare) for ids in blocks])
 
 
-def _run_block(spec, indices, state, ideal, scored, build, sites, bare) -> _Columns:
+def _run_block(spec, indices, state, ideal, build, sites, bare) -> _Columns:
     space, n = state.space, len(indices)
     mc = spec.mode == "mc"
     # Each row draws its errors and then, in mc mode, its clean-out uniforms
@@ -475,7 +470,7 @@ def _run_block(spec, indices, state, ideal, scored, build, sites, bare) -> _Colu
     start = np.broadcast_to(state.amplitudes, (n, space.dim))
     paths = survivor_paths(start, space, steps, draw, monitor_top_fock=space.has_motion)
     fidelity = np.zeros(n)
-    fidelity[paths.alive] = _row_fidelities(paths.final, scored)
+    fidelity[paths.alive] = _row_fidelities(paths.final, ideal)
     # Python's sum(v * v for v in errs), column by column.
     sumsq = np.zeros(n)
     for k in range(spec.n_steps):

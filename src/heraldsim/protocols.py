@@ -56,6 +56,7 @@ from .statespace import (
     PureState,
     QUBIT_MANIFOLD,
     StateSpace,
+    _Register,
     _apply_block,
     _apply_matrix,
     _check_real,
@@ -65,6 +66,7 @@ from .statespace import (
     _row_norm2,
     _subset,
     _subset_norm2,
+    _work,
     _zero_target,
     fidelity_up_to_global_phase,
     fock_population,
@@ -271,8 +273,7 @@ def run_protocol(
         if keep_intermediate:
             raise ValueError("keep_intermediate applies to branch mode only")
         paths = survivor_paths(
-            state.amplitudes[None],
-            state.space,
+            *_into_register(state.amplitudes[None], state.space),
             steps,
             draw=lambda col, rows: rng.random(1),
             monitor_top_fock=monitor_top_fock,
@@ -304,8 +305,8 @@ def _branches(
     positive W(c-1)·(1-s)(1-p_c), where W(c-1) is the survivor's
     probability before c; branches at or below PROB_FLOOR are dropped.
     """
-    start, space = state.amplitudes[None], state.space
-    paths = survivor_paths(start, space, steps, monitor_top_fock=monitor_top_fock)
+    start, register = _into_register(state.amplitudes[None], state.space)
+    paths = survivor_paths(start, register, steps, monitor_top_fock=monitor_top_fock)
     channels = [(si, ch) for si, step in enumerate(steps) for ch in step.cleanouts]
     selectivity = np.array([ch.selectivity for _, ch in channels])
     segments, kept = _segment_table(paths.target[0], selectivity, paths.rest[0])
@@ -323,12 +324,12 @@ def _branches(
         weight *= survive
         records += (HeraldRecord(si, ch.ion, False, survive),)
     if paths.alive[0]:
-        branches.append(Branch(_public_state(space, paths), weight, records))
+        branches.append(Branch(_public_state(state.space, paths), weight, records))
     intermediates = None
     if keep_intermediate:
         # The full run has checked the top Fock state along every prefix.
-        prefixes = (survivor_paths(start, space, steps[: k + 1]) for k in range(len(steps)))
-        intermediates = tuple(_public_state(space, p) for p in prefixes)
+        prefixes = (survivor_paths(start, register, steps[: k + 1]) for k in range(len(steps)))
+        intermediates = tuple(_public_state(state.space, p) for p in prefixes)
     return branches, intermediates
 
 
@@ -353,12 +354,13 @@ class SurvivorPaths:
     ``probs`` are 0.0 past a row's last clean-out. ``weight`` is the unflagged
     probability (branch mode) or 1.0/0.0 (mc mode). ``final`` holds the
     normalized end states of the rows with ``alive`` set, in row order, as
-    rows of the space's four-level register; ``statespace._public_rows``
-    writes them into the public layout. Scored against the entries at
-    ``statespace._basis`` of a public state with no Bright amplitude, a
-    row has the bits of that written-back row's fidelity, since an overlap
-    sums only where the state is nonzero. No state between steps is kept
-    (see :func:`survivor_paths`).
+    rows of the register the kernel was given: the public entry points
+    write them into the five-level layout (``statespace._public_rows``),
+    and the runner scores them against its ideal on the register, the
+    public ideal's entries at ``statespace._basis``. An overlap sums only
+    where the ideal is nonzero, so a row has the bits of the written-back
+    row's fidelity. No state between steps is kept (see
+    :func:`survivor_paths`).
     """
 
     weight: np.ndarray
@@ -373,13 +375,13 @@ class SurvivorPaths:
 
 def survivor_paths(
     amps: np.ndarray,
-    space: StateSpace,
+    register: _Register,
     steps: Sequence[_Step],
     draw=None,
     monitor_top_fock: bool = False,
 ) -> SurvivorPaths:
-    """Drive a ``(block, dim)`` array of normalized states along their
-    unflagged path: the one propagation kernel of both modes.
+    """Drive a ``(block, register.dim)`` array of normalized states along
+    their unflagged path: the one propagation kernel of both modes.
 
     Flagged branches are terminal, so each row carries one live state: its
     no-jump state, unnormalized, with its squared norm. A clean-out divides
@@ -394,26 +396,31 @@ def survivor_paths(
     live rows (a slice or an index array into the block), with the same
     branch segments and freezes the rows that flag.
 
-    The kernel runs on the four-level register. Only the clean-out fills
-    Bright and flagged branches leave the path, so a survivor never holds
-    Bright amplitude: the rows hold each ion's other four levels,
-    ``4**n_ions * fock_dim`` amplitudes, and the ion products apply the 4x4
-    block of each factor. A start with nonzero amplitude on any state where
-    some ion is Bright raises ValueError. ``amps`` is copied once, into the
-    register, and never written to: every step operator and clean-out
+    The kernel takes rows of the four-level register only, and refuses any
+    other space. Only the clean-out fills Bright and flagged branches leave
+    the path, so a survivor never holds Bright amplitude: the rows hold
+    each ion's other four levels, ``4**n_ions * fock_dim`` amplitudes, and
+    the ion products apply the 4x4 block of each factor. The public entry
+    points gather a five-level state into the register with
+    ``statespace._into_register``, which refuses one with Bright
+    amplitude; the runner builds its input on the register. ``amps`` is
+    copied once and never written to: every step operator and clean-out
     updates that copy in place. A start that is one state broadcast over
-    the block (row stride 0), as the runner passes, is read and gathered at
-    one row, and has its squared norm taken once, from one row. Every row
-    goes through its own matrix products and the row rules that
-    ``manifold_population`` and ``PureState.norm`` also use, so its result
-    does not depend on the other rows. It keeps no state between steps: a
-    survivor after step k, which :func:`run_protocol` returns with
-    ``keep_intermediate``, is its end state over ``steps[:k+1]``.
+    the block (row stride 0), as the runner passes, has its squared norm
+    taken once, from one row. Every row goes through its own matrix
+    products and the row rules that ``manifold_population`` and
+    ``PureState.norm`` also use, so its result does not depend on the
+    other rows. It keeps no state between steps: a survivor after step k,
+    which :func:`run_protocol` returns with ``keep_intermediate``, is its
+    end state over ``steps[:k+1]``.
     """
+    if not isinstance(register, _Register):
+        raise ValueError(f"the survivor kernel runs on register rows, not on {register}")
     block, broadcast = amps.shape[0], amps.strides[0] == 0
     # The one block the kernel writes: a C-contiguous copy in a work array,
     # which no returned array holds (final is normalized into a new one).
-    amps, register = _into_register(amps, space)
+    start, amps = amps, _work("block", amps.shape)
+    amps[...] = start
     if broadcast:
         # One state broadcast over the block: the row rule gives every row
         # the first row's bits.
@@ -528,12 +535,6 @@ def step_flag_rates(outcome: ProtocolOutcome) -> dict[tuple[int, int], float]:
 
 
 # --- single-qubit protocol ---------------------------------------------------
-
-
-def _qubit_embed(u2: np.ndarray) -> np.ndarray:
-    u = np.eye(5, dtype=np.complex128)
-    u[:2, :2] = u2
-    return u
 
 
 _PAULI = (
@@ -811,8 +812,11 @@ def addressed_steps(
 
 
 def ideal_addressed_output(chain: PureState, target: int, spec: GateSpec) -> PureState:
-    """Reference output: ideal rotation on the target, neighbors untouched."""
-    return _apply_matrix(chain, _qubit_embed(ideal_single_qubit(spec)), (target,))
+    """Reference output: ideal rotation on the target, neighbors untouched,
+    in the identity on the space's levels (five, or the register's four)."""
+    u = np.eye(chain.space.levels, dtype=np.complex128)
+    u[:2, :2] = ideal_single_qubit(spec)
+    return _apply_matrix(chain, u, (target,))
 
 
 def certified_addressed_gate(

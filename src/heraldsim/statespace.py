@@ -17,18 +17,21 @@ Each of these reads the level count of the layout it is given. A
 state; only the kernel's ``(block, dim)`` array is updated in place.
 
 The register (:class:`_Register`) is the one layout the survivor kernel
-runs on: each ion keeps Q0, Q1, AUX_PLUS and AUX_MINUS, in the same order,
+takes: each ion keeps Q0, Q1, AUX_PLUS and AUX_MINUS, in the same order,
 so a row holds ``4**n_ions * fock_dim`` amplitudes. Only the clean-out
 fills Bright, and a flagged branch leaves the survivor path, so a survivor
 never holds Bright amplitude and the register is exact, not an
-approximation. :func:`_into_register` gathers a start into it and refuses
-one with Bright amplitude, :func:`_basis` gives the public index of each of
-its entries, and :func:`_public_rows` writes its rows back into +0s of the
-public layout. The step operators are trusted to keep Bright empty, as
-every builder's do: an ion product applies each factor's 4x4 block, a pair
-rotation that names Bright reaches outside the register's basis and
-:func:`_pair_index` refuses it, and a dense stack on an ion does not fit
-the register's factors. The public basis, :class:`StateSpace`,
+approximation. The public entry points gather a five-level state into it
+with :func:`_into_register`, which refuses one with Bright amplitude, and
+write rows back into +0s of the public layout with :func:`_public_rows`;
+:func:`_basis` gives the public index of each register entry. The runner
+builds its states on the register directly: :func:`make_state` sums a
+norm over the nonzero entries only, so the same entries give the same
+bits in either layout. The step operators are trusted to keep Bright
+empty, as every builder's do: an ion product applies each factor's 4x4
+block, a pair rotation that names Bright reaches outside the register's
+basis and :func:`_pair_index` refuses it, and a dense stack on an ion
+does not fit the register's factors. The public basis, :class:`StateSpace`,
 :class:`PureState` and every one-state function stay five-level;
 :func:`_qubit_indices` gives the qubit manifold's indices in either layout.
 
@@ -225,15 +228,18 @@ def make_state(
 ) -> PureState:
     """Build a normalized state from (basis index, amplitude) entries.
 
-    Unspecified entries are zero. Raises on out-of-range indices or an
-    all-zero amplitude list.
+    Unspecified entries are zero. The norm sums the nonzero entries in basis
+    order, so the same entries give the same bits in a space and in its
+    register. Raises on out-of-range indices or an all-zero amplitude list.
     """
     amps = np.zeros(space.dim, dtype=np.complex128)
     for idx, value in entries:
         if not 0 <= idx < space.dim:
             raise ValueError(f"basis index {idx} out of range [0, {space.dim})")
         amps[idx] += value
-    return PureState(space, _normalized(amps[None])[0])
+    nonzero = np.flatnonzero(amps)
+    amps[nonzero] = _normalized(amps[None, nonzero])[0]
+    return PureState(space, amps)
 
 
 def _normalized(amps: np.ndarray) -> np.ndarray:
@@ -652,20 +658,14 @@ def _basis(space: StateSpace) -> np.ndarray:
 
 
 def _into_register(amps: np.ndarray, space: StateSpace) -> tuple[np.ndarray, _Register]:
-    """The entries of each row of a ``(block, space.dim)`` start on the
-    space's four-level :class:`_Register`, C-contiguous, in the kernel's
-    block work array, and that register. Raises ValueError when the start
-    has nonzero amplitude on any state where some ion is Bright. A start
-    broadcast over the block (row stride 0) is read and gathered at one
-    row."""
-    register = _Register(space.n_ions, space.fock_cutoff)
-    rows = amps[:1] if amps.strides[0] == 0 else amps
-    kept = rows[:, _basis(space)]
-    if np.count_nonzero(kept) != np.count_nonzero(rows):
+    """The entries of each row of a ``(block, space.dim)`` array on the
+    space's four-level :class:`_Register`, C-contiguous, and that register.
+    Raises ValueError when a row has nonzero amplitude on any state where
+    some ion is Bright."""
+    kept = np.take(amps, _basis(space), axis=1)
+    if np.count_nonzero(kept) != np.count_nonzero(amps):
         raise ValueError("the survivor kernel starts only from states with no Bright amplitude")
-    work = _work("block", (amps.shape[0], register.dim))
-    work[...] = kept
-    return work, register
+    return kept, _Register(space.n_ions, space.fock_cutoff)
 
 
 def _public_rows(rows: np.ndarray, space: StateSpace) -> np.ndarray:

@@ -42,7 +42,7 @@ from heraldsim.protocols import (
     single_qubit_steps,
     survivor_paths,
 )
-from heraldsim.statespace import BlochAxis, IonLevel, PureState, StateSpace, make_state
+from heraldsim.statespace import BlochAxis, IonLevel, PureState, StateSpace, _into_register, make_state
 
 Q0, Q1, A_PLUS, A_MINUS = IonLevel.Q0, IonLevel.Q1, IonLevel.AUX_PLUS, IonLevel.AUX_MINUS
 
@@ -236,7 +236,7 @@ def test_kernel_cleans_out_exactly_the_masked_target(space, levels, fock, ion):
     ch = level_cleanout(ion, levels, fock=fock)
     rng = np.random.default_rng(ion * 31 + len(levels))
     amps = no_bright_rows(rng, space, 5)
-    paths = survivor_paths(amps, space, [_Step((), (ch,))])
+    paths = survivor_paths(*_into_register(amps, space), [_Step((), (ch,))])
     mask = oracle_mask(space, ch)
     p = np.sum(np.abs(amps[:, mask]) ** 2, axis=1)
     np.testing.assert_allclose(paths.target[:, 0], p, rtol=1e-13)
@@ -257,7 +257,7 @@ def test_faint_survivor_keeps_its_norm():
     amps = np.zeros((1, 5), dtype=complex)
     amps[0, :3] = math.sqrt(1 - eps), math.sqrt(eps / 2), 1j * math.sqrt(eps / 2)
     steps = [_Step((), (level_cleanout(0, {Q0}),)), _Step((), (level_cleanout(0, {Q1}),))]
-    paths = survivor_paths(amps, StateSpace(1), steps)
+    paths = survivor_paths(*_into_register(amps, StateSpace(1)), steps)
     assert paths.target[0, 1] == pytest.approx(0.5, rel=1e-14)
 
 
@@ -323,12 +323,12 @@ def test_kernel_leaves_its_input_unchanged(mode, transfers, protocol, read_only)
         steps = build(rng.normal(0.0, 0.3, size=(3, 2)))
     if not transfers:
         steps = [_Step((), step.cleanouts) for step in steps]
-    amps = no_bright_rows(rng, space, 3)
+    amps, register = _into_register(no_bright_rows(rng, space, 3), space)
     if read_only:
         amps = np.broadcast_to(amps[0], amps.shape)
     before = amps.copy()
     draw = (lambda col, rows: rng.random(3)[rows]) if mode == "mc" else None
-    survivor_paths(amps, space, steps, draw)
+    survivor_paths(amps, register, steps, draw)
     assert np.array_equal(amps, before)
 
 
@@ -367,7 +367,7 @@ def test_unnormalized_input_is_refused():
     amps = np.zeros((2, 5), dtype=complex)
     amps[:, 0] = (1.0, 0.5)
     with pytest.raises(ValueError, match="normalized"):
-        survivor_paths(amps, StateSpace(1), [_Step((), ())])
+        survivor_paths(*_into_register(amps, StateSpace(1)), [_Step((), ())])
 
 
 # --- leakage on a faint survivor ---------------------------------------------
@@ -390,11 +390,12 @@ def test_leak_is_measured_against_the_survivor_norm():
         _Step((), (level_cleanout(0, {Q0}),)),
         _Step(((leak_row0, (space.motion_axis,)),), ()),
     ]
+    rows, register = _into_register(amps, space)
     with pytest.raises(LeakageError):
-        survivor_paths(amps, space, steps, monitor_top_fock=True)
+        survivor_paths(rows, register, steps, monitor_top_fock=True)
     # Without the faint row, nothing is reported.
     paths = survivor_paths(
-        amps[1:], space, [steps[0], _Step(((leak_row0[1:], (space.motion_axis,)),), ())],
+        rows[1:], register, [steps[0], _Step(((leak_row0[1:], (space.motion_axis,)),), ())],
         monitor_top_fock=True,
     )
     assert paths.alive.all()

@@ -18,6 +18,7 @@ from heraldsim.statespace import (
     PureState,
     QUBIT_MANIFOLD,
     StateSpace,
+    _into_register,
     basis_state,
     make_state,
 )
@@ -167,8 +168,7 @@ class TestSampling:
         # uniforms, take the branches the n calls would take.
         uniforms = np.random.default_rng(123).random(n)
         paths = survivor_paths(
-            np.repeat(state.amplitudes[None], n, axis=0),
-            state.space,
+            *_into_register(np.repeat(state.amplitudes[None], n, axis=0), state.space),
             (_Step((), (qubit_cleanout(0),)),),
             draw=lambda col, rows: uniforms[rows],
         )

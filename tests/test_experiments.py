@@ -636,13 +636,13 @@ class TestSpecValidation:
                 fock_cutoff=fock_cutoff,
             )
 
-        chain(10)
-        cz(400071)
+        chain(11)
+        cz(553290)
         with pytest.raises(ConfigError) as err:
-            chain(11)
+            chain(12)
         assert err.value.path == "$.crosstalk.ratios"
         with pytest.raises(ConfigError) as err:
-            cz(400072)
+            cz(553291)
         assert err.value.path == "$.fock_cutoff"
 
 
@@ -657,15 +657,15 @@ class TestWorkerGuard:
             trials=trials,
             master_seed=0,
             gate=GATE,
-            crosstalk=(1.0,) + (0.1,) * 9,
+            crosstalk=(1.0,) + (0.1,) * 10,
         )
 
-    def test_ten_ion_chain_fits_one_process(self):
+    def test_eleven_ion_chain_fits_two_processes(self):
         # Checking allocates nothing, so oversize runs are cheap to try.
-        assert worker_processes(self.chain(4), 1) == 1
-        assert worker_processes(self.chain(3), 2) == 1  # too few trials to split
+        assert worker_processes(self.chain(4), 2) == 2
+        assert worker_processes(self.chain(5), 3) == 1  # too few trials to split
         with pytest.raises(ConfigError) as err:
-            worker_processes(self.chain(4), 2)
+            worker_processes(self.chain(6), 3)
         assert err.value.path == "--workers"
 
     @pytest.mark.parametrize("workers", [0, -3])

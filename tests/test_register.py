@@ -20,7 +20,7 @@ import pytest
 
 from heraldsim import experiments
 from heraldsim.dissipation import PROB_FLOOR, aux_cleanout, qubit_cleanout
-from heraldsim.experiments import ExperimentSpec, InputSpec, _block_size, prepare_input
+from heraldsim.experiments import ExperimentSpec, InputSpec, _block_size, run_ensemble
 from heraldsim.noise import AmplitudeErrorModel, draw_block
 from heraldsim.protocols import (
     LEAK_ATOL,
@@ -36,6 +36,8 @@ from heraldsim.protocols import (
     cleanout_sites,
     cz_builder,
     cz_space,
+    ideal_addressed_output,
+    ideal_cz_output,
     no_flag_branch,
     run_protocol,
     survivor_paths,
@@ -49,6 +51,10 @@ from heraldsim.statespace import (
     PairRotations,
     PureState,
     StateSpace,
+    _Register,
+    _basis,
+    _into_register,
+    make_state,
 )
 
 BRIGHT = int(IonLevel.BRIGHT)
@@ -293,9 +299,7 @@ def test_a_start_with_bright_amplitude_is_refused(name, space, build, n_steps):
     steps = build(rng.normal(0.0, 0.3, size=(1, n_steps)))
     ch = qubit_cleanout(0, 0.9)
     runs = [
-        lambda: survivor_paths(amps[None], space, steps),
-        # The runner's start: one state broadcast over the block.
-        lambda: survivor_paths(np.broadcast_to(amps, (3, space.dim)), space, steps),
+        lambda: _into_register(amps[None], space),
         lambda: run_protocol(start, steps, "branch"),
         lambda: run_protocol(start, steps, "mc", np.random.default_rng(0)),
         lambda: cleanout_branches(start, ch),
@@ -307,6 +311,54 @@ def test_a_start_with_bright_amplitude_is_refused(name, space, build, n_steps):
     for run in runs:
         with pytest.raises(ValueError, match="Bright"):
             run()
+    # The kernel itself takes register rows only.
+    with pytest.raises(ValueError, match="register rows"):
+        survivor_paths(amps[None], space, steps)
+
+
+# --- the runner's states on the register -------------------------------------
+
+
+def shared_states(rng, space: StateSpace):
+    """Pairs of one state built by ``make_state`` from the same random
+    entries in the space and in its register, on random supports of the
+    register's basis: one entry, at least 9 entries where the register has
+    them, half of them and all of them."""
+    register, basis = _Register(space.n_ions, space.fock_cutoff), _basis(space)
+    sizes = {1, min(9, register.dim), register.dim // 2 + 1, register.dim}
+    sizes |= set(rng.integers(min(9, register.dim), register.dim + 1, size=3).tolist())
+    for size in sorted(sizes):
+        picks = rng.choice(register.dim, size=size, replace=False)
+        values = (rng.normal(size=size) + 1j * rng.normal(size=size)).tolist()
+        public = make_state(space, zip(basis[picks].tolist(), values))
+        yield public, make_state(register, zip(picks.tolist(), values))
+
+
+@pytest.mark.parametrize("n_ions", [1, 2, 3, 4, 5])
+def test_a_register_state_and_its_addressed_ideal_have_the_public_bytes(n_ions):
+    # make_state sums the norm over the nonzero entries in basis order, so
+    # the zeros where some ion is Bright do not regroup the sum; the ideal
+    # rotation is embedded in the identity on the space's levels.
+    rng = np.random.default_rng(n_ions)
+    space = StateSpace(n_ions)
+    basis = _basis(space)
+    for public, kept in shared_states(rng, space):
+        assert kept.amplitudes.tobytes() == public.amplitudes[basis].tobytes()
+        for target in range(n_ions):
+            gate = random_gate(rng)
+            ideal = ideal_addressed_output(public, target, gate).amplitudes[basis]
+            assert ideal_addressed_output(kept, target, gate).amplitudes.tobytes() == ideal.tobytes()
+
+
+@pytest.mark.parametrize("cutoff", [2, 3, 4, 5])
+def test_a_register_state_and_its_cz_ideal_have_the_public_bytes(cutoff):
+    rng = np.random.default_rng(10 + cutoff)
+    space = cz_space(cutoff)
+    basis = _basis(space)
+    for public, kept in shared_states(rng, space):
+        assert kept.amplitudes.tobytes() == public.amplitudes[basis].tobytes()
+        ideal = ideal_cz_output(public).amplitudes[basis]
+        assert ideal_cz_output(kept).amplitudes.tobytes() == ideal.tobytes()
 
 
 # --- the top-Fock check ------------------------------------------------------
@@ -323,43 +375,65 @@ def test_a_top_fock_leak_raises_only_above_the_tolerance(scale, raises):
     amps[:, space.index([0, 1], 0)] = math.sqrt(1 - leak)
     amps[1, space.index([1, 0], space.fock_cutoff)] = math.sqrt(leak)
     step = _Step((), (aux_cleanout(1),))
+    inputs = (*_into_register(amps, space), [step])
     if raises:
         with pytest.raises(LeakageError):
-            survivor_paths(amps, space, [step], monitor_top_fock=True)
+            survivor_paths(*inputs, monitor_top_fock=True)
     else:
-        assert survivor_paths(amps, space, [step], monitor_top_fock=True).alive.all()
+        assert survivor_paths(*inputs, monitor_top_fock=True).alive.all()
 
 
 # --- chains hold register rows -----------------------------------------------
+
+
+def chain_spec(n_ions: int, trials: int) -> ExperimentSpec:
+    return ExperimentSpec(
+        protocol="addressing",
+        error_model=AmplitudeErrorModel.gaussian_iid(0.05),
+        input_state=InputSpec("plus_n"),
+        trials=trials,
+        master_seed=17,
+        gate=GateSpec(BlochAxis(math.pi / 3, 0.5), math.pi / 2),
+        selectivity=0.95,
+        mode="branch",
+        crosstalk=(0.05, 1.0, 0.05, 0.02, 0.01, 0.01, 0.01, 0.01)[:n_ions],
+        target=1,
+    )
+
+
+def warm_peak(run) -> int:
+    """The ``tracemalloc`` peak of a second call of ``run`` over what was
+    allocated before it: the first call fills the kept work arrays."""
+    run()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - before
 
 
 def test_a_warm_chain_block_allocates_at_most_two_register_blocks():
     # A four-ion chain's rows hold 4**4 = 256 amplitudes on the register,
     # against 5**4 = 625 on five levels: the end states alone, 2.44 times
     # wider on five levels, would pass this bound.
-    spec = ExperimentSpec(
-        protocol="addressing",
-        error_model=AmplitudeErrorModel.gaussian_iid(0.05),
-        input_state=InputSpec("plus_n"),
-        trials=_block_size("addressing", StateSpace(4)),
-        master_seed=17,
-        gate=GateSpec(BlochAxis(math.pi / 3, 0.5), math.pi / 2),
-        selectivity=0.95,
-        mode="branch",
-        crosstalk=(0.05, 1.0, 0.05, 0.02),
-        target=1,
-    )
-    state = prepare_input(spec)
+    spec = chain_spec(4, _block_size("addressing", StateSpace(4)))
+    register = _Register(4)
+    state = experiments._input_on(spec, register)
     build = experiments._block_builder(spec)
     errors, _, _ = draw_block(spec.error_model, spec.n_steps, spec.master_seed, range(spec.trials))
-    start = np.broadcast_to(state.amplitudes, (spec.trials, state.space.dim))
-    inputs = (start, state.space, build(errors))
-    survivor_paths(*inputs)
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        survivor_paths(*inputs)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - before <= 2 * 16 * spec.trials * 4**4
+    start = np.broadcast_to(state.amplitudes, (spec.trials, register.dim))
+    steps = build(errors)
+    assert warm_peak(lambda: survivor_paths(start, register, steps)) <= 2 * 16 * spec.trials * 4**4
+
+
+@pytest.mark.parametrize("trials", [1, 2])
+def test_an_eight_ion_run_holds_no_five_level_vector(trials):
+    # One five-level vector of 8 ions is 16 * 5**8 B = 6.25 MB, a register
+    # row 1 MiB. The run's start, ideal, block, scratch and end states are
+    # register rows, and it peaks at 4.3 MB; a runner that built its start
+    # and ideal on five levels peaked at 25 MB.
+    spec = chain_spec(8, trials)
+    assert warm_peak(lambda: run_ensemble(spec)) < 16 * 5**8

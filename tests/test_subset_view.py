@@ -22,6 +22,7 @@ from heraldsim.statespace import (
     PureState,
     StateSpace,
     _basis,
+    _into_register,
     fock_population,
     manifold_population,
 )
@@ -127,12 +128,10 @@ def _cleanout_cases():
 def test_cleanout_reads_and_zeroes_the_mask(space, ion, levels, fock, seed):
     start = no_bright_rows(space, seed, block=3)
     ch = CleanoutChannel(ion, levels, fock=fock)
-    paths = survivor_paths(start, space, (_Step((), (ch,)),))
-
     # The kernel runs on register rows: the mask restricted to them.
-    register = _basis(space)
-    amps = np.ascontiguousarray(start[:, register])
-    mask = oracle_mask(space, ion, levels, fock)[register]
+    amps, register = _into_register(start, space)
+    paths = survivor_paths(amps, register, (_Step((), (ch,)),))
+    mask = oracle_mask(space, ion, levels, fock)[_basis(space)]
     # A boolean index on the second axis may hand back a column-major array,
     # whose rows would sum in another order; each row sums contiguously.
     target = np.ascontiguousarray(amps[:, mask])
