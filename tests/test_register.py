@@ -1,15 +1,18 @@
 """The survivor kernel's four-level register against five-level oracles.
 
 Only the clean-out fills Bright, and flagged branches leave the survivor
-path, so a survivor never holds Bright amplitude: ``survivor_paths`` runs
-on each ion's other four levels only. It refuses a start with Bright
-amplitude but does not inspect the step operators, so the explicit factor
-and dense-matrix checks below, over every operator the builders make, are
-the only guard of that premise. These tests also check the register
-against a dense five-level oracle (``np.kron`` of the per-ion matrices and
-explicit projector clean-outs, numpy only), check that every entry point
-refuses a start with Bright amplitude, and guard, without timing, that a
-chain block holds register rows.
+path, so a survivor never holds Bright amplitude: ``survivor_paths`` takes
+rows of each ion's other four levels only. ``_into_register`` refuses a
+public start with Bright amplitude, but nothing inspects the step
+operators, so the explicit factor and dense-matrix checks below, over every
+operator the builders make, are the only guard of that premise. These
+tests also check the register against a dense five-level oracle
+(``np.kron`` of the per-ion matrices and explicit projector clean-outs,
+numpy only), check that every entry point refuses a start with Bright
+amplitude, check that the states and ideals the runner builds on the
+register have the bytes of the public ones at ``_basis``, and guard,
+without timing, that a chain block holds register rows and that a run
+holds no five-level vector.
 """
 
 import math
