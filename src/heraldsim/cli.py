@@ -22,12 +22,14 @@ from .config import ConfigError, ResolvedConfig, format_float, load_config, pars
 from .experiments import (
     _reduce,
     _run_rows,
+    _space_for,
     enumerate_trajectory,
     run_ensemble,
     sweep,
     worker_processes,
 )
 from .protocols import MODES
+from .statespace import _basis
 
 # The sweep table's columns after the swept value, read off each ensemble's to_dict().
 _SWEEP_COLUMNS = (
@@ -120,11 +122,12 @@ def _run_ensemble_command(resolved: ResolvedConfig, args) -> dict:
             if branch.state is None:
                 rows.append([b_idx, flagged, branch.probability, "", "", ""])
                 continue
-            amps = branch.state.amplitudes
-            for k in range(amps.size):
+            # Register entry k is basis index public[k] of the spec's space.
+            amps, public = branch.state.amplitudes, _basis(_space_for(resolved.spec))
+            for k in amps.nonzero()[0].tolist():
                 if abs(amps[k]) > 1e-12:
                     rows.append(
-                        [b_idx, flagged, branch.probability, k,
+                        [b_idx, flagged, branch.probability, int(public[k]),
                          float(amps[k].real), float(amps[k].imag)]
                     )
         _write_csv(

@@ -63,17 +63,16 @@ _WILSON_Z = 1.96  # 95% interval
 # Largest estimated peak memory of one run, over all its processes.
 MEMORY_BUDGET = 2 * 2**30
 # Peak RSS of a 9-, 10- or 11-ion addressing ensemble (one row per block)
-# is 6.2, 4.6 and 4.1 rows of the kernel's register over that of the
-# process before it runs (~30 MB with numpy loaded): about 9 MiB and 4
-# rows, for the input, the ideal output and the transients of building
-# them, the kernel's block and its product pass's scratch. 10 leaves
-# headroom; the largest chain accepted, 11 ions, peaks at 0.42 of its
-# estimate.
+# is 6.2, 4.6 and 4.1 register rows over the process before it (~30 MB
+# with numpy loaded): the input, the ideal, the kernel's block and scratch.
+# At 11 ions, with its branch table, a run peaks at 0.56 of the estimate.
 _STATE_COPIES = 10
 _PROCESS_BYTES = 64 * 2**20
 # One sideband pair of one row: its coefficients (c and two complex
-# entries), and the kernel's basis indices of its two entries for each
-# level of the other ion, counted at five levels where the register has 4.
+# entries) and the kernel's indices of its two entries for each level of
+# the other ion, counted at five levels where the register has four. That
+# over-count is cz's only margin over the pair rotations' transients,
+# which are not counted: a cz trial measures 85 % of its estimate.
 _PAIR_BYTES = 8 + 2 * 16 + 2 * N_LEVELS * 8
 
 
@@ -290,9 +289,8 @@ def _operator_bytes(protocol: str, space: StateSpace) -> int:
 
 def _block_size(protocol: str, space: StateSpace) -> int:
     """Trajectories per block, never configured: as many as one block's
-    bytes hold of a row of the kernel's four-level register, on which every
-    runner input runs, or of one trajectory's step operators, whichever is
-    larger."""
+    bytes hold of a register row, on which every runner input runs, or of
+    one trajectory's step operators, whichever is larger."""
     register = _Register(space.n_ions, space.fock_cutoff)
     row_bytes = max(16 * register.dim, _operator_bytes(protocol, space))
     return max(1, _BLOCK_BYTES // row_bytes)
@@ -672,15 +670,18 @@ def run_ensemble(
 
 
 def enumerate_trajectory(spec: ExperimentSpec, index: int = 0):
-    """Exact branch table for one trajectory's error draw.
+    """Exact branch table for one trajectory's error draw, run on the
+    four-level register as the ensemble's rows are.
 
     Used for branch tables: the outcome lists every herald branch and the
-    surviving final state for the errors of the given trajectory index.
+    surviving final state for the errors of the given trajectory index; its
+    entry k is basis index ``_basis(space)[k]`` of the spec's space.
     """
-    state = prepare_input(spec)
+    space = _space_for(spec)
+    state = _input_on(spec, _Register(space.n_ions, space.fock_cutoff))
     errors, _, _ = draw_block(spec.error_model, spec.n_steps, spec.master_seed, [index])
     steps = _block_builder(spec)(errors)
-    return run_protocol(state, steps, "branch", monitor_top_fock=state.space.has_motion)
+    return run_protocol(state, steps, "branch", monitor_top_fock=space.has_motion)
 
 
 def herald_probability_analytic(errors: Sequence[float]) -> float:

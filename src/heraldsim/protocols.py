@@ -354,13 +354,11 @@ class SurvivorPaths:
     ``probs`` are 0.0 past a row's last clean-out. ``weight`` is the unflagged
     probability (branch mode) or 1.0/0.0 (mc mode). ``final`` holds the
     normalized end states of the rows with ``alive`` set, in row order, as
-    rows of the register the kernel was given: the public entry points
-    write them into the five-level layout (``statespace._public_rows``),
-    and the runner scores them against its ideal on the register, the
-    public ideal's entries at ``statespace._basis``. An overlap sums only
-    where the ideal is nonzero, so a row has the bits of the written-back
-    row's fidelity. No state between steps is kept (see
-    :func:`survivor_paths`).
+    register rows: the public entry points write them into the five-level
+    layout (``statespace._public_rows``), and the runner scores them
+    against its ideal on the register, the public ideal's entries at
+    ``statespace._basis``, with the bits of the written-back row's
+    fidelity. No state between steps is kept (see :func:`survivor_paths`).
     """
 
     weight: np.ndarray
@@ -396,23 +394,20 @@ def survivor_paths(
     live rows (a slice or an index array into the block), with the same
     branch segments and freezes the rows that flag.
 
-    The kernel takes rows of the four-level register only, and refuses any
-    other space. Only the clean-out fills Bright and flagged branches leave
-    the path, so a survivor never holds Bright amplitude: the rows hold
-    each ion's other four levels, ``4**n_ions * fock_dim`` amplitudes, and
-    the ion products apply the 4x4 block of each factor. The public entry
-    points gather a five-level state into the register with
-    ``statespace._into_register``, which refuses one with Bright
-    amplitude; the runner builds its input on the register. ``amps`` is
-    copied once and never written to: every step operator and clean-out
-    updates that copy in place. A start that is one state broadcast over
-    the block (row stride 0), as the runner passes, has its squared norm
-    taken once, from one row. Every row goes through its own matrix
-    products and the row rules that ``manifold_population`` and
-    ``PureState.norm`` also use, so its result does not depend on the
-    other rows. It keeps no state between steps: a survivor after step k,
-    which :func:`run_protocol` returns with ``keep_intermediate``, is its
-    end state over ``steps[:k+1]``.
+    The kernel takes rows of the four-level register only. Only the
+    clean-out fills Bright and flagged branches leave the path, so a
+    survivor never holds Bright amplitude: a row holds each ion's other
+    four levels, ``4**n_ions * fock_dim`` amplitudes, and the ion products
+    apply each factor's 4x4 block. The public entry points gather a
+    five-level state with ``statespace._into_register``, which refuses
+    Bright amplitude; the runner builds its input on the register. ``amps``
+    is copied once and never written to. A start broadcast over the block
+    (row stride 0), as the runner passes, has its squared norm taken once.
+    Every row goes through its own matrix products and the row rules of
+    ``manifold_population`` and ``PureState.norm``, so its result does not
+    depend on the other rows. No state is kept between steps: a survivor
+    after step k, which :func:`run_protocol` returns with
+    ``keep_intermediate``, is its end state over ``steps[:k+1]``.
     """
     if not isinstance(register, _Register):
         raise ValueError(f"the survivor kernel runs on register rows, not on {register}")

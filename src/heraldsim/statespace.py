@@ -22,18 +22,18 @@ so a row holds ``4**n_ions * fock_dim`` amplitudes. Only the clean-out
 fills Bright, and a flagged branch leaves the survivor path, so a survivor
 never holds Bright amplitude and the register is exact, not an
 approximation. The public entry points gather a five-level state into it
-with :func:`_into_register`, which refuses one with Bright amplitude, and
-write rows back into +0s of the public layout with :func:`_public_rows`;
-:func:`_basis` gives the public index of each register entry. The runner
-builds its states on the register directly: :func:`make_state` sums a
-norm over the nonzero entries only, so the same entries give the same
-bits in either layout. The step operators are trusted to keep Bright
-empty, as every builder's do: an ion product applies each factor's 4x4
-block, a pair rotation that names Bright reaches outside the register's
-basis and :func:`_pair_index` refuses it, and a dense stack on an ion
-does not fit the register's factors. The public basis, :class:`StateSpace`,
-:class:`PureState` and every one-state function stay five-level;
-:func:`_qubit_indices` gives the qubit manifold's indices in either layout.
+with :func:`_into_register`, which refuses Bright amplitude, and write rows
+back into +0s with :func:`_public_rows`; :func:`_basis` maps register
+entries to public indices. The runner and its branch tables build their
+states on the register: :func:`make_state` sums a norm over the nonzero
+entries only, so the same entries give the same bits in either layout.
+The step operators are trusted to keep Bright empty, as every builder's
+do: an ion product applies each factor's 4x4 block, a pair rotation that
+names Bright reaches outside the register's basis and :func:`_pair_index`
+refuses it, and a dense stack on an ion does not fit the register's
+factors. The public basis, :class:`StateSpace`, :class:`PureState` and
+every one-state function stay five-level; :func:`_qubit_indices` gives the
+qubit manifold's indices in either layout.
 
 Each reduction has one row-wise rule in split real arithmetic, with no BLAS
 call: :func:`_row_norm2` (norms, populations), :func:`_normalized` and
@@ -651,10 +651,12 @@ def _row_fidelities(rows: np.ndarray, ideal: np.ndarray) -> np.ndarray:
 # Enough for the spaces of the runs one process alternates between.
 @lru_cache(maxsize=8)
 def _basis(space: StateSpace) -> np.ndarray:
-    """The basis index in ``space`` of each entry of its four-level
-    register, in register order."""
-    index = np.arange(space.dim).reshape(space.factor_dims)
-    return index[(slice(_Register.levels),) * space.n_ions].reshape(-1)
+    """The basis index in ``space`` of each entry of its four-level register,
+    in register order, built factor by factor with no array of space.dim."""
+    register, index = _Register(space.n_ions, space.fock_cutoff), np.zeros((), dtype=np.intp)
+    for digits, public in zip(register.factor_dims, space.factor_dims):
+        index = np.add.outer(index * public, np.arange(digits))
+    return index.reshape(-1)
 
 
 def _into_register(amps: np.ndarray, space: StateSpace) -> tuple[np.ndarray, _Register]:

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from heraldsim import experiments
+from heraldsim import cli, experiments
 from heraldsim.cli import main
 
 
@@ -300,6 +300,20 @@ class TestExitCodes:
         assert "--workers: the run needs about" in capsys.readouterr().err
         assert not out.exists()
         assert main(["single", cfg, "--quiet"]) == 0
+
+    def test_branch_table_memory_boundary(self, tmp_path, capsys, monkeypatch):
+        # A branch table runs on the register as the ensemble does, so it
+        # takes the ensemble's boundary: 11 ions pass the check, 12 do not.
+        # The 11-ion run itself (RSS 392 MiB, under its 704 MiB estimate)
+        # is too large for this suite; the checks below run nothing.
+        monkeypatch.setattr(cli, "_run_ensemble_command", lambda resolved, args: {})
+        for n_ions, code in ((11, 0), (12, 2)):
+            out = tmp_path / f"out{n_ions}"
+            doc = branch_table(addressing_doc, n_ions=n_ions, mode="branch")(out)
+            cfg = write_config(tmp_path, doc)
+            assert main(["addressing", cfg, "--quiet"]) == code
+            assert not out.exists()
+        assert "$.crosstalk.ratios: the run needs about" in capsys.readouterr().err
 
     def test_missing_error_model_exit_2(self, tmp_path, capsys):
         out = tmp_path / "out"

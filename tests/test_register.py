@@ -23,7 +23,13 @@ import pytest
 
 from heraldsim import experiments
 from heraldsim.dissipation import PROB_FLOOR, aux_cleanout, qubit_cleanout
-from heraldsim.experiments import ExperimentSpec, InputSpec, _block_size, run_ensemble
+from heraldsim.experiments import (
+    ExperimentSpec,
+    InputSpec,
+    _block_size,
+    enumerate_trajectory,
+    run_ensemble,
+)
 from heraldsim.noise import AmplitudeErrorModel, draw_block
 from heraldsim.protocols import (
     LEAK_ATOL,
@@ -432,11 +438,17 @@ def test_a_warm_chain_block_allocates_at_most_two_register_blocks():
     assert warm_peak(lambda: survivor_paths(start, register, steps)) <= 2 * 16 * spec.trials * 4**4
 
 
-@pytest.mark.parametrize("trials", [1, 2])
-def test_an_eight_ion_run_holds_no_five_level_vector(trials):
+@pytest.mark.parametrize(
+    "run, trials",
+    [(run_ensemble, 1), (run_ensemble, 2), (enumerate_trajectory, 1)],
+    ids=["1", "2", "branch_table"],
+)
+def test_an_eight_ion_run_holds_no_five_level_vector(run, trials):
     # One five-level vector of 8 ions is 16 * 5**8 B = 6.25 MB, a register
     # row 1 MiB. The run's start, ideal, block, scratch and end states are
     # register rows, and it peaks at 4.3 MB; a runner that built its start
-    # and ideal on five levels peaked at 25 MB.
+    # and ideal on five levels peaked at 25 MB. The CLI's branch table,
+    # enumerate_trajectory, runs under the same estimate: 5.3 MB on the
+    # register, 21 MB from a five-level input to a five-level end state.
     spec = chain_spec(8, trials)
-    assert warm_peak(lambda: run_ensemble(spec)) < 16 * 5**8
+    assert warm_peak(lambda: run(spec)) < 16 * 5**8
