@@ -652,7 +652,7 @@ def _row_fidelities(rows: np.ndarray, ideal: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _basis(space: StateSpace) -> np.ndarray:
     """The basis index in ``space`` of each entry of its four-level register,
-    in register order, built factor by factor with no array of space.dim."""
+    in register order, built factor by factor: no array has space.dim entries."""
     register, index = _Register(space.n_ions, space.fock_cutoff), np.zeros((), dtype=np.intp)
     for digits, public in zip(register.factor_dims, space.factor_dims):
         index = np.add.outer(index * public, np.arange(digits))
