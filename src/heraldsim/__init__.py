@@ -23,7 +23,7 @@ from .experiments import (
     run_ensemble,
     sweep,
 )
-from .noise import AmplitudeErrorModel, rms, sample_errors, trajectory_rng
+from .noise import AmplitudeErrorModel, trajectory_rng
 from .protocols import (
     Branch,
     CrosstalkProfile,

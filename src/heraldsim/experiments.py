@@ -2,11 +2,11 @@
 
 An :class:`ExperimentSpec` fixes everything about a run: protocol, gate,
 error model, selectivity, input preparation, trial count, master seed and
-execution mode. Trajectories draw their own error sequences (and, in mc
-mode, clean-out uniforms) from their own Philox stream, keyed by the master
-seed with the trajectory index in its counter (:func:`~heraldsim.noise.draw_block`),
-so results are bit-identical for a given spec regardless of how trajectories
-are distributed over workers.
+execution mode. Trajectories draw their error sequences (and, in mc mode,
+clean-out uniforms) in fixed 64-row RNG blocks, each a Philox keyed by the
+master seed with the block index in its counter
+(:func:`~heraldsim.noise.draw_block`), so results are bit-identical for a
+given spec however the trajectories are split into blocks or over workers.
 
 Blocks and workers return one numpy array per per-trajectory field; the
 statistics reduce those columns in index order, and :class:`TrajectoryRow`
@@ -458,8 +458,9 @@ def _run_batch(spec: ExperimentSpec, start: int, stop: int, bare: bool = False) 
 def _run_block(spec, indices, state, ideal, build, sites, bare) -> _Columns:
     space, n = state.space, len(indices)
     mc = spec.mode == "mc"
-    # Each row draws its errors and then, in mc mode, its clean-out uniforms
-    # from its own trajectory stream.
+    # Each row takes its errors and, in mc mode, its clean-out uniforms from
+    # its row of its 64-row RNG block; a block draws every RNG block it
+    # overlaps, so the split into blocks and workers moves no value.
     errors, clamps, uniforms = draw_block(
         spec.error_model, spec.n_steps, spec.master_seed, indices, len(sites) if mc else 0
     )

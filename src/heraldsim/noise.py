@@ -6,13 +6,18 @@ steps of one gate, and a random walk. Values are in radians of pulse area
 and are clamped to the open interval (-pi, pi); clamps are counted so
 diagnostics can report them.
 
-Trajectory i of a run draws from its own stream, ``trajectory_rng(seed,
-i)``: a Philox generator keyed by the seed, with i in the upper half of
-its 256-bit counter. :func:`draw_block` gives a block of trajectories the
-same values from one generator: it sets the counter to each row's stream
-and fills that row of one preallocated array per block, then scales the
-whole block's normals at once. The generator is set up once per thread
-and seed, and kept while the thread's blocks draw with that seed.
+Trajectories draw in fixed RNG blocks of ``RNG_ROWS`` = 64. RNG block b
+of a run is a Philox keyed by the seed with b in words 2-3 of its 256-bit
+counter (Salmon et al., SC'11). One ``standard_normal`` call fills the
+block's normals, and one ``random`` call, on the same counter with a tag
+bit in word 3, its clean-out uniforms. Both fills are column-major: draw
+k of the block's row r is entry ``k * RNG_ROWS + r``, so a row's k-th draw
+does not depend on how many draws the block takes. :func:`draw_block`
+fills every RNG block a kernel block overlaps and takes its rows, so the
+values do not depend on the kernel's block size or on how workers split
+the trials; :func:`trajectory_rng` is one row's view of its RNG block.
+The generator is set up once per thread and seed, and kept while the
+thread draws with that seed.
 """
 
 from __future__ import annotations
@@ -39,6 +44,10 @@ FORMAT = {
 }
 
 _CLAMP_MAX = float(np.nextafter(np.pi, 0.0))
+RNG_ROWS = 64
+# Set in counter word 3 for a block's uniforms. A block index is below
+# 2**128 / RNG_ROWS, so word 3 of its counter stays below 2**58 without it.
+_UNIFORM_TAG = 1 << 63
 # Each thread's Philox of the seed it last drew with; see _stream.
 _streams = threading.local()
 
@@ -138,20 +147,15 @@ def _check_steps(n_steps: int) -> None:
 
 
 def sample_errors_counted(
-    model: AmplitudeErrorModel, n_steps: int, rng: np.random.Generator
+    model: AmplitudeErrorModel, n_steps: int, rng: np.random.Generator | _RowStream
 ) -> tuple[list[float], int]:
-    """Draw a length-n_steps error sequence; returns (values, clamp count)."""
+    """Draw a length-n_steps error sequence from ``rng``'s first normals, a
+    numpy generator's or a :func:`trajectory_rng` row's; returns (values,
+    clamp count)."""
     _check_steps(n_steps)
     normals = rng.standard_normal(n_steps) if model.draws_random else None
     errors, clamps = _clamped(_raw_sequence(model, n_steps, normals))
     return errors.tolist(), int(clamps)
-
-
-def sample_errors(
-    model: AmplitudeErrorModel, n_steps: int, rng: np.random.Generator
-) -> list[float]:
-    """Draw one per-step error sequence, deterministic for a given generator."""
-    return sample_errors_counted(model, n_steps, rng)[0]
 
 
 def draw_block(
@@ -165,35 +169,60 @@ def draw_block(
     clamped errors, each row's clamp count, and ``(block, n_uniforms)``
     clean-out uniforms.
 
-    Row b holds what ``trajectory_rng(master_seed, indices[b])`` gives when
-    it draws the errors and then the uniforms: the thread's Philox for the
-    seed (built by the first block that draws with it, see :func:`_stream`)
-    is reset to each row's counter in turn and fills that row of two
-    preallocated arrays. The block's normals then become the model's
-    values at once, through :func:`_raw_sequence`, as one row's do in
-    :func:`sample_errors_counted`. A model that draws nothing at random
-    takes no stream unless uniforms are asked for.
+    Row b holds trajectory ``indices[b]``'s row of its RNG block: the model's
+    values of the row's first ``n_steps`` normals, and its first
+    ``n_uniforms`` uniforms. Each RNG block the indices touch is filled
+    once, with the thread's Philox for the seed (see :func:`_stream`), and
+    the block's normals then become the model's values at once, through
+    :func:`_raw_sequence`, as one row's do in :func:`sample_errors_counted`.
+    A model that draws nothing at random takes no stream unless uniforms
+    are asked for.
     """
     _check_steps(n_steps)
-    indices = [operator.index(index) for index in indices]
+    blocks, rows = _rng_rows(indices)
     draws_random = model.draws_random
-    normals = np.empty((len(indices), n_steps))
-    uniforms = np.empty((len(indices), n_uniforms))
-    if draws_random or n_uniforms:
-        bitgen, normal, uniform, state, counter = _stream(master_seed)
-        # The smallest and largest index bound every row's range check.
-        for bound in (min(indices, default=0), max(indices, default=0)):
-            _counter(bound)
-        fill_uniforms = n_uniforms > 0
-        for index, normal_row, uniform_row in zip(indices, normals, uniforms):
-            counter[2], counter[3] = index % 2**64, index >> 64
-            bitgen.state = state
-            if draws_random:
-                normal(out=normal_row)
-            if fill_uniforms:
-                uniform(out=uniform_row)
-    raw = _raw_sequence(model, n_steps, normals if draws_random else None)
-    return *_clamped(np.broadcast_to(raw, normals.shape)), uniforms
+    normals = np.empty((len(blocks), n_steps if draws_random else 0, RNG_ROWS))
+    uniforms = np.empty((len(blocks), n_uniforms, RNG_ROWS))
+    for j, block in enumerate(blocks):
+        if draws_random:
+            _fill(master_seed, block, normals[j], False)
+        if n_uniforms:
+            _fill(master_seed, block, uniforms[j], True)
+    uniforms = _by_row(uniforms)[rows]
+    raw = _raw_sequence(model, n_steps, _by_row(normals)[rows] if draws_random else None)
+    return *_clamped(np.broadcast_to(raw, (len(uniforms), n_steps))), uniforms
+
+
+def _rng_rows(indices: Sequence[int]) -> tuple[Sequence[int], slice | list[int]]:
+    """The RNG blocks that hold ``indices``, in increasing order, and where
+    each index's row sits among their rows. A run of consecutive indices,
+    as the runner's blocks are, takes a slice."""
+    if isinstance(indices, range) and indices.step == 1 and indices:
+        first, last = _checked(indices[0]), _checked(indices[-1])
+        row = first % RNG_ROWS
+        return range(first // RNG_ROWS, last // RNG_ROWS + 1), slice(row, row + len(indices))
+    indices = [operator.index(index) for index in indices]
+    # The smallest and largest index bound every row's range check.
+    for bound in (min(indices, default=0), max(indices, default=0)):
+        _checked(bound)
+    blocks = sorted({index // RNG_ROWS for index in indices})
+    at = {block: j * RNG_ROWS for j, block in enumerate(blocks)}
+    return blocks, [at[index // RNG_ROWS] + index % RNG_ROWS for index in indices]
+
+
+def _by_row(fills: np.ndarray) -> np.ndarray:
+    """``(blocks, draws, RNG_ROWS)`` fills as one row per trajectory."""
+    blocks, draws, _ = fills.shape
+    return fills.transpose(0, 2, 1).reshape(blocks * RNG_ROWS, draws)
+
+
+def _fill(master_seed: int, block: int, out: np.ndarray, uniform: bool) -> None:
+    """Fill ``out`` with the first ``out.size`` normals of RNG block
+    ``block``, or with its first uniforms."""
+    bitgen, normal, random, state, counter = _stream(master_seed)
+    counter[2], counter[3] = block % 2**64, block >> 64 | (_UNIFORM_TAG if uniform else 0)
+    bitgen.state = state
+    (random if uniform else normal)(out=out)
 
 
 def _stream(master_seed: int):
@@ -203,7 +232,7 @@ def _stream(master_seed: int):
     that state's counter words. Built on the first draw with a seed and
     kept while the thread draws with that seed; the state is only ever
     written to the bit generator, so it stays fresh but for the counter
-    words 2-3 that each row sets."""
+    words 2-3 that each fill sets."""
     seed = operator.index(master_seed)
     kept = getattr(_streams, "kept", None)
     if kept is None or kept[0] != seed:
@@ -218,28 +247,44 @@ def _stream(master_seed: int):
     return kept[1:]
 
 
-def rms(errors: list[float]) -> float:
-    """Root-mean-square of an error sequence (the averaged-error diagnostic)."""
-    if not errors:
-        return 0.0
-    return math.sqrt(sum(v * v for v in errors) / len(errors))
-
-
-def _counter(index: int) -> list[int]:
-    """The Philox counter words that start trajectory ``index``'s stream:
-    words 0-1 count its draws, and 2-3 hold the index, below 2**128."""
+def _checked(index: int) -> int:
+    """A trajectory index, refused outside [0, 2**128)."""
     index = operator.index(index)
     if not 0 <= index < 2**128:
         raise ValueError(f"trajectory index must be in [0, 2**128), got {index}")
-    return [0, 0, index % 2**64, index >> 64]
+    return index
 
 
-def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Independent per-trajectory generator from (master seed, index).
+class _RowStream:
+    """Trajectory ``index``'s row of its RNG block, read as a generator:
+    ``standard_normal(n)`` gives the row's first n normals, and each
+    ``random()`` or ``random(1)`` call the row's next uniform, so errors
+    and then one ``random(1)`` per clean-out give the row's values in
+    :func:`draw_block`."""
 
-    A counter-based Philox stream (Salmon et al., SC'11), keyed by the seed
-    with the index in its counter, so a pair yields the same stream on any
-    worker. :func:`draw_block` reproduces it a block at a time.
-    """
-    counter = np.array(_counter(index), dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(master_seed, counter=counter))
+    def __init__(self, master_seed: int, index: int) -> None:
+        _stream(master_seed)  # refuses a seed numpy refuses, here
+        self._seed = master_seed
+        self._block, self._row = divmod(_checked(index), RNG_ROWS)
+        self._taken = 0
+
+    def standard_normal(self, size: int) -> np.ndarray:
+        fill = np.empty((size, RNG_ROWS))
+        _fill(self._seed, self._block, fill, False)
+        return fill[:, self._row].copy()
+
+    def random(self, size: int | None = None) -> float | np.ndarray:
+        stop = self._taken + (1 if size is None else size)
+        # Uniform k is entry k * RNG_ROWS + row of every fill that long.
+        fill = np.empty((stop, RNG_ROWS))
+        _fill(self._seed, self._block, fill, True)
+        values = fill[self._taken :, self._row].copy()
+        self._taken = stop
+        return float(values[0]) if size is None else values
+
+
+def trajectory_rng(master_seed: int, index: int) -> _RowStream:
+    """Trajectory ``index``'s draws under ``master_seed``, one row of its
+    RNG block (see the module docstring): the same values on any worker,
+    and the ones :func:`draw_block` gives that row."""
+    return _RowStream(master_seed, index)

@@ -250,7 +250,10 @@ def run_protocol(
     :func:`survivor_paths` at block size 1.
 
     Branch mode gives every herald outcome exactly; mc mode samples one
-    trajectory (``rng`` required). ``flag_query`` says whether flagged
+    trajectory, drawing ``rng.random(1)`` once per clean-out it reaches
+    (``rng`` required: a numpy ``Generator``, or the row view that
+    :func:`~heraldsim.noise.trajectory_rng` gives, which replays that
+    trajectory's uniforms in the runner). ``flag_query`` says whether flagged
     branches are finalized as they occur or carried as aggregates and
     partitioned only at the end; flagged branches are terminal, so both give
     the same table. ``keep_intermediate`` (branch mode) also returns the

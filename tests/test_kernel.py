@@ -53,7 +53,13 @@ from heraldsim.protocols import (
     single_qubit_steps,
     survivor_paths,
 )
-from heraldsim.statespace import BlochAxis, StateSpace, _Register, fidelity_up_to_global_phase
+from heraldsim.statespace import (
+    BlochAxis,
+    StateSpace,
+    _Register,
+    _row_norm2,
+    fidelity_up_to_global_phase,
+)
 
 
 def scalar_rows(spec: ExperimentSpec) -> list[str]:
@@ -132,9 +138,12 @@ selectivities = st.sampled_from([1.0, 0.0]) | st.floats(0.0, 1.0)
 @st.composite
 def amplitudes(draw, n):
     values = draw(st.lists(st.tuples(angle, angle), min_size=n, max_size=n))
-    if not any(re or im for re, im in values):
-        values[0] = (1.0, 0.0)
-    return tuple(complex(re, im) for re, im in values)
+    amps = [complex(re, im) for re, im in values]
+    # The rule of experiments._input_problem: a draw whose squared norm is 0,
+    # all zeros or subnormals such as (5e-324, 0), is not a valid input.
+    if not _row_norm2(np.array([[a for a in amps if a]]))[0] > 0.0:
+        amps[0] = complex(1.0, 0.0)
+    return tuple(amps)
 
 
 @st.composite

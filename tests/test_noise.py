@@ -5,30 +5,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heraldsim.noise import (
-    AmplitudeErrorModel,
-    rms,
-    sample_errors,
-    sample_errors_counted,
-    trajectory_rng,
-)
+from heraldsim.noise import AmplitudeErrorModel, sample_errors_counted, trajectory_rng
 
 
 class TestModels:
     def test_constant(self):
         rng = np.random.default_rng(0)
-        assert sample_errors(AmplitudeErrorModel.constant(0.1), 4, rng) == [0.1] * 4
+        assert sample_errors_counted(AmplitudeErrorModel.constant(0.1), 4, rng)[0] == [0.1] * 4
 
     def test_linear_drift(self):
         rng = np.random.default_rng(0)
-        out = sample_errors(AmplitudeErrorModel.linear_drift(0.0, 0.01), 4, rng)
+        out = sample_errors_counted(AmplitudeErrorModel.linear_drift(0.0, 0.01), 4, rng)[0]
         np.testing.assert_allclose(out, [0.0, 0.01, 0.02, 0.03], atol=1e-15)
 
     def test_gaussian_statistics(self):
         sigma = 0.05
         rng = np.random.default_rng(99)
         draws = np.array(
-            sample_errors(AmplitudeErrorModel.gaussian_iid(sigma), 100_000, rng)
+            sample_errors_counted(AmplitudeErrorModel.gaussian_iid(sigma), 100_000, rng)[0]
         )
         # For a random seed the mean check fails with probability 2.7e-3
         # (two-sided 3 sigma, and the mean of normal draws is normal). The
@@ -39,7 +33,7 @@ class TestModels:
 
     def test_random_walk_accumulates(self):
         rng = np.random.default_rng(5)
-        walk = sample_errors(AmplitudeErrorModel.random_walk(0.01, start=0.2), 100, rng)
+        walk = sample_errors_counted(AmplitudeErrorModel.random_walk(0.01, start=0.2), 100, rng)[0]
         rng2 = np.random.default_rng(5)
         increments = rng2.normal(0.0, 0.01, size=100)
         np.testing.assert_allclose(walk, 0.2 + np.cumsum(increments), atol=1e-15)
@@ -60,7 +54,7 @@ class TestModels:
 
     def test_n_steps_validation(self):
         with pytest.raises(ValueError):
-            sample_errors(AmplitudeErrorModel.constant(0.0), 0, np.random.default_rng(0))
+            sample_errors_counted(AmplitudeErrorModel.constant(0.0), 0, np.random.default_rng(0))[0]
 
 
 class TestClamping:
@@ -90,32 +84,27 @@ class TestClamping:
     @given(st.floats(0.0, 0.5), st.integers(1, 20))
     def test_sequence_length(self, sigma, n):
         rng = np.random.default_rng(0)
-        assert len(sample_errors(AmplitudeErrorModel.gaussian_iid(sigma), n, rng)) == n
+        assert len(sample_errors_counted(AmplitudeErrorModel.gaussian_iid(sigma), n, rng)[0]) == n
 
 
 class TestReproducibility:
     def test_same_seed_same_sequence(self):
         model = AmplitudeErrorModel.random_walk(0.02, 0.0)
-        a = sample_errors(model, 16, trajectory_rng(42, 7))
-        b = sample_errors(model, 16, trajectory_rng(42, 7))
+        a = sample_errors_counted(model, 16, trajectory_rng(42, 7))[0]
+        b = sample_errors_counted(model, 16, trajectory_rng(42, 7))[0]
         assert a == b
 
     def test_different_indices_differ(self):
         model = AmplitudeErrorModel.gaussian_iid(0.1)
-        a = sample_errors(model, 8, trajectory_rng(42, 0))
-        b = sample_errors(model, 8, trajectory_rng(42, 1))
+        a = sample_errors_counted(model, 8, trajectory_rng(42, 0))[0]
+        b = sample_errors_counted(model, 8, trajectory_rng(42, 1))[0]
         assert a != b
 
     def test_split_independent_of_enumeration_order(self):
         model = AmplitudeErrorModel.gaussian_iid(0.1)
-        forward = [sample_errors(model, 2, trajectory_rng(9, i)) for i in range(10)]
+        forward = [sample_errors_counted(model, 2, trajectory_rng(9, i))[0] for i in range(10)]
         backward = [
-            sample_errors(model, 2, trajectory_rng(9, i)) for i in reversed(range(10))
+            sample_errors_counted(model, 2, trajectory_rng(9, i))[0] for i in reversed(range(10))
         ]
         assert forward == backward[::-1]
 
-
-def test_rms():
-    assert rms([0.3, -0.3]) == pytest.approx(0.3, abs=1e-15)
-    assert rms([]) == 0.0
-    assert rms([1.0, 0.0]) == pytest.approx(math.sqrt(0.5), abs=1e-15)

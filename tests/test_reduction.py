@@ -171,8 +171,10 @@ def test_step_flag_rates_sum_left_to_right():
     # Here a pairwise sum (np.sum) and a left-to-right sum of the flag rates
     # at the first clean-out differ in the last bit; the reported rate is the
     # left-to-right one. functools.reduce, not the builtin sum, which
-    # compensates from Python 3.12 on.
-    spec = make_spec("single", "branch", 0.05, 0.95, 1, 40)
+    # compensates from Python 3.12 on. The seed is chosen for that
+    # difference, which about half of the seeds show; when the draws change,
+    # the first assert fails until a seed that shows it is chosen.
+    spec = make_spec("single", "branch", 0.05, 0.95, 2, 40)
     stats, rows = run_ensemble(spec, return_rows=True)
     site = (0, 0)
     values = [v for r in rows for step, ion, v in r.step_flags if (step, ion) == site]
