@@ -125,6 +125,29 @@ def test_a_row_view_replays_its_row(seed, base, offset, model, n_steps, n_unifor
         assert rng.standard_normal(n_steps).tobytes() == first[:n_steps].tobytes()
 
 
+@pytest.mark.parametrize(
+    "indices", [[9, 2, 5], [2**64 + 1, 0, 2**64 - 1, 7], [4, 4, 3]], ids=str
+)
+@pytest.mark.parametrize(
+    "model",
+    [AmplitudeErrorModel.gaussian_iid(0.7), AmplitudeErrorModel.random_walk(0.3, 0.1)],
+    ids=lambda model: model.kind,
+)
+def test_unordered_rows_match_trajectory_rng(indices, model):
+    # Scattered, repeated and out-of-order indices: RNG blocks far apart
+    # (one each side of 2**64) are drawn in one call, a repeated index
+    # gives its row twice, and every row is still its own row view.
+    errors, clamps, uniforms = draw_block(model, 3, 11, indices, 2)
+    assert errors.shape == (len(indices), 3) and uniforms.shape == (len(indices), 2)
+    for row, index in enumerate(indices):
+        rng = trajectory_rng(11, index)
+        expected, n_clamped = sample_errors_counted(model, 3, rng)
+        assert errors[row].tobytes() == np.array(expected).tobytes()
+        assert clamps[row] == n_clamped
+        drawn = np.concatenate([rng.random(1), rng.random(1)])
+        assert uniforms[row].tobytes() == drawn.tobytes()
+
+
 def test_a_block_is_one_column_major_fill_of_its_counter():
     # The layout itself, against numpy's Philox set by hand: RNG block b
     # has b in counter words 2-3, its uniforms also bit 63 of word 3, and
