@@ -193,14 +193,9 @@ def draw_block(
     return *_clamped(np.broadcast_to(raw, (len(uniforms), n_steps))), uniforms
 
 
-def _rng_rows(indices: Sequence[int]) -> tuple[Sequence[int], slice | list[int]]:
+def _rng_rows(indices: Sequence[int]) -> tuple[list[int], list[int]]:
     """The RNG blocks that hold ``indices``, in increasing order, and where
-    each index's row sits among their rows. A run of consecutive indices,
-    as the runner's blocks are, takes a slice."""
-    if isinstance(indices, range) and indices.step == 1 and indices:
-        first, last = _checked(indices[0]), _checked(indices[-1])
-        row = first % RNG_ROWS
-        return range(first // RNG_ROWS, last // RNG_ROWS + 1), slice(row, row + len(indices))
+    each index's row sits among their rows."""
     indices = [operator.index(index) for index in indices]
     # The smallest and largest index bound every row's range check.
     for bound in (min(indices, default=0), max(indices, default=0)):

@@ -1,10 +1,11 @@
 """Golden output manifest: the sha256 of every file a fixed set of runs writes.
 
 Each case in ``CASES`` runs through ``cli.main`` at ``--workers`` 1 and 2,
-and every file it writes must hash to the entry of ``golden.json`` under
-``cli/<case>/<file>``; both worker counts share one entry, so this also pins
-worker invariance. A summary echoes ``config.output.dir``, which depends on
-where the test runs, so it is hashed with that one field removed. The
+once per module, and every file it writes must hash to the entry of
+``golden.json`` under ``cli/<case>/<file>``, one test per file; both worker
+counts share one entry, so this also pins worker invariance. A summary
+echoes ``config.output.dir``, which depends on where the test runs, so it
+is hashed with that one field removed. The
 ``api/`` entries hash ``repr(run_ensemble(spec).to_dict())`` for a few specs
 and the amplitude bytes of ``ideal_cz_output`` and ``no_flag_branch``.
 
@@ -19,13 +20,15 @@ pass then too. The chain entries (``cli/chain4-mc``, ``cli/chain4-branch``,
 ``api/ensemble/chain4-mc`` and ``api/no_flag_branch/addressing``) apply
 each transfer as one BLAS product per ion, and the ensembles score against
 an ideal made by a dense BLAS product; their last bits depend on the
-OpenBLAS kernel: Haswell, Sandybridge and Nehalem fail all four. (Under
-Haswell, ``cli/chain4-mc`` moves only in its summary's
-``conditional_fidelity_se``, a spread of fidelities equal to 1 up to
-rounding.) A failure of only those entries on another CPU says the kernel
-differs, not the code. ``test_entries_without_blas_hold_under_haswell``
-reruns this file under ``OPENBLAS_CORETYPE=Haswell`` with those four
-deselected, on a CPU with AVX2.
+OpenBLAS kernel. Haswell, Sandybridge and Nehalem each move the two
+``api/`` entries and every file of the two CLI cases but its step table:
+``cli/chain4-mc/run_summary.json`` (only its ``conditional_fidelity_se``,
+a spread of fidelities equal to 1 up to rounding) and the summary,
+trajectory and branch tables of ``cli/chain4-branch``. A failure of only
+those entries on another CPU says the kernel differs, not the code.
+``test_entries_without_blas_hold_under_haswell`` reruns this file under
+``OPENBLAS_CORETYPE=Haswell`` with those six deselected, on a CPU with
+AVX2, so the chain cases' step tables are checked under that kernel too.
 
 Last regenerated when trajectories began to draw in 64-row RNG blocks,
 keyed by the block index instead of the trajectory index: 40 of the 52
@@ -60,6 +63,7 @@ It prints the key of every hash that changed, so a values change can
 record which entries moved.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -251,11 +255,27 @@ def test_manifest_covers_every_case():
     assert cases == set(CASES) and values == set(_values())
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_cli_outputs_match_the_manifest(case, tmp_path):
-    expected = {k: v for k, v in _manifest().items() if k.startswith(f"cli/{case}/")}
+def _cli_files() -> list[str]:
+    """Each ``cli/`` entry of the manifest as ``<case>/<file>``."""
+    return sorted(key[4:] for key in _manifest() if key.startswith("cli/"))
+
+
+@pytest.fixture(scope="module")
+def cli_run(tmp_path_factory):
+    """:func:`cli_hashes` of a case at a worker count, run once per module."""
+    tmp = tmp_path_factory.mktemp("cli")
+    return functools.cache(lambda case, workers: cli_hashes(case, workers, tmp))
+
+
+@pytest.mark.parametrize("file", _cli_files())
+def test_cli_outputs_match_the_manifest(file, cli_run):
+    case = file.split("/")[0]
+    manifest = _manifest()
+    written = {key for key in manifest if key.startswith(f"cli/{case}/")}
     for workers in (1, 2):
-        assert cli_hashes(case, workers, tmp_path) == expected, f"--workers {workers}"
+        hashes = cli_run(case, workers)
+        assert hashes.keys() == written, f"--workers {workers}"
+        assert hashes[f"cli/{file}"] == manifest[f"cli/{file}"], f"--workers {workers}"
 
 
 @pytest.mark.parametrize("name", sorted(_values()))
@@ -264,10 +284,12 @@ def test_values_match_the_manifest(name):
 
 
 # The entries whose last bits depend on the OpenBLAS kernel; the Haswell
-# kernel moves all four.
+# kernel moves each of them. Both chain runs' step tables hold under it.
 BLAS_ENTRIES = (
-    "test_cli_outputs_match_the_manifest[chain4-mc]",
-    "test_cli_outputs_match_the_manifest[chain4-branch]",
+    "test_cli_outputs_match_the_manifest[chain4-mc/run_summary.json]",
+    "test_cli_outputs_match_the_manifest[chain4-branch/run_branches.csv]",
+    "test_cli_outputs_match_the_manifest[chain4-branch/run_summary.json]",
+    "test_cli_outputs_match_the_manifest[chain4-branch/run_trajectories.csv]",
     "test_values_match_the_manifest[ensemble/chain4-mc]",
     "test_values_match_the_manifest[no_flag_branch/addressing]",
 )
@@ -294,8 +316,8 @@ def test_entries_without_blas_hold_under_haswell():
         text=True,
     )
     assert result.returncode == 0, result.stdout
-    # The coverage test, one per CLI case and one per value, less the four.
-    assert f"{len(CASES) + len(_values()) + 1 - len(BLAS_ENTRIES)} passed" in result.stdout
+    # The coverage test, one per CLI file and one per value, less the BLAS ones.
+    assert f"{len(_cli_files()) + len(_values()) + 1 - len(BLAS_ENTRIES)} passed" in result.stdout
     assert f"{len(skipped)} deselected" in result.stdout
 
 
