@@ -20,6 +20,8 @@ from typing import Iterable, Sequence
 
 from .config import ConfigError, ResolvedConfig, format_float, load_config, parse_config
 from .experiments import (
+    _CSV_ROW_BYTES,
+    _check_memory,
     _reduce,
     _run_rows,
     _space_for,
@@ -74,7 +76,10 @@ def _apply_overrides(resolved: ResolvedConfig, args: argparse.Namespace) -> Reso
         raise ConfigError("branch tables require mode 'branch'", "$.output.write_branches")
     if args.out is not None:
         output = replace(output, directory=args.out)
-    worker_processes(spec, args.workers)
+    processes = worker_processes(spec, args.workers)
+    if output.write_trajectories and args.command != "sweep":
+        # The trajectory CSV's rows on top of the run's columns.
+        _check_memory(spec, _space_for(spec), processes, "$.trials", _CSV_ROW_BYTES)
     return ResolvedConfig(spec, output, resolved.sweep)
 
 

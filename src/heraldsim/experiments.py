@@ -68,11 +68,19 @@ MEMORY_BUDGET = 2 * 2**30
 # At 11 ions, with its branch table, a run peaks at 0.56 of the estimate.
 _STATE_COPIES = 10
 _PROCESS_BYTES = 64 * 2**20
+# Peak RSS per trajectory over the process before the run, at 1e6 trials:
+# single 157 B (mc) and 164 B (branch), cz 269 B and 247 B, a 4-ion chain
+# 320 B and 289 B; see _trajectory_bytes. The CLI's trajectory CSV holds
+# each row's values as Python objects, its line and the joined text: 271 to
+# 344 B per trajectory over the columns it is written from.
+_CSV_ROW_BYTES = 400
 # One sideband pair of one row: its coefficients (c and two complex
 # entries) and the kernel's indices of its two entries for each level of
-# the other ion, counted at five levels where the register has four. That
-# over-count is cz's only margin over the pair rotations' transients,
-# which are not counted: a cz trial measures 85 % of its estimate.
+# the other ion, counted at five levels where the register has four. The
+# rotations run on the few entries they reach from the start (a support),
+# so they leave no register-wide transients: one cz trial at Fock cutoff
+# 100 000 or 267 720 measures 1 969-2 127 B per Fock level over the
+# process, 52-57 % of the estimate's 3 760 B.
 _PAIR_BYTES = 8 + 2 * 16 + 2 * N_LEVELS * 8
 
 
@@ -304,9 +312,27 @@ def _estimated_bytes(protocol: str, space: StateSpace) -> int:
     return _PROCESS_BYTES + _block_size(protocol, space) * per_row
 
 
-def _check_memory(spec: ExperimentSpec, space: StateSpace, processes: int, path: str) -> None:
-    """Refuse a run whose processes together would pass the memory budget."""
+def _trajectory_bytes(spec: ExperimentSpec, space: StateSpace) -> int:
+    """Peak bytes per trajectory of a run's columns: each trajectory's row
+    of :class:`_Columns` (41 B, and 8 B per clean-out), held twice while
+    the blocks' columns are joined, plus :func:`_reduce`'s temporaries (the
+    flag values and their masks, 10 B per clean-out, and up to six float
+    columns, 48 B). At 1e6 trials, single, cz and a 4-ion chain measure
+    86-95 % of it (see the constants above)."""
+    n_cleanouts = 6 if spec.protocol == "cz" else 2 * space.n_ions
+    return 2 * (41 + 8 * n_cleanouts) + 10 * n_cleanouts + 48
+
+
+def _check_memory(
+    spec: ExperimentSpec, space: StateSpace, processes: int, path: str, row_bytes: int = 0
+) -> None:
+    """Refuse a run whose processes together would pass the memory budget:
+    at ``path`` when their blocks would, else at ``$.trials`` when the
+    trials' columns, and ``row_bytes`` more per trajectory, would too."""
     need = processes * _estimated_bytes(spec.protocol, space)
+    if need <= MEMORY_BUDGET:
+        path = "$.trials"
+        need += spec.trials * (_trajectory_bytes(spec, space) + row_bytes)
     if need > MEMORY_BUDGET:
         # A JSON fock_cutoff can make the estimate exceed float range.
         gib = f"{need / 2**30:.3g}" if need < 2**1000 else f"2^{need.bit_length() - 31}"
@@ -469,7 +495,7 @@ def _run_block(spec, indices, state, ideal, build, sites, bare) -> _Columns:
     start = np.broadcast_to(state.amplitudes, (n, space.dim))
     paths = survivor_paths(start, space, steps, draw, monitor_top_fock=space.has_motion)
     fidelity = np.zeros(n)
-    fidelity[paths.alive] = _row_fidelities(paths.final, ideal)
+    fidelity[paths.alive] = _row_fidelities(paths.final, ideal[paths.columns])
     # Python's sum(v * v for v in errs), column by column.
     sumsq = np.zeros(n)
     for k in range(spec.n_steps):

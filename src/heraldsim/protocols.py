@@ -61,11 +61,13 @@ from .statespace import (
     _apply_matrix,
     _check_real,
     _into_register,
+    _nonzero_columns,
     _normalized,
     _public_rows,
     _row_norm2,
-    _subset,
     _subset_norm2,
+    _support,
+    _top_fock,
     _work,
     _zero_target,
     fidelity_up_to_global_phase,
@@ -221,20 +223,20 @@ def _branch_sort_key(branch: Branch):
     )
 
 
-def _check_top_fock(amps: np.ndarray, space: StateSpace, norm2: np.ndarray) -> None:
-    """Raise if any row of a ``(block, dim)`` array of unnormalized states
-    with squared norms ``norm2`` has reached the top Fock state."""
-    if space.has_motion:
-        top = frozenset({space.fock_cutoff})
-        # Most blocks hold exactly nothing there: one test instead of a sum.
-        if not _subset(amps, space, 0, None, top).any():
-            return
-        # Relative to each row's norm: a raw population would understate the
-        # leak of a row whose survivor has lost most of its norm.
-        leak = _subset_norm2(amps, space, 0, None, top) / norm2
-        over = leak[leak > LEAK_ATOL]
-        if over.size:
-            raise LeakageError(f"population {over[0]:.3e} at the Fock cutoff; raise fock_cutoff")
+def _check_top_fock(amps: np.ndarray, top: slice | np.ndarray, norm2: np.ndarray) -> None:
+    """Raise if any row of a ``(block, n)`` array of unnormalized states
+    with squared norms ``norm2`` has reached the top Fock state, whose
+    columns ``top`` are (``statespace._top_fock``)."""
+    rows = amps[:, top]
+    # Most blocks hold exactly nothing there: one test instead of a sum.
+    if not rows.any():
+        return
+    # Relative to each row's norm: a raw population would understate the
+    # leak of a row whose survivor has lost most of its norm.
+    leak = _row_norm2(np.ascontiguousarray(rows)) / norm2
+    over = leak[leak > LEAK_ATOL]
+    if over.size:
+        raise LeakageError(f"population {over[0]:.3e} at the Fock cutoff; raise fock_cutoff")
 
 
 def run_protocol(
@@ -339,7 +341,9 @@ def _branches(
 def _public_state(space: StateSpace, paths: SurvivorPaths) -> PureState | None:
     """The end state of a one-row run in the public layout, or None if the
     row did not survive."""
-    return PureState(space, _public_rows(paths.final, space)[0]) if paths.alive[0] else None
+    if not paths.alive[0]:
+        return None
+    return PureState(space, _public_rows(paths.final, space, paths.columns)[0])
 
 
 @dataclass(frozen=True)
@@ -356,17 +360,21 @@ class SurvivorPaths:
     clean-outs the row passed, its flag included. ``target``, ``rest`` and
     ``probs`` are 0.0 past a row's last clean-out. ``weight`` is the unflagged
     probability (branch mode) or 1.0/0.0 (mc mode). ``final`` holds the
-    normalized end states of the rows with ``alive`` set, in row order, as
-    register rows: the public entry points write them into the five-level
-    layout (``statespace._public_rows``), and the runner scores them
-    against its ideal on the register, the public ideal's entries at
-    ``statespace._basis``, with the bits of the written-back row's
-    fidelity. No state between steps is kept (see :func:`survivor_paths`).
+    normalized end states of the rows with ``alive`` set, in row order, on
+    the kernel's layout: its columns are the register entries ``columns``,
+    a support's entries or ``slice(None)``, every entry. Every register
+    entry outside them is exactly 0. The public entry points write the rows
+    into the five-level layout (``statespace._public_rows``), and the
+    runner scores them against its ideal's entries at ``columns``, the
+    public ideal's entries at ``statespace._basis``, with the bits of the
+    written-back row's fidelity. No state between steps is kept (see
+    :func:`survivor_paths`).
     """
 
     weight: np.ndarray
     alive: np.ndarray
     final: np.ndarray
+    columns: slice | np.ndarray
     target: np.ndarray
     rest: np.ndarray
     probs: np.ndarray
@@ -403,21 +411,43 @@ def survivor_paths(
     four levels, ``4**n_ions * fock_dim`` amplitudes, and the ion products
     apply each factor's 4x4 block. The public entry points gather a
     five-level state with ``statespace._into_register``, which refuses
-    Bright amplitude; the runner builds its input on the register. ``amps``
-    is copied once and never written to. A start broadcast over the block
-    (row stride 0), as the runner passes, has its squared norm taken once.
-    Every row goes through its own matrix products and the row rules of
-    ``manifold_population`` and ``PureState.norm``, so its result does not
-    depend on the other rows. No state is kept between steps: a survivor
-    after step k, which :func:`run_protocol` returns with
-    ``keep_intermediate``, is its end state over ``steps[:k+1]``.
+    Bright amplitude; the runner builds its input on the register.
+
+    Steps of pair rotations and clean-outs only, as cz's are, run on the
+    register entries those rotations can reach from the start's nonzero
+    entries (``statespace._support``, built once per rotations, clean-outs
+    and start columns): a cz run from the qubit manifold keeps 10 of them
+    at any Fock cutoff. Every other entry stays exactly 0, and every kept
+    one goes through the same operations as on the register. Steps that
+    hold an ion product or a dense stack run on the whole register.
+
+    ``amps`` is copied once, onto the layout, and never written to. A
+    start broadcast over the block (row stride 0), as the runner passes,
+    has its squared norm taken once. Every row goes through its own matrix
+    products and the row rules of ``manifold_population`` and
+    ``PureState.norm``, so its result does not depend on the other rows.
+    No state is kept between steps: a survivor after step k, which
+    :func:`run_protocol` returns with ``keep_intermediate``, is its end
+    state over ``steps[:k+1]``.
     """
     if not isinstance(register, _Register):
         raise ValueError(f"the survivor kernel runs on register rows, not on {register}")
     block, broadcast = amps.shape[0], amps.strides[0] == 0
+    unitaries = [(u, targets) for step in steps for u, targets in step.unitaries]
+    if all(isinstance(u, PairRotations) for u, _ in unitaries):
+        space = _support(
+            register,
+            tuple((targets[0], u.tones) for u, targets in unitaries),
+            tuple((ch.ion, ch.levels, ch.fock) for step in steps for ch in step.cleanouts),
+            _nonzero_columns(amps),
+        )
+        columns = space.entries
+    else:
+        space, columns = register, slice(None)
     # The one block the kernel writes: a C-contiguous copy in a work array,
     # which no returned array holds (final is normalized into a new one).
-    start, amps = amps, _work("block", amps.shape)
+    start = amps[:, columns]
+    amps = _work("block", start.shape)
     amps[...] = start
     if broadcast:
         # One state broadcast over the block: the row rule gives every row
@@ -428,6 +458,7 @@ def survivor_paths(
     off = norm2[np.abs(norm2 - 1.0) > NORM_CHECK_ATOL]
     if off.size:
         raise ValueError(f"survivor paths start from normalized states (norm {math.sqrt(off[0])})")
+    top = _top_fock(space) if monitor_top_fock else None
     n_cleanouts = sum(len(step.cleanouts) for step in steps)
     rows = slice(None)  # the live rows: all of them until one drops out
     weight = np.ones(block)
@@ -440,13 +471,13 @@ def survivor_paths(
         if amps.shape[0] == 0:
             break
         for u, targets in step.unitaries:
-            _apply_block(amps, register, u[rows], targets)
-        if monitor_top_fock:
-            _check_top_fock(amps, register, norm2)
+            _apply_block(amps, space, u[rows], targets)
+        if top is not None:
+            _check_top_fock(amps, top, norm2)
         for ch in step.cleanouts:
-            pop = _subset_norm2(amps, register, ch.ion, ch.levels, ch.fock)
+            pop = _subset_norm2(amps, space, ch.ion, ch.levels, ch.fock)
             p = np.minimum(pop / norm2, 1.0)
-            _zero_target(amps, register, ch.ion, ch.levels, ch.fock)
+            _zero_target(amps, space, ch.ion, ch.levels, ch.fock)
             left = norm2 - pop
             q = 1.0 - p
             # Taking off more than half the norm cancels bits; count what is
@@ -479,7 +510,8 @@ def survivor_paths(
     done = np.full(block, n_cleanouts)
     if n_cleanouts:  # argmax refuses an empty axis
         done = np.where(flags.any(axis=1), flags.argmax(axis=1) + 1, n_cleanouts)
-    return SurvivorPaths(weight, alive, _normalized(amps), target, rest, probs, flags, done)
+    final = _normalized(amps)
+    return SurvivorPaths(weight, alive, final, columns, target, rest, probs, flags, done)
 
 
 def cleanout_branches(

@@ -7,17 +7,18 @@ tensor factor.
 
 Basis ordering is fixed and golden-value tests depend on it: per-ion levels
 in the order (Q0, Q1, AUX_PLUS, AUX_MINUS, BRIGHT), ion index major, Fock
-index last. This module alone knows that layout, and the kernel's register
-beside it: every read or write of one ion's levels (and, optionally, some
-Fock indices) goes through the strided view of :func:`_target_index`,
-through the basis indices of :func:`_pair_index` for a sideband transfer's
-pairs, or through the cyclic pass of :func:`_apply_product` over every ion.
-Each of these reads the level count of the layout it is given. A
-:class:`PureState` is immutable and every operation on one returns a new
-state; only the kernel's ``(block, dim)`` array is updated in place.
+index last. This module alone knows that layout, and the kernel's two
+layouts beside it, the register and the support: every read or write of
+one ion's levels (and, optionally, some Fock indices) goes through the
+strided view of :func:`_target_index`, through the basis indices of
+:func:`_pair_index` for a sideband transfer's pairs, through the cyclic
+pass of :func:`_apply_product` over every ion, or through a support's row
+positions. Each of these reads the level count of the layout it is given.
+A :class:`PureState` is immutable and every operation on one returns a new
+state; only the kernel's ``(block, n)`` array is updated in place.
 
 The register (:class:`_Register`) is the one layout the survivor kernel
-takes: each ion keeps Q0, Q1, AUX_PLUS and AUX_MINUS, in the same order,
+takes its starts in: each ion keeps Q0, Q1, AUX_PLUS and AUX_MINUS, in the same order,
 so a row holds ``4**n_ions * fock_dim`` amplitudes. Only the clean-out
 fills Bright, and a flagged branch leaves the survivor path, so a survivor
 never holds Bright amplitude and the register is exact, not an
@@ -35,6 +36,20 @@ factors. The public basis, :class:`StateSpace`, :class:`PureState` and
 every one-state function stay five-level; :func:`_qubit_indices` gives the
 qubit manifold's indices in either layout.
 
+The support (:class:`_Support`) is the kernel's layout for steps made only
+of pair rotations and clean-outs, the entangling gate's: the register
+entries those rotations can reach from the start's nonzero entries, a
+fixed point built once per rotations, clean-outs and start columns by
+:func:`_support`. A pair rotation maps two zeros to zeros and a clean-out
+only zeroes, so every other entry stays exactly 0, and every kept entry
+goes through the same operations on the same operands as on the register.
+The sideband transfers of the entangling gate never lift a motional mode
+that starts in its ground state above Fock 1 (Cirac & Zoller, PRL 74, 4091
+(1995)), so from the qubit manifold a cz row keeps 10 of its 16·(cutoff+1)
+register entries at any cutoff. Rows on a support carry their entries
+with them: :func:`_public_rows` writes them into the public layout, and an
+ideal is scored at those entries.
+
 Each reduction has one row-wise rule in split real arithmetic, with no BLAS
 call: :func:`_row_norm2` (norms, populations), :func:`_normalized` and
 :func:`_row_overlaps`. The one-state functions are these rules at one row,
@@ -44,10 +59,11 @@ row scored against the register entries of an ideal with no Bright
 amplitude has the bits of the same row written back into the public
 layout and scored against the whole ideal.
 
-The kernel's block-sized arrays (the survivor block, the pair gather and
-its products, the product pass's scratch) are views of work arrays that
-each thread keeps between runs, one per role, so repeated blocks reuse the
-same memory; see :func:`_work`.
+The kernel's block-sized arrays (the survivor block, on either layout,
+and the product pass's scratch) are views of work arrays that each thread
+keeps between runs, one per role, so repeated blocks reuse the same
+memory; see :func:`_work`. A pair rotation's gather and products, which
+run on a support's few entries, are allocated afresh.
 """
 
 from __future__ import annotations
@@ -315,7 +331,9 @@ class PairRotations:
     ``(pairs,)`` or ``(pairs, block)`` and ``off`` ``(2,) + c.shape``.
     Indexing selects rows, as it does for a stack of matrices, and
     ``np.asarray`` gives the dense matrices, level-major over (ion level,
-    Fock).
+    Fock). The kernel applies only the pairs a :class:`_Support` holds,
+    each with the coefficients of its number; a pair it leaves out joins
+    two entries that stay exactly 0.
     """
 
     tones: tuple[tuple[int, int, int, int, int], ...]
@@ -391,7 +409,8 @@ def _pair_ends(tones, stride: int) -> np.ndarray:
 @lru_cache(maxsize=4)
 def _pair_index(space: StateSpace, ion: int, tones) -> np.ndarray:
     """The basis index of every pair's lower and upper entry, for each
-    setting of the other factors: shape ``(others, 2, pairs)``."""
+    setting of the other factors: shape ``(2, others * pairs)``, setting
+    after setting, so column j holds pair ``j % pairs``."""
     shape, _, _ = _target_index(space, ion, None, None)
     before, f = shape[0], shape[-1]
     after = space.dim // (before * space.levels * f)
@@ -401,33 +420,39 @@ def _pair_index(space: StateSpace, ion: int, tones) -> np.ndarray:
     # Checked once here: the kernel gathers with mode="clip".
     if ((index < 0) | (index >= space.dim)).any():
         raise ValueError(f"pair tones {tones} reach outside the basis of {space}")
-    return index
+    return np.ascontiguousarray(index.transpose(1, 0, 2).reshape(2, -1))
 
 
 def _apply_pairs(
-    amps: np.ndarray, space: StateSpace, op: PairRotations, ion: int
+    amps: np.ndarray, space: StateSpace | _Support, op: PairRotations, ion: int
 ) -> np.ndarray:
     """Apply row b of ``op`` to ion ``ion`` and the Fock mode of row b of a
-    ``(block, dim)`` array in place; entries outside every pair stay.
+    ``(block, n)`` array of a space or of a :class:`_Support`, in place;
+    entries outside every pair stay.
 
     Each new entry is ``c*x + (re(a)*y + i*im(a)*y)``, where x is the entry,
     y its partner and a the coupling from y. Every factor has a zero
     component, so every real product is rounded once, and the sums are
-    those of the dense product that rounds each complex product once."""
-    index = _pair_index(space, ion, op.tones)
-    shape = index.shape + amps.shape[:1]
-    # Basis index first: one gather gives both entries of every pair, for
-    # every setting of the other factors and every row. mode="clip" writes
-    # straight into the work array; "raise" would buffer the result.
-    x = np.take(amps.T, index, axis=0, out=_work("pairs", shape), mode="clip")
+    those of the dense product that rounds each complex product once. Each
+    entry goes through the same operations on either layout."""
+    if isinstance(space, _Support):
+        ends, pair = space.pairs[ion, op.tones]
+    else:
+        ends = _pair_index(space, ion, op.tones)
+        pair = np.arange(ends.shape[1]) % op.c.shape[0]
+    # One gather gives both entries of every pair in every row, and each
+    # pair's coefficients in each row, rows first.
+    x = np.take(amps, ends, axis=1)
     y = x[:, ::-1]
+    c = op.c[pair].T[:, None]
+    off = op.off[:, pair].transpose(2, 0, 1)
     # c*x + (re*y + (1j*im)*y) one operation at a time: the same operations
     # on the same operands as the expression, so the same bits.
-    new = np.multiply(op.c, x, out=_work("pairs.c", shape))
-    mixed = np.multiply(op.off.real, y, out=_work("pairs.re", shape))
-    mixed += np.multiply(1j * op.off.imag, y, out=_work("pairs.im", shape))
+    new = c * x
+    mixed = off.real * y
+    mixed += 1j * off.imag * y
     new += mixed
-    amps.T[index] = new
+    amps[:, ends] = new
     return amps
 
 
@@ -457,16 +482,17 @@ def _apply_product(amps: np.ndarray, space: StateSpace, op: IonProduct) -> np.nd
 
 def _apply_block(
     amps: np.ndarray,
-    space: StateSpace,
+    space: StateSpace | _Support,
     u: np.ndarray | PairRotations | IonProduct,
     targets: tuple[int, ...],
 ) -> np.ndarray:
     """Apply row b's operator ``u[b]`` to row b of a C-contiguous, writable
-    ``(block, dim)`` array, in place, and return that array.
+    ``(block, n)`` array, in place, and return that array.
 
     ``u`` is a ``(block, d, d)`` stack, pair rotations on targets ``(ion,
     motion_axis)``, or an ion product on every ion of a register without a
-    motional mode. Each row goes through its own products, so a row's
+    motional mode. Rows of a :class:`_Support` take pair rotations only.
+    Each row goes through its own products, so a row's
     result does not depend on the other rows or on the block size. No
     unitarity check: callers validate matrices once and reuse them.
     Protocol steps hold the structured operators; dense stacks come from
@@ -548,32 +574,30 @@ def _target_index(space: StateSpace, ion: int, levels: _Values, fock: _Values):
     return (space.levels**ion, space.levels, -1, space.fock_dim), levels, fock
 
 
-def _subset(
-    amps: np.ndarray, space: StateSpace, ion: int, levels: _Values, fock: _Values
-) -> np.ndarray:
-    """The entries of each row of a ``(block, dim)`` array where the ion's
-    level is in ``levels`` and the Fock index in ``fock``: a strided view
-    where both are evenly spaced, else a copy."""
-    shape, levels, fock = _target_index(space, ion, levels, fock)
-    return amps.reshape((amps.shape[0],) + shape)[:, :, levels][..., fock]
-
-
 def _subset_norm2(
-    amps: np.ndarray, space: StateSpace, ion: int, levels: _Values, fock: _Values
+    amps: np.ndarray, space: StateSpace | _Support, ion: int, levels: _Values, fock: _Values
 ) -> np.ndarray:
-    """Squared norm of each row of a ``(block, dim)`` array on the subset
-    where the ion's level is in ``levels`` and the Fock index in ``fock``:
-    :func:`_row_norm2` of a contiguous copy of :func:`_subset` (faster to
-    square than the view), in basis index order."""
-    view = _subset(amps, space, ion, levels, fock)
+    """Squared norm of each row of a ``(block, n)`` array, of a space or of
+    a :class:`_Support`, on the subset where the ion's level is in
+    ``levels`` and the Fock index in ``fock``: :func:`_row_norm2` of a
+    contiguous copy of the subset (faster to square than a view), in basis
+    index order."""
+    if isinstance(space, _Support):
+        return _row_norm2(np.take(amps, space.subsets[ion, levels, fock], axis=1))
+    shape, levels, fock = _target_index(space, ion, levels, fock)
+    # A strided view where both index sets are evenly spaced, else a copy.
+    view = amps.reshape((amps.shape[0],) + shape)[:, :, levels][..., fock]
     return _row_norm2(np.ascontiguousarray(view).reshape(amps.shape[0], -1))
 
 
 def _zero_target(
-    amps: np.ndarray, space: StateSpace, ion: int, levels: _Values, fock: _Values
+    amps: np.ndarray, space: StateSpace | _Support, ion: int, levels: _Values, fock: _Values
 ) -> None:
-    """Zero the subset in every row of a C-contiguous ``(block, dim)``
-    array, in place."""
+    """Zero the subset in every row of a C-contiguous ``(block, n)`` array
+    of a space or of a :class:`_Support`, in place."""
+    if isinstance(space, _Support):
+        amps[:, space.subsets[ion, levels, fock]] = 0.0
+        return
     shape, levels, fock = _target_index(space, ion, levels, fock)
     # Reshaping a C-contiguous array gives a view, so the writes land in amps.
     view = amps.reshape((amps.shape[0],) + shape)
@@ -670,8 +694,94 @@ def _into_register(amps: np.ndarray, space: StateSpace) -> tuple[np.ndarray, _Re
     return kept, _Register(space.n_ions, space.fock_cutoff)
 
 
-def _public_rows(rows: np.ndarray, space: StateSpace) -> np.ndarray:
-    """Register rows of the space written into +0s of its public layout."""
+def _public_rows(rows: np.ndarray, space: StateSpace, columns: slice | np.ndarray) -> np.ndarray:
+    """Rows over the register entries ``columns`` of the space (a
+    :class:`_Support`'s entries, or ``slice(None)``, every entry) written
+    into +0s of its public layout."""
     public = np.zeros((rows.shape[0], space.dim), dtype=np.complex128)
-    public[:, _basis(space)] = rows
+    public[:, _basis(space)[columns]] = rows
     return public
+
+
+# --- the support of pair rotations -------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class _Support:
+    """The register entries that pair rotations can reach from a start,
+    and the kernel's row layout for steps of pair rotations and clean-outs.
+
+    A pair rotation maps two zeros to zeros and a clean-out only zeroes, so
+    every other entry stays exactly 0: a row over ``entries`` (register
+    entries, ascending) holds all of a state, and each kept entry goes
+    through the same operations on the same operands as on the register.
+    ``pairs`` maps a rotation's ``(ion, tones)`` to the row positions of its
+    reached pairs' lower and upper entries, shape ``(2, k)``, and the pair
+    of each column, for its coefficients. ``subsets`` maps a clean-out's
+    ``(ion, levels, fock)`` to the row positions of its target, and
+    ``top`` holds the row positions at the top Fock index.
+    """
+
+    entries: np.ndarray
+    pairs: dict
+    subsets: dict
+    top: np.ndarray
+
+
+def _nonzero_columns(amps: np.ndarray) -> bytes:
+    """The columns where some row of a ``(block, n)`` array is nonzero, as
+    the bytes of an ascending index array: a cheap cache key. A start
+    broadcast over the block (row stride 0) is read from one row, with no
+    temporary as wide as the row."""
+    nonzero = amps[0] if amps.strides[0] == 0 else amps.any(axis=0)
+    return np.flatnonzero(nonzero).tobytes()
+
+
+# Enough for the runs one process alternates between. A key holds the
+# start's nonzero columns: a handful for every input the runner builds.
+@lru_cache(maxsize=8)
+def _support(register: _Register, rotations: tuple, cleanouts: tuple, columns: bytes) -> _Support:
+    """The support that the pair rotations ``rotations``, ``(ion, tones)``
+    each, reach from the register entries in ``columns`` (from
+    :func:`_nonzero_columns`), with the row positions of those rotations'
+    pairs, of the clean-out targets ``cleanouts``, ``(ion, levels, fock)``
+    each, and of the top Fock index. Built once per key; pair tones that
+    name Bright and invalid clean-out targets raise ValueError here."""
+    tables = {key: _pair_index(register, *key) for key in rotations}
+    reached = np.zeros(register.dim, dtype=bool)
+    reached[np.frombuffer(columns, dtype=np.intp)] = True
+    # A fixed point: an entry joins when its partner in any pair has joined.
+    grown = True
+    while grown:
+        grown = False
+        for ends in tables.values():
+            joined = ends[:, reached[ends].any(axis=0)]
+            if not reached[joined].all():
+                reached[joined] = True
+                grown = True
+    entries = np.flatnonzero(reached)
+    entries.flags.writeable = False  # handed out with every end row
+    pairs = {}
+    for (ion, tones), ends in tables.items():
+        kept = np.flatnonzero(reached[ends[0]])
+        n_pairs = sum(n for *_, n in tones)
+        pairs[ion, tones] = (np.searchsorted(entries, ends[:, kept]), kept % n_pairs)
+    f, levels_per_ion = register.fock_dim, register.levels
+    subsets = {}
+    for ion, levels, fock in cleanouts:
+        _target_index(register, ion, levels, fock)  # the checks of the strided view
+        level = entries // f // levels_per_ion ** (register.n_ions - 1 - ion) % levels_per_ion
+        hit = np.isin(level, sorted(levels))
+        if fock is not None:
+            hit &= np.isin(entries % f, sorted(fock))
+        subsets[ion, levels, fock] = np.flatnonzero(hit)
+    top = register.has_motion & (entries % f == register.fock_cutoff)
+    return _Support(entries, pairs, subsets, np.flatnonzero(top))
+
+
+def _top_fock(space: StateSpace | _Support) -> slice | np.ndarray | None:
+    """The columns of a kernel row, of a space or of a :class:`_Support`,
+    at the top Fock index, or None if a row has none."""
+    if isinstance(space, _Support):
+        return space.top if space.top.size else None
+    return slice(space.fock_cutoff, None, space.fock_dim) if space.has_motion else None

@@ -315,6 +315,20 @@ class TestExitCodes:
             assert not out.exists()
         assert "$.crosstalk.ratios: the run needs about" in capsys.readouterr().err
 
+    def test_trajectory_csv_memory_boundary(self, tmp_path, capsys, monkeypatch):
+        # A one-ion run holds 182 B of columns per trajectory, and the
+        # trajectory CSV 400 B of rows more: 3 572 906 trials fit the budget
+        # with the CSV, and one more does not; without it, both fit. The
+        # checks below run nothing.
+        monkeypatch.setattr(cli, "_run_ensemble_command", lambda resolved, args: {})
+        for write, trials, code in ((True, 3_572_906, 0), (True, 3_572_907, 2), (False, 3_572_907, 0)):
+            out = tmp_path / f"out{write}{trials}"
+            doc = single_doc(out, trials=trials)
+            doc["output"]["write_trajectories"] = write
+            assert main(["single", write_config(tmp_path, doc), "--quiet"]) == code
+            assert not out.exists()
+        assert "config error: $.trials: the run needs about 2 GiB" in capsys.readouterr().err
+
     def test_missing_error_model_exit_2(self, tmp_path, capsys):
         out = tmp_path / "out"
         doc = single_doc(out)

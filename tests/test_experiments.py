@@ -27,6 +27,7 @@ from heraldsim.protocols import (
     CrosstalkProfile,
     GateSpec,
     certified_addressed_gate,
+    cleanout_sites,
     ideal_addressed_output,
     no_flag_branch,
 )
@@ -644,6 +645,35 @@ class TestSpecValidation:
         with pytest.raises(ConfigError) as err:
             cz(553291)
         assert err.value.path == "$.fock_cutoff"
+
+    def test_trials_memory_boundary(self):
+        # A one-ion run: 68 052 064 B of blocks and process, and 182 B per
+        # trajectory of columns, their join and the reduction's temporaries.
+        spec = single_spec(trials=11_425_448)
+        assert experiments._trajectory_bytes(spec, StateSpace(1)) == 182
+        with pytest.raises(ConfigError) as err:
+            single_spec(trials=11_425_449)
+        assert err.value.path == "$.trials"
+        # Two processes hold the same columns between them, and two blocks.
+        assert worker_processes(single_spec(trials=11_051_535), 2) == 2
+        with pytest.raises(ConfigError) as err:
+            worker_processes(single_spec(trials=11_051_536), 2)
+        assert err.value.path == "$.trials"
+
+    @pytest.mark.parametrize(
+        "protocol,extra",
+        [("single", {}), ("cz", {"gate": None, "input_state": InputSpec("bell")}),
+         ("addressing", {"crosstalk": (0.1, 1.0, 0.1), "target": 1})],
+    )
+    def test_trajectory_bytes_count_the_runner_columns(self, protocol, extra):
+        # One probability per clean-out the builder makes.
+        spec = single_spec(protocol=protocol, **extra)
+        space = experiments._space_for(spec)
+        n_cleanouts = len(cleanout_sites(experiments._block_builder(spec).cleanouts))
+        columns = experiments._run_rows(replace(spec, trials=3), 1)
+        row = sum(col.nbytes for col in columns[1:-1]) // 3  # the bare column is empty
+        assert row == 41 + 8 * n_cleanouts
+        assert experiments._trajectory_bytes(spec, space) == 2 * row + 10 * n_cleanouts + 48
 
 
 class TestWorkerGuard:
