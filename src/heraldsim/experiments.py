@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
@@ -82,6 +83,7 @@ _CSV_ROW_BYTES = 400
 # 100 000 or 267 720 measures 1 969-2 127 B per Fock level over the
 # process, 52-57 % of the estimate's 3 760 B.
 _PAIR_BYTES = 8 + 2 * 16 + 2 * N_LEVELS * 8
+_kept_inputs = threading.local()
 
 
 class ConfigError(ValueError):
@@ -176,8 +178,7 @@ class ExperimentSpec:
         problem = _input_problem(self, space.n_ions)
         if problem is not None:
             raise ConfigError(problem, "$.input_state")
-        size = "$.fock_cutoff" if self.protocol == "cz" else "$.crosstalk.ratios"
-        _check_memory(self, space, 1, size)
+        _check_memory(self, space, 1, _size_path(self))
 
     def _check_crosstalk(self) -> None:
         if self.crosstalk is None:
@@ -323,6 +324,11 @@ def _trajectory_bytes(spec: ExperimentSpec, space: StateSpace) -> int:
     return 2 * (41 + 8 * n_cleanouts) + 10 * n_cleanouts + 48
 
 
+def _size_path(spec: ExperimentSpec) -> str:
+    """The field that sets the size of the spec's register."""
+    return "$.fock_cutoff" if spec.protocol == "cz" else "$.crosstalk.ratios"
+
+
 def _check_memory(
     spec: ExperimentSpec, space: StateSpace, processes: int, path: str, row_bytes: int = 0
 ) -> None:
@@ -333,10 +339,15 @@ def _check_memory(
     if need <= MEMORY_BUDGET:
         path = "$.trials"
         need += spec.trials * (_trajectory_bytes(spec, space) + row_bytes)
+    _check_budget(need, path, f" in {processes} worker processes" if processes > 1 else "")
+
+
+def _check_budget(need: int, path: str, where: str = "") -> None:
+    """Raise :class:`ConfigError` at ``path`` when ``need`` bytes pass the
+    memory budget."""
     if need > MEMORY_BUDGET:
         # A JSON fock_cutoff can make the estimate exceed float range.
         gib = f"{need / 2**30:.3g}" if need < 2**1000 else f"2^{need.bit_length() - 31}"
-        where = f" in {processes} worker processes" if processes > 1 else ""
         raise ConfigError(
             f"the run needs about {gib} GiB{where}, over the "
             f"{MEMORY_BUDGET / 2**30:.3g} GiB budget",
@@ -392,8 +403,14 @@ def _qubit_product_state(space: StateSpace, per_ion: list[tuple[complex, complex
 
 
 def prepare_input(spec: ExperimentSpec) -> PureState:
-    """Build the initial state named by the spec's input preparation."""
-    return _input_on(spec, _space_for(spec))
+    """Build the initial state named by the spec's input preparation, on the
+    public five-level space. Raises :class:`ConfigError` at the field that
+    sets the register's size when that vector and the copy that building it
+    takes would pass the memory budget: the runner, on the four-level
+    register, accepts specs whose public state does not fit."""
+    space = _space_for(spec)
+    _check_budget(2 * 16 * space.dim, _size_path(spec), " for its five-level input")
+    return _input_on(spec, space)
 
 
 def _input_on(spec: ExperimentSpec, space: StateSpace) -> PureState:
@@ -471,14 +488,27 @@ def _run_batch(spec: ExperimentSpec, start: int, stop: int, bare: bool = False) 
     fidelity after the same two transfers without clean-outs.
     """
     space = _space_for(spec)
-    # The input and its ideal live on the register, as the kernel's rows do.
-    state = _input_on(spec, _Register(space.n_ions, space.fock_cutoff))
-    ideal = _ideal_output(spec, state).amplitudes
+    state, ideal = _register_inputs(spec, space)
     build = _block_builder(spec)
     sites = cleanout_sites(build.cleanouts)
     size = _block_size(spec.protocol, space)
     blocks = [range(first, min(first + size, stop)) for first in range(start, stop, size)]
     return _joined([_run_block(spec, ids, state, ideal, build, sites, bare) for ids in blocks])
+
+
+def _register_inputs(spec: ExperimentSpec, space: StateSpace) -> tuple[PureState, np.ndarray]:
+    """The spec's input and the amplitudes of its ideal, on the register as
+    the kernel's rows are, built once per spec: the last spec's are kept
+    for the next batch, one spec at a time, in each thread. They depend on
+    the protocol, the input, the gate and the chain alone, so the specs of
+    one sweep or benchmark that differ in nothing else share them."""
+    key = (spec.protocol, spec.input_state, spec.gate, spec.crosstalk, spec.target, space)
+    kept = getattr(_kept_inputs, "last", None)
+    if kept is None or kept[0] != key:
+        _kept_inputs.last = None  # no two specs' rows at once
+        state = _input_on(spec, _Register(space.n_ions, space.fock_cutoff))
+        kept = _kept_inputs.last = (key, state, _ideal_output(spec, state).amplitudes)
+    return kept[1], kept[2]
 
 
 def _run_block(spec, indices, state, ideal, build, sites, bare) -> _Columns:

@@ -58,15 +58,20 @@ from .statespace import (
     StateSpace,
     _Register,
     _apply_block,
-    _apply_matrix,
     _check_real,
+    _compacted,
+    _end_rows,
+    _factored,
+    _factors,
+    _held,
     _into_register,
     _nonzero_columns,
-    _normalized,
     _public_rows,
     _row_norm2,
     _subset_norm2,
     _support,
+    _target_index,
+    _times,
     _top_fock,
     _work,
     _zero_target,
@@ -362,8 +367,10 @@ class SurvivorPaths:
     probability (branch mode) or 1.0/0.0 (mc mode). ``final`` holds the
     normalized end states of the rows with ``alive`` set, in row order, on
     the kernel's layout: its columns are the register entries ``columns``,
-    a support's entries or ``slice(None)``, every entry. Every register
-    entry outside them is exactly 0. The public entry points write the rows
+    a support's entries, on per-ion factors the entries of the levels no
+    clean-out after the last transfer zeroes (Q0 and Q1 of every ion for a
+    chain), or ``slice(None)``, every entry. Every register entry outside
+    them is exactly 0. The public entry points write the rows
     into the five-level layout (``statespace._public_rows``), and the
     runner scores them against its ideal's entries at ``columns``, the
     public ideal's entries at ``statespace._basis``, with the bits of the
@@ -403,7 +410,8 @@ def survivor_paths(
     survivor falls below the probability floor. mc mode compares
     ``draw(column, rows)``, the uniforms of clean-out ``column`` for the
     live rows (a slice or an index array into the block), with the same
-    branch segments and freezes the rows that flag.
+    branch segments and freezes the rows that flag. ``draw`` looks the
+    uniforms up: a block split by layout (below) asks for each part's.
 
     The kernel takes rows of the four-level register only. Only the
     clean-out fills Bright and flagged branches leave the path, so a
@@ -413,53 +421,86 @@ def survivor_paths(
     five-level state with ``statespace._into_register``, which refuses
     Bright amplitude; the runner builds its input on the register.
 
-    Steps of pair rotations and clean-outs only, as cz's are, run on the
-    register entries those rotations can reach from the start's nonzero
-    entries (``statespace._support``, built once per rotations, clean-outs
-    and start columns): a cz run from the qubit manifold keeps 10 of them
-    at any Fock cutoff. Every other entry stays exactly 0, and every kept
-    one goes through the same operations as on the register. Steps that
-    hold an ion product or a dense stack run on the whole register.
+    The rows run on one of three layouts, chosen here from the steps and
+    the start:
+
+    * Steps of pair rotations and clean-outs only, as cz's are, run on the
+      register entries those rotations can reach from the start's nonzero
+      entries (``statespace._support``, built once per rotations,
+      clean-outs and start columns): a cz run from the qubit manifold keeps
+      10 of them at any Fock cutoff. Every other entry stays exactly 0, and
+      every kept one goes through the same operations as on the register.
+    * Steps of ion products and clean-outs of whole levels on two or more
+      ions without motion, as a chain's are, run on one vector per ion
+      (``statespace._Factors``) for the rows that are product states to
+      rounding (``statespace._factor``): a product stays a product under
+      each ion's transfer and each clean-out of one ion. A clean-out's
+      fraction is that ion's population over its vector's squared norm,
+      and the end rows are the products over the levels that no clean-out
+      after the last transfer zeroes: 2**n_ions entries for a chain. A
+      block that mixes product and entangled rows runs each kind as a
+      block of its own, so a row's bits do not depend on the other rows.
+    * Everything else runs on the whole register, entangled chain starts
+      included.
 
     ``amps`` is copied once, onto the layout, and never written to. A
     start broadcast over the block (row stride 0), as the runner passes,
-    has its squared norm taken once. Every row goes through its own matrix
-    products and the row rules of ``manifold_population`` and
-    ``PureState.norm``, so its result does not depend on the other rows.
-    No state is kept between steps: a survivor after step k, which
-    :func:`run_protocol` returns with ``keep_intermediate``, is its end
-    state over ``steps[:k+1]``.
+    has its squared norm taken, and is factored, once. Every row goes
+    through its own matrix products and the row rules of
+    ``manifold_population`` and ``PureState.norm``, so its result does not
+    depend on the other rows. No state is kept between steps: a survivor
+    after step k, which :func:`run_protocol` returns with
+    ``keep_intermediate``, is its end state over ``steps[:k+1]``.
     """
     if not isinstance(register, _Register):
         raise ValueError(f"the survivor kernel runs on register rows, not on {register}")
     block, broadcast = amps.shape[0], amps.strides[0] == 0
     unitaries = [(u, targets) for step in steps for u, targets in step.unitaries]
+    cleanouts = [ch for step in steps for ch in step.cleanouts]
+    space, columns = register, slice(None)
     if all(isinstance(u, PairRotations) for u, _ in unitaries):
         space = _support(
             register,
             tuple((targets[0], u.tones) for u, targets in unitaries),
-            tuple((ch.ion, ch.levels, ch.fock) for step in steps for ch in step.cleanouts),
+            tuple((ch.ion, ch.levels, ch.fock) for ch in cleanouts),
             _nonzero_columns(amps),
         )
         columns = space.entries
-    else:
-        space, columns = register, slice(None)
+        amps = amps[:, columns]
+    elif (
+        register.n_ions > 1
+        and not register.has_motion
+        and all(isinstance(u, IonProduct) for u, _ in unitaries)
+        and all(ch.fock is None for ch in cleanouts)
+    ):
+        factors, product = _factored(amps, register)
+        if not product.all() and product.any():
+            return _split_paths(amps, register, steps, draw, product)
+        if product.all():
+            last = max(si for si, step in enumerate(steps) if step.unitaries)
+            space = _factors(
+                register,
+                tuple((ch.ion, ch.levels) for ch in cleanouts),
+                tuple((ch.ion, ch.levels) for step in steps[last:] for ch in step.cleanouts),
+            )
+            amps, columns = factors, space.entries
     # The one block the kernel writes: a C-contiguous copy in a work array,
     # which no returned array holds (final is normalized into a new one).
-    start = amps[:, columns]
-    amps = _work("block", start.shape)
+    start, amps = amps, _work("block", amps.shape)
     amps[...] = start
     if broadcast:
         # One state broadcast over the block: the row rule gives every row
         # the first row's bits.
-        norm2 = np.repeat(_row_norm2(amps[:1]), block)
+        norm2 = np.repeat(_row_norm2(amps[:1]), block, axis=0)
     else:
+        # On factors, each ion's vector's.
         norm2 = _row_norm2(amps)
-    off = norm2[np.abs(norm2 - 1.0) > NORM_CHECK_ATOL]
+    total = norm2 if norm2.ndim == 1 else norm2.prod(axis=1)
+    off = total[np.abs(total - 1.0) > NORM_CHECK_ATOL]
     if off.size:
         raise ValueError(f"survivor paths start from normalized states (norm {math.sqrt(off[0])})")
     top = _top_fock(space) if monitor_top_fock else None
-    n_cleanouts = sum(len(step.cleanouts) for step in steps)
+    n_cleanouts = len(cleanouts)
     rows = slice(None)  # the live rows: all of them until one drops out
     weight = np.ones(block)
     target = np.zeros((block, n_cleanouts))
@@ -471,21 +512,25 @@ def survivor_paths(
         if amps.shape[0] == 0:
             break
         for u, targets in step.unitaries:
-            _apply_block(amps, space, u[rows], targets)
+            _apply_block(amps, space, u, targets, rows)
         if top is not None:
             _check_top_fock(amps, top, norm2)
         for ch in step.cleanouts:
+            # The norm the clean-out takes its fraction of, and the part of
+            # each row that holds it: the whole row, or the ion's vector.
+            held = _held(space, ch.ion)
+            before = norm2[held]
             pop = _subset_norm2(amps, space, ch.ion, ch.levels, ch.fock)
-            p = np.minimum(pop / norm2, 1.0)
+            p = np.minimum(pop / before, 1.0)
             _zero_target(amps, space, ch.ion, ch.levels, ch.fock)
-            left = norm2 - pop
+            left = before - pop
             q = 1.0 - p
             # Taking off more than half the norm cancels bits; count what is
             # left again, and take q from that count.
             lost = pop > left
             if lost.any():
-                left[lost] = _row_norm2(amps[lost])
-                q[lost] = left[lost] / norm2[lost]
+                left[lost] = _row_norm2(amps[lost][held])
+                q[lost] = left[lost] / before[lost]
             if draw is None:
                 taken = survival_probability(ch.selectivity, q)
                 live = taken > 0.0
@@ -498,10 +543,10 @@ def survivor_paths(
             rest[rows, col] = q
             probs[rows, col] = taken
             col += 1
-            norm2 = left
+            norm2[held] = left
             if not live.all():
                 rows = np.arange(block)[rows][live]
-                amps, norm2 = amps[live], norm2[live]
+                amps, norm2 = _compacted(amps, space, live), norm2[live]
                 if rows.size == 0:
                     break
     alive = np.zeros(block, dtype=bool)
@@ -510,8 +555,36 @@ def survivor_paths(
     done = np.full(block, n_cleanouts)
     if n_cleanouts:  # argmax refuses an empty axis
         done = np.where(flags.any(axis=1), flags.argmax(axis=1) + 1, n_cleanouts)
-    final = _normalized(amps)
+    final = _end_rows(amps, space)
     return SurvivorPaths(weight, alive, final, columns, target, rest, probs, flags, done)
+
+
+def _split_paths(
+    amps: np.ndarray, register: _Register, steps: Sequence[_Step], draw, product: np.ndarray
+) -> SurvivorPaths:
+    """:func:`survivor_paths` of a block whose rows ``product`` are product
+    states and whose others are not: each kind runs as a block of its own,
+    with its rows' operators and uniforms, and the end states are written
+    back into whole register rows."""
+    block = amps.shape[0]
+    parts = [np.flatnonzero(product), np.flatnonzero(~product)]
+    runs = []
+    for part in parts:
+        part_steps = [
+            _Step(tuple((u[part], t) for u, t in step.unitaries), step.cleanouts) for step in steps
+        ]
+        part_draw = None if draw is None else (lambda col, live, part=part: draw(col, part[live]))
+        runs.append(survivor_paths(amps[part], register, part_steps, part_draw))
+    fields = {}
+    for name in ("weight", "alive", "target", "rest", "probs", "flags", "done"):
+        first = getattr(runs[0], name)
+        fields[name] = np.empty((block,) + first.shape[1:], dtype=first.dtype)
+        for part, run in zip(parts, runs):
+            fields[name][part] = getattr(run, name)
+    final = np.zeros((block, register.dim), dtype=np.complex128)
+    for part, run in zip(parts, runs):
+        final[np.ix_(part[run.alive], np.arange(register.dim)[run.columns])] = run.final
+    return SurvivorPaths(final=final[fields["alive"]], columns=slice(None), **fields)
 
 
 def cleanout_branches(
@@ -842,11 +915,18 @@ def addressed_steps(
 
 
 def ideal_addressed_output(chain: PureState, target: int, spec: GateSpec) -> PureState:
-    """Reference output: ideal rotation on the target, neighbors untouched,
-    in the identity on the space's levels (five, or the register's four)."""
-    u = np.eye(chain.space.levels, dtype=np.complex128)
-    u[:2, :2] = ideal_single_qubit(spec)
-    return _apply_matrix(chain, u, (target,))
+    """Reference output: the ideal rotation on the target's Q0 and Q1, every
+    other level and every neighbor untouched, in either layout (five
+    levels, or the register's four). Each new qubit amplitude is g0*x0 +
+    g1*x1 of the target's two, in split real arithmetic with no BLAS call,
+    so the same entries give the same bits in either layout and on any
+    CPU."""
+    shape, _, _ = _target_index(chain.space, target, None, None)
+    amps = chain.amplitudes.reshape(shape)
+    out = amps.copy()
+    for level, (g0, g1) in enumerate(ideal_single_qubit(spec)):
+        out[:, level] = _times(g0, amps[:, 0]) + _times(g1, amps[:, 1])
+    return PureState(chain.space, out.reshape(-1))
 
 
 def certified_addressed_gate(

@@ -7,13 +7,14 @@ tensor factor.
 
 Basis ordering is fixed and golden-value tests depend on it: per-ion levels
 in the order (Q0, Q1, AUX_PLUS, AUX_MINUS, BRIGHT), ion index major, Fock
-index last. This module alone knows that layout, and the kernel's two
-layouts beside it, the register and the support: every read or write of
-one ion's levels (and, optionally, some Fock indices) goes through the
-strided view of :func:`_target_index`, through the basis indices of
-:func:`_pair_index` for a sideband transfer's pairs, through the cyclic
-pass of :func:`_apply_product` over every ion, or through a support's row
-positions. Each of these reads the level count of the layout it is given.
+index last. This module alone knows that layout, and the kernel's three
+layouts beside it, the register, the support and the per-ion factors:
+every read or write of one ion's levels (and, optionally, some Fock
+indices) goes through the strided view of :func:`_target_index`, through
+the basis indices of :func:`_pair_index` for a sideband transfer's pairs,
+through the cyclic pass of :func:`_apply_product` over every ion, through
+a support's row positions, or through one ion's vector. Each of these
+reads the level count of the layout it is given.
 A :class:`PureState` is immutable and every operation on one returns a new
 state; only the kernel's ``(block, n)`` array is updated in place.
 
@@ -50,20 +51,36 @@ register entries at any cutoff. Rows on a support carry their entries
 with them: :func:`_public_rows` writes them into the public layout, and an
 ideal is scored at those entries.
 
+The factors (:class:`_Factors`) are the kernel's layout for steps of ion
+products and clean-outs of whole levels, a chain's, from a start that is
+a product state: one four-level vector per ion, ``(block, n_ions, 4)``.
+Each ion's transfer acts on its own vector and a clean-out zeroes levels
+of one vector, so a product stays a product: the bond-dimension-1 case of
+a matrix product state (Vidal, PRL 91, 147902 (2003)). :func:`_factor`
+factors a register row through its largest entry and accepts it only if
+the product of the vectors gives it back to rounding. The transfers
+(:func:`_apply_factors`), the populations and the end rows
+(:func:`_product_rows`) are split real arithmetic with no BLAS call. End
+rows are register rows over the levels that no clean-out after the last
+transfer zeroes, Q0 and Q1 of every ion for a chain, and carry those
+entries as a support's rows do.
+
 Each reduction has one row-wise rule in split real arithmetic, with no BLAS
 call: :func:`_row_norm2` (norms, populations), :func:`_normalized` and
-:func:`_row_overlaps`. The one-state functions are these rules at one row,
+:func:`_row_overlaps`; :func:`_times` is the one complex product, written
+as real products. The one-state functions are these rules at one row,
 so a state and a kernel row agree to the bit on any BLAS kernel. An
 overlap sums only the entries where the ideal is nonzero, so a register
 row scored against the register entries of an ideal with no Bright
 amplitude has the bits of the same row written back into the public
 layout and scored against the whole ideal.
 
-The kernel's block-sized arrays (the survivor block, on either layout,
-and the product pass's scratch) are views of work arrays that each thread
-keeps between runs, one per role, so repeated blocks reuse the same
-memory; see :func:`_work`. A pair rotation's gather and products, which
-run on a support's few entries, are allocated afresh.
+The kernel's block-sized arrays (the survivor block, on any layout, the
+product pass's scratch, and on the factors the transfer's planes, the
+compacted block and the end rows' partial products) are views of work
+arrays that each thread keeps between runs, one per role, so repeated
+blocks reuse the same memory; see :func:`_work`. A pair rotation's gather
+and products, which run on a support's few entries, are allocated afresh.
 """
 
 from __future__ import annotations
@@ -72,6 +89,7 @@ import cmath
 import math
 import numbers
 import threading
+import weakref
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import lru_cache
@@ -104,18 +122,18 @@ _BLOCK_BYTES = 512 * 2**10
 _kept = threading.local()
 
 
-def _work(role: str, shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialized C-contiguous complex array of ``shape``: a view of
-    this thread's work array for ``role``, grown to the largest request, or
-    a fresh array when it would pass one block's bytes. The view is valid
-    until the next request for the same role, so no returned array may hold
-    it."""
+def _work(role: str, shape: tuple[int, ...], dtype=np.complex128) -> np.ndarray:
+    """An uninitialized C-contiguous array of ``shape``, complex unless
+    ``dtype`` says otherwise: a view of this thread's work array for
+    ``role``, grown to the largest request, or a fresh array when it would
+    pass one block's bytes. A role keeps one dtype. The view is valid until
+    the next request for the same role, so no returned array may hold it."""
     count = math.prod(shape)
-    if count * 16 > _BLOCK_BYTES:
-        return np.empty(shape, dtype=np.complex128)
+    if count * np.dtype(dtype).itemsize > _BLOCK_BYTES:
+        return np.empty(shape, dtype=dtype)
     buffer = getattr(_kept, role, None)
     if buffer is None or buffer.size < count:
-        buffer = np.empty(count, dtype=np.complex128)
+        buffer = np.empty(count, dtype=dtype)
         setattr(_kept, role, buffer)
     return buffer[:count].reshape(shape)
 
@@ -482,22 +500,26 @@ def _apply_product(amps: np.ndarray, space: StateSpace, op: IonProduct) -> np.nd
 
 def _apply_block(
     amps: np.ndarray,
-    space: StateSpace | _Support,
+    space: StateSpace | _Support | _Factors,
     u: np.ndarray | PairRotations | IonProduct,
     targets: tuple[int, ...],
+    rows: slice | np.ndarray = slice(None),
 ) -> np.ndarray:
-    """Apply row b's operator ``u[b]`` to row b of a C-contiguous, writable
+    """Apply the operator ``u[rows][b]`` to row b of a C-contiguous, writable
     ``(block, n)`` array, in place, and return that array.
 
     ``u`` is a ``(block, d, d)`` stack, pair rotations on targets ``(ion,
     motion_axis)``, or an ion product on every ion of a register without a
-    motional mode. Rows of a :class:`_Support` take pair rotations only.
-    Each row goes through its own products, so a row's
-    result does not depend on the other rows or on the block size. No
-    unitarity check: callers validate matrices once and reuse them.
-    Protocol steps hold the structured operators; dense stacks come from
-    :func:`apply_unitary` and the ideal outputs.
+    motional mode. Rows of a :class:`_Support` take pair rotations only,
+    and rows of :class:`_Factors` ion products only. Each row goes through
+    its own products, so a row's result does not depend on the other rows
+    or on the block size. No unitarity check: callers validate matrices
+    once and reuse them. Protocol steps hold the structured operators;
+    dense stacks come from :func:`apply_unitary`.
     """
+    if isinstance(space, _Factors):
+        return _apply_factors(amps, u, rows)
+    u = u[rows]
     if isinstance(u, PairRotations):
         return _apply_pairs(amps, space, u, targets[0])
     if isinstance(u, IonProduct):
@@ -575,13 +597,16 @@ def _target_index(space: StateSpace, ion: int, levels: _Values, fock: _Values):
 
 
 def _subset_norm2(
-    amps: np.ndarray, space: StateSpace | _Support, ion: int, levels: _Values, fock: _Values
+    amps: np.ndarray, space: StateSpace | _Support | _Factors, ion: int, levels: _Values, fock: _Values
 ) -> np.ndarray:
     """Squared norm of each row of a ``(block, n)`` array, of a space or of
     a :class:`_Support`, on the subset where the ion's level is in
     ``levels`` and the Fock index in ``fock``: :func:`_row_norm2` of a
     contiguous copy of the subset (faster to square than a view), in basis
-    index order."""
+    index order. On :class:`_Factors` it is the population of those levels
+    in the ion's own vector."""
+    if isinstance(space, _Factors):
+        return _row_norm2(amps[:, ion, space.subsets[ion, levels]])
     if isinstance(space, _Support):
         return _row_norm2(np.take(amps, space.subsets[ion, levels, fock], axis=1))
     shape, levels, fock = _target_index(space, ion, levels, fock)
@@ -591,10 +616,14 @@ def _subset_norm2(
 
 
 def _zero_target(
-    amps: np.ndarray, space: StateSpace | _Support, ion: int, levels: _Values, fock: _Values
+    amps: np.ndarray, space: StateSpace | _Support | _Factors, ion: int, levels: _Values, fock: _Values
 ) -> None:
     """Zero the subset in every row of a C-contiguous ``(block, n)`` array
-    of a space or of a :class:`_Support`, in place."""
+    of a space or of a :class:`_Support`, or the levels in the ion's vector
+    of every row on :class:`_Factors`, in place."""
+    if isinstance(space, _Factors):
+        amps[:, ion, space.subsets[ion, levels]] = 0.0
+        return
     if isinstance(space, _Support):
         amps[:, space.subsets[ion, levels, fock]] = 0.0
         return
@@ -779,9 +808,242 @@ def _support(register: _Register, rotations: tuple, cleanouts: tuple, columns: b
     return _Support(entries, pairs, subsets, np.flatnonzero(top))
 
 
-def _top_fock(space: StateSpace | _Support) -> slice | np.ndarray | None:
+def _top_fock(space: StateSpace | _Support | _Factors) -> slice | np.ndarray | None:
     """The columns of a kernel row, of a space or of a :class:`_Support`,
-    at the top Fock index, or None if a row has none."""
+    at the top Fock index, or None if a row has none (as on
+    :class:`_Factors`, which holds no motion)."""
+    if isinstance(space, _Factors):
+        return None
     if isinstance(space, _Support):
         return space.top if space.top.size else None
     return slice(space.fock_cutoff, None, space.fock_dim) if space.has_motion else None
+
+
+# --- per-ion factors ----------------------------------------------------------
+
+
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The complex product a*b, broadcast, in split real arithmetic:
+    re = ar*br - ai*bi and im = ar*bi + ai*br, every real product rounded
+    once. numpy's complex multiply may fuse them, by CPU."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
+    re, im = out.real, out.imag
+    np.multiply(ar, br, out=re)
+    re -= ai * bi
+    np.multiply(ar, bi, out=im)
+    im += ai * br
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class _Factors:
+    """The kernel's layout for steps of ion products and clean-outs from a
+    product start: each row holds one four-level vector per ion, shape
+    ``(n_ions, 4)``, whose tensor product, ion 0 most significant, is the
+    register row. An ion product applies each factor's 4x4 block to its
+    ion's vector, a clean-out zeroes levels of one ion's vector, and the
+    fraction a clean-out takes is a population of that vector over its own
+    squared norm. ``subsets`` maps a clean-out's ``(ion, levels)`` to the
+    index of its levels in the vector. The end rows are register rows over
+    ``entries`` (register entries, ascending): the product of each ion's
+    levels in ``kept``, those that no clean-out after the last transfer
+    zeroes. Every other entry of an end state is exactly 0."""
+
+    kept: tuple[tuple[int, ...], ...]
+    entries: np.ndarray
+    subsets: dict
+
+
+# Enough for the runs one process alternates between; a key holds the
+# chain's clean-out targets.
+@lru_cache(maxsize=8)
+def _factors(register: _Register, cleanouts: tuple, tail: tuple) -> _Factors:
+    """The factor layout of a register without motion whose steps clean
+    ``cleanouts``, ``(ion, levels)`` each, of which ``tail`` come after the
+    last transfer. Invalid clean-out targets raise ValueError here."""
+    subsets = {}
+    for ion, levels in cleanouts:
+        _target_index(register, ion, levels, None)  # the checks of the strided view
+        subsets[ion, levels] = _as_index(levels)
+    zeroed = [set() for _ in range(register.n_ions)]
+    for ion, levels in tail:
+        zeroed[ion] |= levels
+    kept = tuple(tuple(lv for lv in range(register.levels) if lv not in z) for z in zeroed)
+    entries = np.zeros((), dtype=np.intp)
+    for levels in kept:
+        entries = np.add.outer(entries * register.levels, levels)
+    entries = entries.reshape(-1)
+    entries.flags.writeable = False  # handed out with every end row
+    return _Factors(kept, entries, subsets)
+
+
+def _product_rows(factors: np.ndarray, kept, normalize: bool = False) -> np.ndarray:
+    """The tensor product of each row's ion vectors, ion 0 most significant,
+    over the levels ``kept[k]`` of ion k (an index each): ``(block,
+    prod(len(kept[k])))`` register entries, ascending, each vector divided
+    by its norm first if ``normalize``. Each new entry is a*b of the
+    product so far and one level of the next vector, in split real
+    arithmetic: re = ar*br - ai*bi and im = ar*bi + ai*br. The partial
+    products run entry-major, ``(entries, block)``, in work arrays, so no
+    operand is broadcast along its contiguous axis."""
+    block = factors.shape[0]
+    for k, levels in enumerate(kept):
+        vector = factors[:, k]
+        br = np.ascontiguousarray(vector.real[:, levels].T)
+        bi = np.ascontiguousarray(vector.imag[:, levels].T)
+        if normalize:
+            norm = np.sqrt(_row_norm2(vector))
+            if not (norm > 0.0).all():
+                raise ValueError("state has no nonzero amplitude")
+            br /= norm
+            bi /= norm
+        if k == 0:
+            re, im = br, bi
+            continue
+        # Two pairs of work arrays in turn: each step reads the other's.
+        shape = (re.shape[0], br.shape[0], block)
+        new_re = _work(f"product-re{k % 2}", shape, np.float64)
+        new_im = _work(f"product-im{k % 2}", shape, np.float64)
+        term = _work("product-term", re.shape, np.float64)
+        for level, (lr, li) in enumerate(zip(br, bi)):
+            np.multiply(re, lr, out=new_re[:, level])
+            new_re[:, level] -= np.multiply(im, li, out=term)
+            np.multiply(re, li, out=new_im[:, level])
+            new_im[:, level] += np.multiply(im, lr, out=term)
+        re, im = (plane.reshape(shape[0] * shape[1], block) for plane in (new_re, new_im))
+    rows = np.empty((block, re.shape[0]), dtype=np.complex128)
+    rows.real, rows.imag = re.T, im.T
+    return rows
+
+
+def _end_rows(amps: np.ndarray, space: _Register | _Support | _Factors) -> np.ndarray:
+    """A kernel block's rows, normalized, as register rows in a new array:
+    on the register or a support the rows themselves, over their entries,
+    and on :class:`_Factors` the product of each row's ion vectors, each
+    divided by its norm, over the layout's entries."""
+    if isinstance(space, _Factors):
+        return _product_rows(amps, space.kept, normalize=True)
+    return _normalized(amps)
+
+
+# How far, per ion, a product start's entries may lie from the product of
+# its factors, in units in the last place of its largest magnitude. The
+# runner's product inputs, built ion after ion, lie within 2 per ion (up to
+# 9 at 5 ions, over random plus_n and basis inputs of 2-10 ions); a start
+# entangled at 1e-12 lies 1e4 or more from any product.
+_FACTOR_ULPS = 8
+
+
+def _factor(amps: np.ndarray, register: _Register) -> tuple[np.ndarray, np.ndarray]:
+    """Each register row of a ``(block, register.dim)`` array as one vector
+    per ion, ``(block, n_ions, 4)``, and whether that row is their product
+    to rounding. A row is factored through its largest-magnitude entry m:
+    ion 0's vector is the row along ion 0's level through m, and every other
+    ion's the row along its level through m over the entry at m, in split
+    real arithmetic. The row is a product when :func:`_product_rows` of the
+    vectors gives every entry within ``_FACTOR_ULPS`` per ion units in the
+    last place of the largest magnitude. Each row is factored on its own."""
+    block, n, levels = amps.shape[0], register.n_ions, register.levels
+    m = (amps.real**2 + amps.imag**2).argmax(axis=1)
+    place = levels ** np.arange(n - 1, -1, -1)
+    digits = m[:, None] // place % levels
+    # Row positions of each ion's levels through m: (block, n, levels).
+    index = m[:, None, None] + (np.arange(levels) - digits[:, :, None]) * place[:, None]
+    factors = np.take_along_axis(amps, index.reshape(block, -1), axis=1).reshape(block, n, levels)
+    pivot = np.take_along_axis(amps, m[:, None], axis=1)[:, :, None]  # the entry at m
+    size2 = pivot.real**2 + pivot.imag**2
+    rest = _times(factors[:, 1:], pivot.conj())
+    factors[:, 1:].real = rest.real / size2
+    factors[:, 1:].imag = rest.imag / size2
+    rebuilt = _product_rows(factors, (slice(None),) * n)
+    tolerance = n * _FACTOR_ULPS * np.spacing(np.sqrt(size2[:, 0, 0]))[:, None]
+    close = (np.abs(rebuilt.real - amps.real) <= tolerance) & (np.abs(rebuilt.imag - amps.imag) <= tolerance)
+    return factors, close.all(axis=1)
+
+
+def _factored(amps: np.ndarray, register: _Register) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_factor` of a block's register rows. A start broadcast over
+    the block (row stride 0) is factored from its one row, and the result is
+    kept for the next call while the read-only array that holds the row
+    lives: the runner passes one such start per spec."""
+    block = amps.shape[0]
+    if amps.strides[0] != 0:
+        return _factor(amps, register)
+    owner = amps
+    while isinstance(owner.base, np.ndarray):
+        owner = owner.base
+    key = (amps.__array_interface__["data"][0], amps.shape[1:], amps.strides[1:], register)
+    last = getattr(_kept, "factored", None)
+    if last is not None and last[0]() is owner and last[1] == key and not owner.flags.writeable:
+        factors, product = last[2]
+    else:
+        factors, product = _factor(amps[:1], register)
+        if not owner.flags.writeable:
+            _kept.factored = (weakref.ref(owner), key, (factors, product))
+    return np.broadcast_to(factors, (block,) + factors.shape[1:]), np.repeat(product, block)
+
+
+def _apply_factors(amps: np.ndarray, op: IonProduct, rows: slice | np.ndarray) -> np.ndarray:
+    """Apply the product ``op[rows][b]`` to the ion vectors of row b of a
+    ``(block, n_ions, 4)`` array, in place: each ion's vector times the 4x4
+    block of its factor, sum_j u[i, j] * x[j], in split real arithmetic, j
+    in order, every real product rounded once.
+
+    The real and imaginary planes of the blocks (of the rows ``rows``) and
+    of the vectors are first copied level-major into work arrays, ``(j, i,
+    block, n_ions)`` and ``(j, block, n_ions)``, so each operation runs
+    over every row and ion at once along contiguous memory, and no row's
+    operator is copied whole."""
+    levels = amps.shape[-1]
+    u = op.factors[..., :levels, :levels]
+    planes = (levels,) + amps.shape[:-1]
+    ur = _work("factor-ur", (levels,) + planes, np.float64)
+    ui = _work("factor-ui", (levels,) + planes, np.float64)
+    xr = _work("factor-xr", planes, np.float64)
+    xi = _work("factor-xi", planes, np.float64)
+    re = _work("factor-re", planes, np.float64)
+    im = _work("factor-im", planes, np.float64)
+    term = _work("factor-term", planes, np.float64)
+    for plane, part in ((ur, u.real), (ui, u.imag)):
+        if isinstance(rows, slice):
+            np.copyto(plane, part[rows].transpose(3, 2, 0, 1))
+        else:
+            # Every row's plane, then the live rows' gathered from it; take
+            # copies a strided source whole first, and mode="clip" writes
+            # its output unbuffered.
+            whole = _work("factor-whole", (levels, levels) + u.shape[:2], np.float64)
+            np.copyto(whole, part.transpose(3, 2, 0, 1))
+            np.take(whole, rows, axis=2, out=plane, mode="clip")
+    np.copyto(xr, amps.real.transpose(2, 0, 1))
+    np.copyto(xi, amps.imag.transpose(2, 0, 1))
+    for j in range(levels):
+        if j == 0:
+            np.multiply(ur[0], xr[0], out=re)
+            np.multiply(ur[0], xi[0], out=im)
+        else:
+            re += np.multiply(ur[j], xr[j], out=term)
+            im += np.multiply(ur[j], xi[j], out=term)
+        re -= np.multiply(ui[j], xi[j], out=term)
+        im += np.multiply(ui[j], xr[j], out=term)
+    amps.real, amps.imag = re.transpose(1, 2, 0), im.transpose(1, 2, 0)
+    return amps
+
+
+def _held(space: _Register | _Support | _Factors, ion: int) -> slice | tuple[slice, int]:
+    """The index, into a kernel block and into its squared norms, of the
+    part of each row that a clean-out on ``ion`` reads and zeroes: the
+    whole row, or on :class:`_Factors` the ion's vector, whose squared norm
+    each row keeps beside the other ions'."""
+    return (slice(None), ion) if isinstance(space, _Factors) else slice(None)
+
+
+def _compacted(amps: np.ndarray, space: _Register | _Support | _Factors, live: np.ndarray) -> np.ndarray:
+    """The rows ``live`` of a kernel block, in order: a new array, or on
+    :class:`_Factors` a view of whichever of two work arrays the block is
+    not in, so a chain's compactions allocate nothing."""
+    if not isinstance(space, _Factors):
+        return amps[live]
+    role = "factor-live" if np.may_share_memory(amps, getattr(_kept, "block", None)) else "block"
+    rows = np.flatnonzero(live)
+    return np.take(amps, rows, axis=0, out=_work(role, (rows.size,) + amps.shape[1:]), mode="clip")

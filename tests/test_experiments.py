@@ -660,6 +660,30 @@ class TestSpecValidation:
             worker_processes(single_spec(trials=11_051_536), 2)
         assert err.value.path == "$.trials"
 
+    def test_public_input_memory_boundary(self, monkeypatch):
+        # prepare_input builds the five-level vector and a copy of it, two
+        # at once: 2 * 16 * 5**n bytes for an n-ion chain. An 11-ion chain
+        # (1.46 GiB) fits the budget; one ion more would pass it, and the
+        # runner refuses that chain already. The budget is lowered after the
+        # specs are built, so nothing large is allocated.
+        chains = {
+            n: single_spec(protocol="addressing", crosstalk=(1.0,) + (0.1,) * (n - 1))
+            for n in (3, 4)
+        }
+        cz = single_spec(protocol="cz", gate=None, input_state=InputSpec("bell"))
+        assert 2 * 16 * 5**11 <= experiments.MEMORY_BUDGET < 2 * 16 * 5**12
+        monkeypatch.setattr(experiments, "MEMORY_BUDGET", 2 * 16 * 5**4)
+        assert prepare_input(chains[4]).space == StateSpace(4)
+        monkeypatch.setattr(experiments, "MEMORY_BUDGET", 2 * 16 * 5**4 - 1)
+        assert prepare_input(chains[3]).space == StateSpace(3)
+        with pytest.raises(ConfigError, match="five-level input") as err:
+            prepare_input(chains[4])
+        assert err.value.path == "$.crosstalk.ratios"
+        monkeypatch.setattr(experiments, "MEMORY_BUDGET", 2 * 16 * 25 * 4 - 1)
+        with pytest.raises(ConfigError) as err:
+            prepare_input(cz)
+        assert err.value.path == "$.fock_cutoff"
+
     @pytest.mark.parametrize(
         "protocol,extra",
         [("single", {}), ("cz", {"gate": None, "input_state": InputSpec("bell")}),

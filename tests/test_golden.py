@@ -11,26 +11,28 @@ and the amplitude bytes of ``ideal_cz_output`` and ``no_flag_branch``.
 
 Generated with numpy 2.4.6 and OpenBLAS 0.3.31 (scipy-openblas64,
 DYNAMIC_ARCH) on an AVX-512 CPU, whose default OpenBLAS kernel is SkylakeX.
-The single and cz entries, and every norm, population and overlap, use no
-BLAS call and pass unchanged under ``OPENBLAS_CORETYPE=Haswell``,
-``Sandybridge`` and ``Nehalem``, and with numpy's ``X86_V3 X86_V4
-AVX512_ICL AVX512_SPR`` dispatch disabled (``NPY_DISABLE_CPU_FEATURES``;
-``np.show_runtime()`` then lists them as not found); all four chain entries
-pass then too. The chain entries (``cli/chain4-mc``, ``cli/chain4-branch``,
-``api/ensemble/chain4-mc`` and ``api/no_flag_branch/addressing``) apply
-each transfer as one BLAS product per ion, and the ensembles score against
-an ideal made by a dense BLAS product; their last bits depend on the
-OpenBLAS kernel. Haswell, Sandybridge and Nehalem each move the two
-``api/`` entries and every file of the two CLI cases but its step table:
-``cli/chain4-mc/run_summary.json`` (only its ``conditional_fidelity_se``,
-a spread of fidelities equal to 1 up to rounding) and the summary,
-trajectory and branch tables of ``cli/chain4-branch``. A failure of only
-those entries on another CPU says the kernel differs, not the code.
-``test_entries_without_blas_hold_under_haswell`` reruns this file under
-``OPENBLAS_CORETYPE=Haswell`` with those six deselected, on a CPU with
-AVX2, so the chain cases' step tables are checked under that kernel too.
+Every entry but one uses no BLAS call and passes unchanged under
+``OPENBLAS_CORETYPE=Haswell``, ``Sandybridge`` and ``Nehalem``, and with
+numpy's ``X86_V3 X86_V4 AVX512_ICL AVX512_SPR`` dispatch disabled
+(``NPY_DISABLE_CPU_FEATURES``; every entry passes then): every
+norm, population and overlap is a split real row rule, the chain runs'
+product starts run on one vector per ion in split real arithmetic, and the
+addressed ideal is a split real 2x2 on the target. The one BLAS entry is
+``api/no_flag_branch/addressing``: its 3-ion start is entangled, so it runs
+on the register, which applies each transfer as one BLAS product per ion;
+its last bits depend on the OpenBLAS kernel, and each of the three kernels
+moves it. A failure of only that entry on another CPU says the kernel
+differs, not the code. ``test_entries_without_blas_hold_under_haswell``
+reruns this file under ``OPENBLAS_CORETYPE=Haswell`` with that one entry
+deselected, on a CPU with AVX2.
 
-Last regenerated when trajectories began to draw in 64-row RNG blocks,
+Last regenerated when chain runs from product starts moved onto one vector
+per ion (``statespace._Factors``) and the addressed ideal out of BLAS:
+``api/ensemble/chain4-mc``, ``cli/chain4-mc/run_summary.json`` and the
+summary, trajectory and branch tables of ``cli/chain4-branch`` moved, 5 of
+the 52 hashes; their step tables, and every single and cz entry, did not.
+That took four chain entries out of the Haswell rerun's deselection. Before
+that, when trajectories began to draw in 64-row RNG blocks,
 keyed by the block index instead of the trajectory index: 40 of the 52
 hashes moved, the same 40 as at the first Philox streams below. Before
 that, when an overlap began to sum only the entries where the
@@ -284,15 +286,8 @@ def test_values_match_the_manifest(name):
 
 
 # The entries whose last bits depend on the OpenBLAS kernel; the Haswell
-# kernel moves each of them. Both chain runs' step tables hold under it.
-BLAS_ENTRIES = (
-    "test_cli_outputs_match_the_manifest[chain4-mc/run_summary.json]",
-    "test_cli_outputs_match_the_manifest[chain4-branch/run_branches.csv]",
-    "test_cli_outputs_match_the_manifest[chain4-branch/run_summary.json]",
-    "test_cli_outputs_match_the_manifest[chain4-branch/run_trajectories.csv]",
-    "test_values_match_the_manifest[ensemble/chain4-mc]",
-    "test_values_match_the_manifest[no_flag_branch/addressing]",
-)
+# kernel moves each of them.
+BLAS_ENTRIES = ("test_values_match_the_manifest[no_flag_branch/addressing]",)
 
 
 def test_entries_without_blas_hold_under_haswell():

@@ -13,15 +13,26 @@ amplitude, check that the states and ideals the runner builds on the
 register have the bytes of the public ones at ``_basis``, and guard,
 without timing, that a chain block holds register rows and that a run
 holds no five-level vector.
+
+Chains from product starts run on one vector per ion. For 2-8 ions their
+rows are checked against a dense five-level oracle that applies each
+ion's 5x5 matrix on its axis (the Kronecker product ``np.asarray`` of an
+``IonProduct`` gives, checked against it at 2-3 ions) and the projector
+clean-outs above, in both modes and at errors that reach the lost-half
+recount; a start entangled at 1e-12 stays on the register with its bits,
+a block mixing both kinds gives each row its bits alone, a warm factor
+block allocates little beside what it returns, and 5-8-ion rows meet the
+closed form.
 """
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from heraldsim import experiments
+from heraldsim import experiments, protocols
 from heraldsim.dissipation import PROB_FLOOR, aux_cleanout, qubit_cleanout
 from heraldsim.experiments import (
     ExperimentSpec,
@@ -30,7 +41,7 @@ from heraldsim.experiments import (
     enumerate_trajectory,
     run_ensemble,
 )
-from heraldsim.noise import AmplitudeErrorModel, draw_block
+from heraldsim.noise import AmplitudeErrorModel, draw_block, sample_errors_counted, trajectory_rng
 from heraldsim.protocols import (
     LEAK_ATOL,
     ONE_ION,
@@ -63,7 +74,10 @@ from heraldsim.statespace import (
     _Register,
     _basis,
     _into_register,
+    _public_rows,
+    fidelity_up_to_global_phase,
     make_state,
+    plus_minus_n_vectors,
 )
 
 BRIGHT = int(IonLevel.BRIGHT)
@@ -452,3 +466,275 @@ def test_an_eight_ion_run_holds_no_five_level_vector(run, trials):
     # register, 21 MB from a five-level input to a five-level end state.
     spec = chain_spec(8, trials)
     assert warm_peak(lambda: run(spec)) < 16 * 5**8
+
+
+# --- chains from product starts run on one vector per ion ---------------------
+
+
+def ion_by_ion(space: StateSpace, factors: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """``np.asarray(IonProduct(factors)) @ psi`` for one row's factors,
+    applied as the Kronecker product it is: each ion's 5x5 matrix on its
+    axis of the dense five-level state, so no matrix spans the space."""
+    tensor = psi.reshape(space.factor_dims)
+    for k, u in enumerate(factors):
+        tensor = np.moveaxis(np.tensordot(u, tensor, axes=([1], [k])), 0, k)
+    return tensor.reshape(-1)
+
+
+def chain_oracle(space: StateSpace, start: np.ndarray, steps, uniforms=None):
+    """One row's survivor path by dense five-level states: at every clean-out
+    reached, (p, q, probability of the branch taken, flagged), with q the
+    squared norm left over the squared norm before; and the normalized end
+    state, or None. Branch mode (no ``uniforms``) follows the survivor."""
+    psi, records = start.astype(complex), []
+    draws = iter(uniforms) if uniforms is not None else None
+    for step in steps:
+        for u, _ in step.unitaries:
+            psi = ion_by_ion(space, u.factors[0], psi)
+        for ch in step.cleanouts:
+            target = cleanout_projector(space, ch)
+            norm2 = np.vdot(psi, psi).real
+            p = np.vdot(psi[target], psi[target]).real / norm2
+            psi = np.where(target, 0.0, psi)
+            q = np.vdot(psi, psi).real / norm2
+            s = ch.selectivity
+            segments = [(p, True), ((1 - s) * q, True), (s * q, False)]
+            taken = segments[2]
+            if draws is not None:
+                kept = [seg for seg in segments if seg[0] > PROB_FLOOR]
+                u_draw, acc, taken = next(draws), 0.0, kept[-1]
+                for seg in kept:
+                    acc += seg[0]
+                    if u_draw < acc:
+                        taken = seg
+                        break
+            records.append((p, q, taken[0] if taken[0] > PROB_FLOOR else 0.0, taken[1]))
+            if taken[1] or not taken[0] > PROB_FLOOR:
+                return records, None
+    return records, psi / np.linalg.norm(psi)
+
+
+def product_chain_case(n_ions: int, seed: int, mode: str, rows: int):
+    """A random chain of ``n_ions``, a plus_n or basis start, the steps of
+    ``rows`` rows with errors drawn at sigma 4 (most clamp at +-pi), and,
+    in mc mode, one uniform per clean-out for every row. Row 0's errors lie
+    1e-4 and 3e-5 from pi, so its clean-outs take all but 1e-9 or less and
+    the lost-half recount decides q."""
+    rng = np.random.default_rng(1000 * n_ions + seed)
+    xtalk, target = random_chain(rng, n_ions)
+    ratios = list(xtalk.ratios)
+    ratios[(target + 1) % n_ions] = 0.99
+    if n_ions > 2:
+        ratios[(target + 2) % n_ions] = 0.0
+    label = "".join(rng.choice(list("01+-"), size=n_ions))
+    spec = ExperimentSpec(
+        protocol="addressing",
+        error_model=AmplitudeErrorModel.gaussian_iid(4.0),
+        input_state=InputSpec("plus_n") if seed % 2 else InputSpec("basis", label),
+        trials=rows,
+        master_seed=seed,
+        gate=random_gate(rng),
+        selectivity=float(rng.choice([1.0, 0.9])),
+        mode=mode,
+        crosstalk=tuple(ratios),
+        target=target,
+    )
+    build = experiments._block_builder(spec)
+    n_uniforms = len(cleanout_sites(build.cleanouts)) if mode == "mc" else 0
+    errors, clamps, uniforms = draw_block(spec.error_model, 2, seed, range(rows), n_uniforms)
+    assert clamps.sum() > 0
+    errors[0] = (math.pi - 1e-4, -(math.pi - 3e-5))
+    return spec, build(errors), uniforms
+
+
+@pytest.mark.parametrize("n_ions", range(2, 9))
+@pytest.mark.parametrize("mode", ["branch", "mc"])
+def test_factor_rows_match_the_dense_oracle(n_ions, mode):
+    rows = 4 if n_ions < 6 else 2
+    for seed in (0, 1):  # a basis start, then plus_n
+        spec, steps, uniforms = product_chain_case(n_ions, seed, mode, rows)
+        space = StateSpace(n_ions)
+        public = experiments.prepare_input(spec)
+        ideal = ideal_addressed_output(public, spec.target, spec.gate)
+        start, register = _into_register(public.amplitudes[None], space)
+        draw = (lambda col, live: uniforms[live, col]) if mode == "mc" else None
+        paths = survivor_paths(np.broadcast_to(start[0], (rows, register.dim)), register, steps, draw)
+        # On the factors: the end rows hold each ion's Q0 and Q1 only.
+        assert paths.columns.size == 2**n_ions
+        finals = iter(_public_rows(paths.final, space, paths.columns))
+        for b in range(rows):
+            records, final = chain_oracle(
+                space, public.amplitudes, row_steps(steps, b), uniforms[b] if mode == "mc" else None
+            )
+            reached = len(records)
+            flagged = [r[3] for r in records]
+            assert paths.alive[b] == (final is not None)
+            if mode == "mc":
+                assert paths.flags[b, :reached].tolist() == flagged
+                assert not paths.flags[b, reached:].any()
+                assert paths.done[b] == reached
+            p, q, taken, _ = (np.array(col) for col in zip(*records))
+            np.testing.assert_allclose(paths.target[b, :reached], p, rtol=0, atol=1e-12)
+            # Relative: where a clean-out takes all but 1e-9, 1 - p keeps
+            # only seven digits of q, and the recount keeps them all.
+            np.testing.assert_allclose(paths.rest[b, :reached], q, rtol=1e-9, atol=0)
+            np.testing.assert_allclose(paths.probs[b, :reached], taken, rtol=0, atol=1e-12)
+            if mode == "branch":
+                weight = math.prod(taken) if final is not None else 0.0
+                assert paths.weight[b] == pytest.approx(weight, rel=0, abs=1e-12)
+            if final is not None:
+                got = next(finals)
+                np.testing.assert_allclose(got, final, rtol=0, atol=1e-12)
+                fidelity = fidelity_up_to_global_phase(PureState(space, got), ideal)
+                assert fidelity == pytest.approx(
+                    fidelity_up_to_global_phase(PureState(space, final), ideal), abs=1e-12
+                )
+
+
+@pytest.mark.parametrize("n_ions", [2, 3])
+def test_the_ion_by_ion_oracle_is_the_dense_product(n_ions):
+    rng = np.random.default_rng(n_ions)
+    space = StateSpace(n_ions)
+    xtalk, target = random_chain(rng, n_ions)
+    (step, _) = addressed_builder(random_gate(rng), xtalk, target)(rng.normal(0.0, 1.0, (1, 2)))
+    (u, targets), = step.unitaries
+    psi = qubit_start(rng, space).amplitudes
+    np.testing.assert_allclose(
+        ion_by_ion(space, u.factors[0], psi), dense_operator(space, u, targets) @ psi, rtol=0, atol=1e-14
+    )
+    np.testing.assert_allclose(np.asarray(u)[0], dense_operator(space, u, targets), rtol=0, atol=0)
+
+
+def entangled_chain(trials: int, mode: str, tilt: float) -> tuple:
+    """``survivor_paths``' inputs for a 3-ion plus_n chain whose start is
+    given as amplitudes, with ``tilt`` added to one of them."""
+    base = chain_spec(3, trials)
+    plus, _ = plus_minus_n_vectors(base.gate.axis)
+    amps = [plus[a] * plus[b] * plus[c] for a, b, c in np.ndindex(2, 2, 2)]
+    amps[5] += tilt
+    spec = ExperimentSpec(**{
+        **vars(base), "mode": mode, "input_state": InputSpec("amplitudes", amplitudes=tuple(amps)),
+        "error_model": AmplitudeErrorModel.gaussian_iid(0.6),
+    })
+    register = _Register(3)
+    state = experiments._input_on(spec, register)
+    build = experiments._block_builder(spec)
+    n_uniforms = len(cleanout_sites(build.cleanouts)) if mode == "mc" else 0
+    errors, _, uniforms = draw_block(spec.error_model, 2, 5, range(trials), n_uniforms)
+    draw = (lambda col, live: uniforms[live, col]) if mode == "mc" else None
+    return state.amplitudes, register, build(errors), draw
+
+
+@pytest.mark.parametrize("mode", ["branch", "mc"])
+def test_a_start_entangled_at_1e_12_runs_on_the_register(mode, monkeypatch):
+    row, register, steps, draw = entangled_chain(20, mode, 1e-12)
+    start = np.broadcast_to(row, (20, register.dim))
+    paths = survivor_paths(start, register, steps, draw)
+    assert paths.columns == slice(None)
+    # The register's bits: those of a kernel that factors nothing.
+    monkeypatch.setattr(protocols, "_factored", lambda amps, _: (None, np.zeros(len(amps), bool)))
+    for amps in (start, start.copy()):
+        alone = survivor_paths(amps, register, steps, draw)
+        assert alone.columns == slice(None)
+        for name, value in vars(paths).items():
+            if name != "columns":
+                assert value.tobytes() == vars(alone)[name].tobytes(), name
+    # Without the tilt the same start runs on the factors.
+    row, *_ = entangled_chain(20, mode, 0.0)
+    monkeypatch.undo()
+    assert survivor_paths(np.broadcast_to(row, (20, register.dim)), register, steps, draw).columns.size == 8
+
+
+@pytest.mark.parametrize("mode", ["branch", "mc"])
+def test_a_mixed_block_gives_each_row_its_bits_alone(mode):
+    product, register, steps, draw = entangled_chain(3, mode, 0.0)
+    entangled, *_ = entangled_chain(3, mode, 1e-6)
+    block = np.stack([product, entangled, product])
+    mixed = survivor_paths(block, register, steps, draw)
+    assert mixed.columns == slice(None)
+    finals = iter(mixed.final)
+    for b in range(3):
+        rows = np.array([b])
+        one_draw = None if draw is None else (lambda col, live: draw(col, rows[live]))
+        alone = survivor_paths(block[b : b + 1], register, row_steps(steps, b), one_draw)
+        assert isinstance(alone.columns, slice) == (b == 1)
+        for name in ("weight", "alive", "target", "rest", "probs", "flags", "done"):
+            assert getattr(mixed, name)[b].tobytes() == getattr(alone, name)[0].tobytes(), name
+        if alone.alive[0]:
+            row = np.zeros(register.dim, dtype=complex)
+            row[alone.columns] = alone.final[0]
+            assert next(finals).tobytes() == row.tobytes()
+
+
+def warm_transient(run) -> int:
+    """The ``tracemalloc`` peak of a second call of ``run`` over what it
+    returns: what the call allocates and frees again."""
+    run()
+    tracemalloc.start()
+    try:
+        kept = run()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del kept
+    return peak - current
+
+
+@pytest.mark.parametrize("mode", ["branch", "mc"])
+def test_a_warm_factor_block_allocates_little_beside_what_it_returns(mode):
+    # A four-ion chain block of 128 rows: one register block is 512 KiB,
+    # and the factor block 32 KiB. On the register the same call peaked
+    # 0.27 (branch) and 1.55 (mc) register blocks over what it returned,
+    # with the subsets' copies and, in mc mode, the live rows and their
+    # operators copied at each compaction. On the factors it takes 0.04:
+    # the transfers, the compactions and the end rows' partial products run
+    # in kept work arrays.
+    spec = replace(chain_spec(4, _block_size("addressing", StateSpace(4))), mode=mode)
+    register = _Register(4)
+    state = experiments._input_on(spec, register)
+    build = experiments._block_builder(spec)
+    n_uniforms = len(cleanout_sites(build.cleanouts)) if mode == "mc" else 0
+    errors, _, uniforms = draw_block(spec.error_model, 2, spec.master_seed, range(spec.trials), n_uniforms)
+    draw = (lambda col, live: uniforms[live, col]) if mode == "mc" else None
+    start = np.broadcast_to(state.amplitudes, (spec.trials, register.dim))
+    steps = build(errors)
+    paths = survivor_paths(start, register, steps, draw)
+    assert paths.columns.size == 16 and 0 < paths.alive.sum() < spec.trials or mode == "branch"
+    transient = warm_transient(lambda: survivor_paths(start, register, steps, draw))
+    assert transient < 16 * spec.trials * 4**4 / 8
+
+
+@pytest.mark.parametrize("n_ions", [5, 6, 7, 8])
+def test_long_chain_rows_satisfy_the_closed_form(n_ions):
+    # test_kernel.py's closed form, on chains past its random specs' three
+    # ions, which run on one vector per ion: each branch row's weight is
+    # s**(2n) times g(delta) of both transfers, g the target's
+    # cos^2(delta/2) times cos^2(r(pi + delta)/2) of every neighbor.
+    rng = np.random.default_rng(n_ions)
+    target = int(rng.integers(n_ions))
+    ratios = [1.0 if j == target else float(rng.choice([0.0, 0.99, rng.uniform(0, 0.99)])) for j in range(n_ions)]
+    spec = ExperimentSpec(
+        protocol="addressing",
+        error_model=AmplitudeErrorModel.gaussian_iid(0.6),
+        input_state=InputSpec("plus_n"),
+        trials=12,
+        master_seed=n_ions,
+        gate=random_gate(rng),
+        selectivity=0.9,
+        mode="branch",
+        crosstalk=tuple(ratios),
+        target=target,
+    )
+    _, rows = run_ensemble(spec, return_rows=True)
+    for row in rows:
+        errors, _ = sample_errors_counted(
+            spec.error_model, spec.n_steps, trajectory_rng(spec.master_seed, row.index)
+        )
+        g = [
+            math.cos(d / 2) ** 2 * math.prod(math.cos(r * (math.pi + d) / 2) ** 2 for r in ratios if r != 1.0)
+            for d in errors
+        ]
+        expected = spec.selectivity ** (2 * n_ions) * math.prod(g)
+        assert row.no_flag_probability == pytest.approx(expected, rel=0, abs=1e-12), row
+        if row.no_flag_probability > 0:
+            assert row.fidelity >= 1 - 1e-10, row
