@@ -64,9 +64,11 @@ _WILSON_Z = 1.96  # 95% interval
 # Largest estimated peak memory of one run, over all its processes.
 MEMORY_BUDGET = 2 * 2**30
 # Peak RSS of a 9-, 10- or 11-ion addressing ensemble (one row per block)
-# is 6.2, 4.6 and 4.1 register rows over the process before it (~30 MB
-# with numpy loaded): the input, the ideal, the kernel's block and scratch.
-# At 11 ions, with its branch table, a run peaks at 0.56 of the estimate.
+# on the register is 6.2, 4.6 and 4.1 register rows over the process before
+# it (~30 MB with numpy loaded): the input, the ideal, the kernel's block
+# and scratch; from a product start, on per-ion factors, 5.2, 3.9 and 3.6.
+# At 11 ions, with its branch table, a run peaks at 0.56 of the estimate on
+# the register and 0.44 from a product start.
 _STATE_COPIES = 10
 _PROCESS_BYTES = 64 * 2**20
 # Peak RSS per trajectory over the process before the run, at 1e6 trials:
@@ -499,15 +501,19 @@ def _run_batch(spec: ExperimentSpec, start: int, stop: int, bare: bool = False) 
 def _register_inputs(spec: ExperimentSpec, space: StateSpace) -> tuple[PureState, np.ndarray]:
     """The spec's input and the amplitudes of its ideal, on the register as
     the kernel's rows are, built once per spec: the last spec's are kept
-    for the next batch, one spec at a time, in each thread. They depend on
-    the protocol, the input, the gate and the chain alone, so the specs of
-    one sweep or benchmark that differ in nothing else share them."""
+    for the next batch, one spec at a time, in each thread, when a register
+    row fits in one block's bytes (as the kernel's work arrays are kept);
+    larger ones are freed with the run. They depend on the protocol, the
+    input, the gate and the chain alone, so the specs of one sweep or
+    benchmark that differ in nothing else share them."""
     key = (spec.protocol, spec.input_state, spec.gate, spec.crosstalk, spec.target, space)
     kept = getattr(_kept_inputs, "last", None)
     if kept is None or kept[0] != key:
         _kept_inputs.last = None  # no two specs' rows at once
         state = _input_on(spec, _Register(space.n_ions, space.fock_cutoff))
-        kept = _kept_inputs.last = (key, state, _ideal_output(spec, state).amplitudes)
+        kept = (key, state, _ideal_output(spec, state).amplitudes)
+        if 16 * state.space.dim <= _BLOCK_BYTES:
+            _kept_inputs.last = kept
     return kept[1], kept[2]
 
 

@@ -60,7 +60,7 @@ a matrix product state (Vidal, PRL 91, 147902 (2003)). :func:`_factor`
 factors a register row through its largest entry and accepts it only if
 the product of the vectors gives it back to rounding. The transfers
 (:func:`_apply_factors`), the populations and the end rows
-(:func:`_product_rows`) are split real arithmetic with no BLAS call. End
+(:func:`_product_planes`) are split real arithmetic with no BLAS call. End
 rows are register rows over the levels that no clean-out after the last
 transfer zeroes, Q0 and Q1 of every ion for a chain, and carry those
 entries as a support's rows do.
@@ -878,15 +878,16 @@ def _factors(register: _Register, cleanouts: tuple, tail: tuple) -> _Factors:
     return _Factors(kept, entries, subsets)
 
 
-def _product_rows(factors: np.ndarray, kept, normalize: bool = False) -> np.ndarray:
+def _product_planes(factors: np.ndarray, kept, normalize: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The tensor product of each row's ion vectors, ion 0 most significant,
-    over the levels ``kept[k]`` of ion k (an index each): ``(block,
-    prod(len(kept[k])))`` register entries, ascending, each vector divided
-    by its norm first if ``normalize``. Each new entry is a*b of the
-    product so far and one level of the next vector, in split real
-    arithmetic: re = ar*br - ai*bi and im = ar*bi + ai*br. The partial
-    products run entry-major, ``(entries, block)``, in work arrays, so no
-    operand is broadcast along its contiguous axis."""
+    over the levels ``kept[k]`` of ion k (an index each), as its real and
+    imaginary planes, entry-major: ``(entries, block)``, the register
+    entries ascending, each vector divided by its norm first if
+    ``normalize``. Each new entry is a*b of the product so far and one
+    level of the next vector, in split real arithmetic: re = ar*br - ai*bi
+    and im = ar*bi + ai*br. Entry-major, no operand is broadcast along its
+    contiguous axis; the planes are work arrays, valid until the next
+    call."""
     block = factors.shape[0]
     for k, levels in enumerate(kept):
         vector = factors[:, k]
@@ -912,9 +913,7 @@ def _product_rows(factors: np.ndarray, kept, normalize: bool = False) -> np.ndar
             np.multiply(re, li, out=new_im[:, level])
             new_im[:, level] += np.multiply(im, lr, out=term)
         re, im = (plane.reshape(shape[0] * shape[1], block) for plane in (new_re, new_im))
-    rows = np.empty((block, re.shape[0]), dtype=np.complex128)
-    rows.real, rows.imag = re.T, im.T
-    return rows
+    return re, im
 
 
 def _end_rows(amps: np.ndarray, space: _Register | _Support | _Factors) -> np.ndarray:
@@ -923,7 +922,10 @@ def _end_rows(amps: np.ndarray, space: _Register | _Support | _Factors) -> np.nd
     and on :class:`_Factors` the product of each row's ion vectors, each
     divided by its norm, over the layout's entries."""
     if isinstance(space, _Factors):
-        return _product_rows(amps, space.kept, normalize=True)
+        re, im = _product_planes(amps, space.kept, normalize=True)
+        rows = np.empty((amps.shape[0], re.shape[0]), dtype=np.complex128)
+        rows.real, rows.imag = re.T, im.T
+        return rows
     return _normalized(amps)
 
 
@@ -941,11 +943,15 @@ def _factor(amps: np.ndarray, register: _Register) -> tuple[np.ndarray, np.ndarr
     to rounding. A row is factored through its largest-magnitude entry m:
     ion 0's vector is the row along ion 0's level through m, and every other
     ion's the row along its level through m over the entry at m, in split
-    real arithmetic. The row is a product when :func:`_product_rows` of the
-    vectors gives every entry within ``_FACTOR_ULPS`` per ion units in the
-    last place of the largest magnitude. Each row is factored on its own."""
+    real arithmetic. The row is a product when :func:`_product_planes` of
+    the vectors gives every entry within ``_FACTOR_ULPS`` per ion units in
+    the last place of the largest magnitude. Each row is factored on its
+    own, and no temporary holds more than two planes of a row."""
     block, n, levels = amps.shape[0], register.n_ions, register.levels
-    m = (amps.real**2 + amps.imag**2).argmax(axis=1)
+    mag2 = amps.real**2
+    mag2 += amps.imag**2
+    m = mag2.argmax(axis=1)
+    del mag2  # freed before the product is rebuilt
     place = levels ** np.arange(n - 1, -1, -1)
     digits = m[:, None] // place % levels
     # Row positions of each ion's levels through m: (block, n, levels).
@@ -956,10 +962,13 @@ def _factor(amps: np.ndarray, register: _Register) -> tuple[np.ndarray, np.ndarr
     rest = _times(factors[:, 1:], pivot.conj())
     factors[:, 1:].real = rest.real / size2
     factors[:, 1:].imag = rest.imag / size2
-    rebuilt = _product_rows(factors, (slice(None),) * n)
-    tolerance = n * _FACTOR_ULPS * np.spacing(np.sqrt(size2[:, 0, 0]))[:, None]
-    close = (np.abs(rebuilt.real - amps.real) <= tolerance) & (np.abs(rebuilt.imag - amps.imag) <= tolerance)
-    return factors, close.all(axis=1)
+    tolerance = n * _FACTOR_ULPS * np.spacing(np.sqrt(size2[:, 0, 0]))
+    close = np.ones(block, dtype=bool)
+    # |rebuilt - row| plane by plane, in place in the product's work arrays.
+    for plane, part in zip(_product_planes(factors, (slice(None),) * n), (amps.real, amps.imag)):
+        plane -= part.T
+        close &= (np.abs(plane, out=plane) <= tolerance).all(axis=0)
+    return factors, close
 
 
 def _factored(amps: np.ndarray, register: _Register) -> tuple[np.ndarray, np.ndarray]:

@@ -452,6 +452,17 @@ def test_a_warm_chain_block_allocates_at_most_two_register_blocks():
     assert warm_peak(lambda: survivor_paths(start, register, steps)) <= 2 * 16 * spec.trials * 4**4
 
 
+def test_a_run_keeps_no_register_row_past_one_block():
+    # The runner keeps the last spec's register input and ideal for its
+    # next batch only while a row fits in one block's bytes; an 8-ion row
+    # (1 MiB) is freed with the run, so a branch table after the ensemble
+    # does not hold two more rows.
+    run_ensemble(chain_spec(4, 3))
+    assert experiments._kept_inputs.last is not None  # a 4 KiB row
+    run_ensemble(chain_spec(8, 1))
+    assert experiments._kept_inputs.last is None
+
+
 @pytest.mark.parametrize(
     "run, trials",
     [(run_ensemble, 1), (run_ensemble, 2), (enumerate_trajectory, 1)],
@@ -686,7 +697,7 @@ def test_a_warm_factor_block_allocates_little_beside_what_it_returns(mode):
     # and the factor block 32 KiB. On the register the same call peaked
     # 0.27 (branch) and 1.55 (mc) register blocks over what it returned,
     # with the subsets' copies and, in mc mode, the live rows and their
-    # operators copied at each compaction. On the factors it takes 0.04:
+    # operators copied at each compaction. On the factors it takes 0.025:
     # the transfers, the compactions and the end rows' partial products run
     # in kept work arrays.
     spec = replace(chain_spec(4, _block_size("addressing", StateSpace(4))), mode=mode)
