@@ -959,6 +959,9 @@ def _factor(amps: np.ndarray, register: _Register) -> tuple[np.ndarray, np.ndarr
     factors = np.take_along_axis(amps, index.reshape(block, -1), axis=1).reshape(block, n, levels)
     pivot = np.take_along_axis(amps, m[:, None], axis=1)[:, :, None]  # the entry at m
     size2 = pivot.real**2 + pivot.imag**2
+    # A zero row is the product of zero vectors; the kernel's norm check
+    # refuses it, as on the register.
+    size2[size2 == 0.0] = 1.0
     rest = _times(factors[:, 1:], pivot.conj())
     factors[:, 1:].real = rest.real / size2
     factors[:, 1:].imag = rest.imag / size2

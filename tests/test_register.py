@@ -20,13 +20,15 @@ ion's 5x5 matrix on its axis (the Kronecker product ``np.asarray`` of an
 ``IonProduct`` gives, checked against it at 2-3 ions) and the projector
 clean-outs above, in both modes and at errors that reach the lost-half
 recount; a start entangled at 1e-12 stays on the register with its bits,
-a block mixing both kinds gives each row its bits alone, a warm factor
-block allocates little beside what it returns, and 5-8-ion rows meet the
-closed form.
+a block mixing both kinds gives each row its bits alone, a start that is
+not normalized (zero included) is refused as on the register, a warm
+factor block allocates little beside what it returns, and 5-8-ion rows
+meet the closed form.
 """
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -675,6 +677,19 @@ def test_a_mixed_block_gives_each_row_its_bits_alone(mode):
             row = np.zeros(register.dim, dtype=complex)
             row[alone.columns] = alone.final[0]
             assert next(finals).tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("scale", [0.0, 1.01])
+def test_a_chain_start_that_is_not_normalized_is_refused(scale):
+    # A zero row factors into zero vectors, with no division by zero, and
+    # the kernel's norm check refuses it as it does on the register.
+    row, register, steps, _ = entangled_chain(3, "branch", 0.0)
+    scaled = np.broadcast_to(scale * row, (3, register.dim))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for amps in (scaled, scaled.copy()):
+            with pytest.raises(ValueError, match="start from normalized states"):
+                survivor_paths(amps, register, steps)
 
 
 def warm_transient(run) -> int:
