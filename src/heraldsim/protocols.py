@@ -496,7 +496,7 @@ def survivor_paths(
         # On factors, each ion's vector's.
         norm2 = _row_norm2(amps)
     total = norm2 if norm2.ndim == 1 else norm2.prod(axis=1)
-    off = total[np.abs(total - 1.0) > NORM_CHECK_ATOL]
+    off = total[~(np.abs(total - 1.0) <= NORM_CHECK_ATOL)]  # NaN included
     if off.size:
         raise ValueError(f"survivor paths start from normalized states (norm {math.sqrt(off[0])})")
     top = _top_fock(space) if monitor_top_fock else None

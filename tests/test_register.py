@@ -21,7 +21,7 @@ ion's 5x5 matrix on its axis (the Kronecker product ``np.asarray`` of an
 clean-outs above, in both modes and at errors that reach the lost-half
 recount; a start entangled at 1e-12 stays on the register with its bits,
 a block mixing both kinds gives each row its bits alone, a start that is
-not normalized (zero included) is refused as on the register, a warm
+not normalized (zero or NaN included) is refused as on the register, a warm
 factor block allocates little beside what it returns, and 5-8-ion rows
 meet the closed form.
 """
@@ -679,10 +679,12 @@ def test_a_mixed_block_gives_each_row_its_bits_alone(mode):
             assert next(finals).tobytes() == row.tobytes()
 
 
-@pytest.mark.parametrize("scale", [0.0, 1.01])
+@pytest.mark.parametrize("scale", [0.0, 1.01, math.nan])
 def test_a_chain_start_that_is_not_normalized_is_refused(scale):
     # A zero row factors into zero vectors, with no division by zero, and
-    # the kernel's norm check refuses it as it does on the register.
+    # the kernel's norm check refuses it as it does on the register. A NaN
+    # norm fails every comparison, so the check asks for a norm within
+    # its bound rather than for one outside it.
     row, register, steps, _ = entangled_chain(3, "branch", 0.0)
     scaled = np.broadcast_to(scale * row, (3, register.dim))
     with warnings.catch_warnings():
