@@ -528,8 +528,7 @@ def _run_block(spec, indices, state, ideal, build, sites, bare) -> _Columns:
     )
     steps = build(errors)
     draw = (lambda col, live: uniforms[live, col]) if mc else None
-    start = np.broadcast_to(state.amplitudes, (n, space.dim))
-    paths = survivor_paths(start, space, steps, draw, monitor_top_fock=space.has_motion)
+    paths = survivor_paths(state.amplitudes, space, steps, n, draw, monitor_top_fock=space.has_motion)
     fidelity = np.zeros(n)
     fidelity[paths.alive] = _row_fidelities(paths.final, ideal[paths.columns])
     # Python's sum(v * v for v in errs), column by column.
@@ -538,7 +537,8 @@ def _run_block(spec, indices, state, ideal, build, sites, bare) -> _Columns:
         sumsq = sumsq + errors[:, k] * errors[:, k]
     bare_fids = np.zeros(0)
     if bare:
-        bare_fids = _row_fidelities(transfer_pass(start.copy(), space, steps), ideal)
+        rows = np.repeat(state.amplitudes[None], n, axis=0)
+        bare_fids = _row_fidelities(transfer_pass(rows, space, steps), ideal)
     return _Columns(
         sites, paths.weight, fidelity, paths.alive, paths.done, paths.probs, clamps, sumsq, bare_fids
     )

@@ -18,11 +18,12 @@ Protocols run in two modes: the exact table of all herald outcomes, or
 Monte Carlo sampling of a single trajectory. Flagged branches are terminal
 aggregates (state ``None``): flagged runs are discarded, so their internal
 state is never tracked. Each state therefore has one survivor path, and
-:func:`survivor_paths`, the one propagation kernel, drives blocks of states
-along it, unnormalized, as the no-jump states of the quantum-jump picture
-(Dalibard, Castin & Mølmer 1992). The scalar steps are the block builders'
-output for one row, so both modes of :func:`run_protocol` are that kernel
-at block size 1; branch tables are read off the survivor path, and
+:func:`survivor_paths`, the one propagation kernel, drives a block of rows
+from one start along it, each row under its own errors, unnormalized, as
+the no-jump states of the quantum-jump picture (Dalibard, Castin & Mølmer
+1992). The scalar steps are the block builders' output for one row, so
+both modes of :func:`run_protocol` are that kernel at block size 1;
+branch tables are read off the survivor path, and
 :func:`cleanout_branches` and :func:`cleanout_sample` run it over one
 clean-out.
 """
@@ -65,7 +66,6 @@ from .statespace import (
     _factors,
     _held,
     _into_register,
-    _nonzero_columns,
     _public_rows,
     _row_norm2,
     _subset_norm2,
@@ -283,7 +283,7 @@ def run_protocol(
         if keep_intermediate:
             raise ValueError("keep_intermediate applies to branch mode only")
         paths = survivor_paths(
-            *_into_register(state.amplitudes[None], state.space),
+            *_into_register(state.amplitudes, state.space),
             steps,
             draw=lambda col, rows: rng.random(1),
             monitor_top_fock=monitor_top_fock,
@@ -315,7 +315,7 @@ def _branches(
     positive W(c-1)·(1-s)(1-p_c), where W(c-1) is the survivor's
     probability before c; branches at or below PROB_FLOOR are dropped.
     """
-    start, register = _into_register(state.amplitudes[None], state.space)
+    start, register = _into_register(state.amplitudes, state.space)
     paths = survivor_paths(start, register, steps, monitor_top_fock=monitor_top_fock)
     channels = [(si, ch) for si, step in enumerate(steps) for ch in step.cleanouts]
     selectivity = np.array([ch.selectivity for _, ch in channels])
@@ -353,8 +353,8 @@ def _public_state(space: StateSpace, paths: SurvivorPaths) -> PureState | None:
 
 @dataclass(frozen=True)
 class SurvivorPaths:
-    """The unflagged path of every row of a block, as :func:`survivor_paths`
-    leaves it.
+    """The unflagged path of every row of a block, all from one start, as
+    :func:`survivor_paths` leaves it.
 
     ``target[b, c]`` is row b's target fraction p at clean-out c,
     ``rest[b, c]`` the fraction q it left (1 - p, or where p > 1/2 the
@@ -390,14 +390,17 @@ class SurvivorPaths:
 
 
 def survivor_paths(
-    amps: np.ndarray,
+    start: np.ndarray,
     register: _Register,
     steps: Sequence[_Step],
+    block: int = 1,
     draw=None,
     monitor_top_fock: bool = False,
 ) -> SurvivorPaths:
-    """Drive a ``(block, register.dim)`` array of normalized states along
-    their unflagged path: the one propagation kernel of both modes.
+    """Drive ``block`` rows from one normalized register state, ``start`` of
+    shape ``(register.dim,)``, along their unflagged paths, each row under
+    its own operators in ``steps``: the one propagation kernel of both
+    modes.
 
     Flagged branches are terminal, so each row carries one live state: its
     no-jump state, unnormalized, with its squared norm. A clean-out divides
@@ -410,8 +413,7 @@ def survivor_paths(
     survivor falls below the probability floor. mc mode compares
     ``draw(column, rows)``, the uniforms of clean-out ``column`` for the
     live rows (a slice or an index array into the block), with the same
-    branch segments and freezes the rows that flag. ``draw`` looks the
-    uniforms up: a block split by layout (below) asks for each part's.
+    branch segments and freezes the rows that flag.
 
     The kernel takes rows of the four-level register only. Only the
     clean-out fills Bright and flagged branches leave the path, so a
@@ -432,21 +434,18 @@ def survivor_paths(
       every kept one goes through the same operations as on the register.
     * Steps of ion products and clean-outs of whole levels on two or more
       ions without motion, as a chain's are, run on one vector per ion
-      (``statespace._Factors``) for the rows that are product states to
-      rounding (``statespace._factor``): a product stays a product under
+      (``statespace._Factors``) when the start is a product state to
+      rounding (``statespace._factored``): a product stays a product under
       each ion's transfer and each clean-out of one ion. A clean-out's
       fraction is that ion's population over its vector's squared norm,
       and the end rows are the products over the levels that no clean-out
-      after the last transfer zeroes: 2**n_ions entries for a chain. A
-      block that mixes product and entangled rows runs each kind as a
-      block of its own, so a row's bits do not depend on the other rows.
+      after the last transfer zeroes: 2**n_ions entries for a chain.
     * Everything else runs on the whole register, entangled chain starts
       included.
 
-    ``amps`` is copied once, onto the layout, and never written to. A
-    start broadcast over the block (row stride 0), as the runner passes,
-    has its squared norm taken, and is factored, once. Every row goes
-    through its own matrix products and the row rules of
+    ``start`` is written once, onto the layout, into every row of the
+    block, and never written to; its squared norm is taken once. Every row
+    goes through its own matrix products and the row rules of
     ``manifold_population`` and ``PureState.norm``, so its result does not
     depend on the other rows. No state is kept between steps: a survivor
     after step k, which :func:`run_protocol` returns with
@@ -454,7 +453,8 @@ def survivor_paths(
     """
     if not isinstance(register, _Register):
         raise ValueError(f"the survivor kernel runs on register rows, not on {register}")
-    block, broadcast = amps.shape[0], amps.strides[0] == 0
+    if start.shape != (register.dim,):
+        raise ValueError(f"a start is one register row of shape ({register.dim},), got {start.shape}")
     unitaries = [(u, targets) for step in steps for u, targets in step.unitaries]
     cleanouts = [ch for step in steps for ch in step.cleanouts]
     space, columns = register, slice(None)
@@ -463,38 +463,33 @@ def survivor_paths(
             register,
             tuple((targets[0], u.tones) for u, targets in unitaries),
             tuple((ch.ion, ch.levels, ch.fock) for ch in cleanouts),
-            _nonzero_columns(amps),
+            np.flatnonzero(start).tobytes(),
         )
         columns = space.entries
-        amps = amps[:, columns]
+        start = start[columns]
     elif (
         register.n_ions > 1
         and not register.has_motion
         and all(isinstance(u, IonProduct) for u, _ in unitaries)
         and all(ch.fock is None for ch in cleanouts)
     ):
-        factors, product = _factored(amps, register)
-        if not product.all() and product.any():
-            return _split_paths(amps, register, steps, draw, product)
-        if product.all():
+        factors, product = _factored(start, register)
+        if product:
             last = max(si for si, step in enumerate(steps) if step.unitaries)
             space = _factors(
                 register,
                 tuple((ch.ion, ch.levels) for ch in cleanouts),
                 tuple((ch.ion, ch.levels) for step in steps[last:] for ch in step.cleanouts),
             )
-            amps, columns = factors, space.entries
-    # The one block the kernel writes: a C-contiguous copy in a work array,
-    # which no returned array holds (final is normalized into a new one).
-    start, amps = amps, _work("block", amps.shape)
+            start, columns = factors, space.entries
+    # The one block the kernel writes: the start in every row of a work
+    # array, which no returned array holds (final is normalized into a new
+    # one).
+    amps = _work("block", (block,) + start.shape)
     amps[...] = start
-    if broadcast:
-        # One state broadcast over the block: the row rule gives every row
-        # the first row's bits.
-        norm2 = np.repeat(_row_norm2(amps[:1]), block, axis=0)
-    else:
-        # On factors, each ion's vector's.
-        norm2 = _row_norm2(amps)
+    # The row rule gives every row the first row's bits; on factors, each
+    # ion's vector's.
+    norm2 = np.repeat(_row_norm2(amps[:1]), block, axis=0)
     total = norm2 if norm2.ndim == 1 else norm2.prod(axis=1)
     off = total[~(np.abs(total - 1.0) <= NORM_CHECK_ATOL)]  # NaN included
     if off.size:
@@ -557,34 +552,6 @@ def survivor_paths(
         done = np.where(flags.any(axis=1), flags.argmax(axis=1) + 1, n_cleanouts)
     final = _end_rows(amps, space)
     return SurvivorPaths(weight, alive, final, columns, target, rest, probs, flags, done)
-
-
-def _split_paths(
-    amps: np.ndarray, register: _Register, steps: Sequence[_Step], draw, product: np.ndarray
-) -> SurvivorPaths:
-    """:func:`survivor_paths` of a block whose rows ``product`` are product
-    states and whose others are not: each kind runs as a block of its own,
-    with its rows' operators and uniforms, and the end states are written
-    back into whole register rows."""
-    block = amps.shape[0]
-    parts = [np.flatnonzero(product), np.flatnonzero(~product)]
-    runs = []
-    for part in parts:
-        part_steps = [
-            _Step(tuple((u[part], t) for u, t in step.unitaries), step.cleanouts) for step in steps
-        ]
-        part_draw = None if draw is None else (lambda col, live, part=part: draw(col, part[live]))
-        runs.append(survivor_paths(amps[part], register, part_steps, part_draw))
-    fields = {}
-    for name in ("weight", "alive", "target", "rest", "probs", "flags", "done"):
-        first = getattr(runs[0], name)
-        fields[name] = np.empty((block,) + first.shape[1:], dtype=first.dtype)
-        for part, run in zip(parts, runs):
-            fields[name][part] = getattr(run, name)
-    final = np.zeros((block, register.dim), dtype=np.complex128)
-    for part, run in zip(parts, runs):
-        final[np.ix_(part[run.alive], np.arange(register.dim)[run.columns])] = run.final
-    return SurvivorPaths(final=final[fields["alive"]], columns=slice(None), **fields)
 
 
 def cleanout_branches(

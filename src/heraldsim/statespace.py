@@ -713,11 +713,11 @@ def _basis(space: StateSpace) -> np.ndarray:
 
 
 def _into_register(amps: np.ndarray, space: StateSpace) -> tuple[np.ndarray, _Register]:
-    """The entries of each row of a ``(block, space.dim)`` array on the
-    space's four-level :class:`_Register`, C-contiguous, and that register.
-    Raises ValueError when a row has nonzero amplitude on any state where
-    some ion is Bright."""
-    kept = np.take(amps, _basis(space), axis=1)
+    """The entries of a state's ``(space.dim,)`` amplitudes on the space's
+    four-level :class:`_Register`, in a new array, and that register.
+    Raises ValueError when it has nonzero amplitude on any state where some
+    ion is Bright."""
+    kept = np.take(amps, _basis(space))
     if np.count_nonzero(kept) != np.count_nonzero(amps):
         raise ValueError("the survivor kernel starts only from states with no Bright amplitude")
     return kept, _Register(space.n_ions, space.fock_cutoff)
@@ -757,22 +757,13 @@ class _Support:
     top: np.ndarray
 
 
-def _nonzero_columns(amps: np.ndarray) -> bytes:
-    """The columns where some row of a ``(block, n)`` array is nonzero, as
-    the bytes of an ascending index array: a cheap cache key. A start
-    broadcast over the block (row stride 0) is read from one row, with no
-    temporary as wide as the row."""
-    nonzero = amps[0] if amps.strides[0] == 0 else amps.any(axis=0)
-    return np.flatnonzero(nonzero).tobytes()
-
-
 # Enough for the runs one process alternates between. A key holds the
 # start's nonzero columns: a handful for every input the runner builds.
 @lru_cache(maxsize=8)
 def _support(register: _Register, rotations: tuple, cleanouts: tuple, columns: bytes) -> _Support:
     """The support that the pair rotations ``rotations``, ``(ion, tones)``
-    each, reach from the register entries in ``columns`` (from
-    :func:`_nonzero_columns`), with the row positions of those rotations'
+    each, reach from the register entries in ``columns`` (the bytes of an
+    ascending index array), with the row positions of those rotations'
     pairs, of the clean-out targets ``cleanouts``, ``(ion, levels, fock)``
     each, and of the top Fock index. Built once per key; pair tones that
     name Bright and invalid clean-out targets raise ValueError here."""
@@ -974,26 +965,20 @@ def _factor(amps: np.ndarray, register: _Register) -> tuple[np.ndarray, np.ndarr
     return factors, close
 
 
-def _factored(amps: np.ndarray, register: _Register) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_factor` of a block's register rows. A start broadcast over
-    the block (row stride 0) is factored from its one row, and the result is
-    kept for the next call while the read-only array that holds the row
-    lives: the runner passes one such start per spec."""
-    block = amps.shape[0]
-    if amps.strides[0] != 0:
-        return _factor(amps, register)
-    owner = amps
-    while isinstance(owner.base, np.ndarray):
-        owner = owner.base
-    key = (amps.__array_interface__["data"][0], amps.shape[1:], amps.strides[1:], register)
+def _factored(start: np.ndarray, register: _Register) -> tuple[np.ndarray, bool]:
+    """:func:`_factor` of one register row: its ``(n_ions, 4)`` vectors and
+    whether the row is their product. The result is kept for the next call
+    while ``start`` lives, if it is read-only and owns its memory, as a
+    :class:`PureState`'s amplitudes are: the runner passes one such start
+    per spec. One start is kept per thread."""
     last = getattr(_kept, "factored", None)
-    if last is not None and last[0]() is owner and last[1] == key and not owner.flags.writeable:
-        factors, product = last[2]
-    else:
-        factors, product = _factor(amps[:1], register)
-        if not owner.flags.writeable:
-            _kept.factored = (weakref.ref(owner), key, (factors, product))
-    return np.broadcast_to(factors, (block,) + factors.shape[1:]), np.repeat(product, block)
+    if last is not None and last[0]() is start and last[1] == register and not start.flags.writeable:
+        return last[2]
+    factors, product = _factor(start[None], register)
+    result = factors[0], bool(product[0])
+    if not start.flags.writeable and start.flags.owndata:
+        _kept.factored = (weakref.ref(start), register, result)
+    return result
 
 
 def _apply_factors(amps: np.ndarray, op: IonProduct, rows: slice | np.ndarray) -> np.ndarray:

@@ -3,9 +3,9 @@
 ``run_protocol(mode="branch")`` reads a state's branch table off its one
 survivor path, which ``survivor_paths`` carries unnormalized and cleans out
 in place. The oracle below enumerates every herald branch the long way, one
-renormalized state per live branch, with numpy only: its own basis masks,
-its own tensor contraction for the step operators, and its own accounting
-of the mass dropped below PROB_FLOOR.
+renormalized state per live branch, with numpy only: the basis masks of
+``oracle.py``, its own tensor contraction for the step operators, and its
+own accounting of the mass dropped below PROB_FLOOR.
 """
 
 import dataclasses
@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import bright_mask, cleanout_mask
 
 from heraldsim.dissipation import PROB_FLOOR, level_cleanout
 from heraldsim.experiments import (
@@ -57,25 +58,6 @@ MASS_ATOL = 2e-15
 # --- the oracle --------------------------------------------------------------
 
 
-def basis_digits(space: StateSpace) -> np.ndarray:
-    """Row k holds tensor factor k's index (ion level, then Fock) of every
-    basis state."""
-    return np.indices(space.factor_dims).reshape(len(space.factor_dims), -1)
-
-
-def oracle_mask(space: StateSpace, ch) -> np.ndarray:
-    digits = basis_digits(space)
-    mask = np.isin(digits[ch.ion], [int(lv) for lv in ch.levels])
-    if ch.fock is not None:
-        mask &= np.isin(digits[-1], sorted(ch.fock))
-    return mask
-
-
-def bright_mask(space: StateSpace) -> np.ndarray:
-    """Basis states where some ion is Bright."""
-    return (basis_digits(space)[: space.n_ions] == IonLevel.BRIGHT).any(axis=0)
-
-
 def no_bright_rows(rng, space: StateSpace, block: int) -> np.ndarray:
     """Random normalized rows with 0 wherever some ion is Bright: the
     starts the survivor kernel takes."""
@@ -106,7 +88,7 @@ def enumerate_branches(psi: np.ndarray, space: StateSpace, steps):
             u = np.asarray(u)
             live = [(w, recs, oracle_apply(v, space, u, targets)) for w, recs, v in live]
         for ch in step.cleanouts:
-            mask, s = oracle_mask(space, ch), ch.selectivity
+            mask, s = cleanout_mask(space, ch.ion, ch.levels, ch.fock), ch.selectivity
             split = []
             for w, recs, v in live:
                 p = np.sum(np.abs(v[mask]) ** 2) / np.sum(np.abs(v) ** 2)
@@ -235,16 +217,16 @@ def assert_same_survivor(state: PureState, probability: float, want: np.ndarray)
 def test_kernel_cleans_out_exactly_the_masked_target(space, levels, fock, ion):
     ch = level_cleanout(ion, levels, fock=fock)
     rng = np.random.default_rng(ion * 31 + len(levels))
-    amps = no_bright_rows(rng, space, 5)
-    paths = survivor_paths(*_into_register(amps, space), [_Step((), (ch,))])
-    mask = oracle_mask(space, ch)
-    p = np.sum(np.abs(amps[:, mask]) ** 2, axis=1)
-    np.testing.assert_allclose(paths.target[:, 0], p, rtol=1e-13)
-    survivors = np.where(mask, 0.0, amps)
-    survivors /= np.linalg.norm(survivors, axis=1)[:, None]
-    # Register rows: the basis order with every Bright state left out.
-    np.testing.assert_allclose(paths.final, survivors[:, ~bright_mask(space)], atol=1e-14)
-    assert paths.alive.all()
+    mask = cleanout_mask(space, ion, levels, fock)
+    for amps in no_bright_rows(rng, space, 5):
+        paths = survivor_paths(*_into_register(amps, space), [_Step((), (ch,))])
+        p = np.sum(np.abs(amps[mask]) ** 2)
+        np.testing.assert_allclose(paths.target[0, 0], p, rtol=1e-13)
+        survivor = np.where(mask, 0.0, amps)
+        survivor /= np.linalg.norm(survivor)
+        # A register row: the basis order with every Bright state left out.
+        np.testing.assert_allclose(paths.final[0], survivor[~bright_mask(space)], atol=1e-14)
+        assert paths.alive.all()
 
 
 def test_faint_survivor_keeps_its_norm():
@@ -254,8 +236,8 @@ def test_faint_survivor_keeps_its_norm():
     # the kernel counts a remainder under half the norm again, so the second
     # p is exact.
     eps = 1e-10
-    amps = np.zeros((1, 5), dtype=complex)
-    amps[0, :3] = math.sqrt(1 - eps), math.sqrt(eps / 2), 1j * math.sqrt(eps / 2)
+    amps = np.zeros(5, dtype=complex)
+    amps[:3] = math.sqrt(1 - eps), math.sqrt(eps / 2), 1j * math.sqrt(eps / 2)
     steps = [_Step((), (level_cleanout(0, {Q0}),)), _Step((), (level_cleanout(0, {Q1}),))]
     paths = survivor_paths(*_into_register(amps, StateSpace(1)), steps)
     assert paths.target[0, 1] == pytest.approx(0.5, rel=1e-14)
@@ -310,8 +292,8 @@ def test_survivors_that_keep_little_match_the_closed_form():
 @pytest.mark.parametrize("read_only", [False, True])
 def test_kernel_leaves_its_input_unchanged(mode, transfers, protocol, read_only):
     # cz steps go through the pair rotations, a three-ion chain's through
-    # the product pass (an odd ion count); the runner passes a read-only
-    # broadcast of its input state.
+    # the product pass (an odd ion count); the runner passes its input
+    # state's read-only amplitudes.
     rng = np.random.default_rng(4)
     if protocol == "cz":
         space = cz_space(3)
@@ -323,12 +305,11 @@ def test_kernel_leaves_its_input_unchanged(mode, transfers, protocol, read_only)
         steps = build(rng.normal(0.0, 0.3, size=(3, 2)))
     if not transfers:
         steps = [_Step((), step.cleanouts) for step in steps]
-    amps, register = _into_register(no_bright_rows(rng, space, 3), space)
-    if read_only:
-        amps = np.broadcast_to(amps[0], amps.shape)
+    amps, register = _into_register(no_bright_rows(rng, space, 1)[0], space)
+    amps.flags.writeable = not read_only
     before = amps.copy()
     draw = (lambda col, rows: rng.random(3)[rows]) if mode == "mc" else None
-    survivor_paths(amps, register, steps, draw)
+    survivor_paths(amps, register, steps, 3, draw)
     assert np.array_equal(amps, before)
 
 
@@ -364,8 +345,8 @@ def test_bare_baseline_reads_the_input_the_kernel_was_given(spec):
 
 
 def test_unnormalized_input_is_refused():
-    amps = np.zeros((2, 5), dtype=complex)
-    amps[:, 0] = (1.0, 0.5)
+    amps = np.zeros(5, dtype=complex)
+    amps[0] = 0.5
     with pytest.raises(ValueError, match="normalized"):
         survivor_paths(*_into_register(amps, StateSpace(1)), [_Step((), ())])
 
@@ -388,14 +369,14 @@ def test_leak_is_measured_against_the_survivor_norm():
     leak_row0 = np.stack([swap, np.eye(3, dtype=complex)])
     steps = [
         _Step((), (level_cleanout(0, {Q0}),)),
-        _Step(((leak_row0, (space.motion_axis,)),), ()),
+        _Step(((leak_row0[:1], (space.motion_axis,)),), ()),
     ]
-    rows, register = _into_register(amps, space)
     with pytest.raises(LeakageError):
-        survivor_paths(rows, register, steps, monitor_top_fock=True)
+        survivor_paths(*_into_register(amps[0], space), steps, monitor_top_fock=True)
     # Without the faint row, nothing is reported.
     paths = survivor_paths(
-        rows[1:], register, [steps[0], _Step(((leak_row0[1:], (space.motion_axis,)),), ())],
+        *_into_register(amps[1], space),
+        [steps[0], _Step(((leak_row0[1:], (space.motion_axis,)),), ())],
         monitor_top_fock=True,
     )
     assert paths.alive.all()

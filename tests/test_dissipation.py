@@ -168,8 +168,9 @@ class TestSampling:
         # uniforms, take the branches the n calls would take.
         uniforms = np.random.default_rng(123).random(n)
         paths = survivor_paths(
-            *_into_register(np.repeat(state.amplitudes[None], n, axis=0), state.space),
+            *_into_register(state.amplitudes, state.space),
             (_Step((), (qubit_cleanout(0),)),),
+            block=n,
             draw=lambda col, rows: uniforms[rows],
         )
         rng = np.random.default_rng(123)

@@ -20,21 +20,24 @@ ion's 5x5 matrix on its axis (the Kronecker product ``np.asarray`` of an
 ``IonProduct`` gives, checked against it at 2-3 ions) and the projector
 clean-outs above, in both modes and at errors that reach the lost-half
 recount; a start entangled at 1e-12 stays on the register with its bits,
-a block mixing both kinds gives each row its bits alone, a start that is
-not normalized (zero or NaN included) is refused as on the register, a warm
-factor block allocates little beside what it returns, and 5-8-ion rows
-meet the closed form.
+a start that is not normalized (zero or NaN included) is refused on the
+factors as on the register and the support, a spec's read-only start is
+factored once per thread and a writable one on every call, a warm factor
+block allocates little beside what it returns, and 5-8-ion rows meet the
+closed form. The kernel refuses a start that is not one register row.
 """
 
 import math
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracle import bright_mask, cleanout_mask
 
-from heraldsim import experiments, protocols
+from heraldsim import experiments, protocols, statespace
 from heraldsim.dissipation import PROB_FLOOR, aux_cleanout, qubit_cleanout
 from heraldsim.experiments import (
     ExperimentSpec,
@@ -83,13 +86,6 @@ from heraldsim.statespace import (
 )
 
 BRIGHT = int(IonLevel.BRIGHT)
-
-
-def bright_mask(space: StateSpace) -> np.ndarray:
-    """Basis states of the space where some ion is Bright, from the tensor
-    indices alone."""
-    levels = np.indices(space.factor_dims)[: space.n_ions]
-    return (levels == BRIGHT).any(axis=0).reshape(-1)
 
 
 def random_errors(rng, block: int, n_steps: int) -> np.ndarray:
@@ -208,15 +204,6 @@ def dense_operator(space: StateSpace, u, targets) -> np.ndarray:
     return full.reshape(space.dim, space.dim)
 
 
-def cleanout_projector(space: StateSpace, ch) -> np.ndarray:
-    """The diagonal of the projector onto a clean-out's target."""
-    index = np.indices(space.factor_dims)
-    hit = np.isin(index[ch.ion], [int(lv) for lv in ch.levels])
-    if ch.fock is not None:
-        hit &= np.isin(index[space.n_ions], sorted(ch.fock))
-    return hit.reshape(-1)
-
-
 def oracle(space: StateSpace, start: np.ndarray, steps, uniforms=None):
     """The survivor path by dense matrices: the branch table as (sites and
     flags, probability) pairs and the normalized survivor, or, given one
@@ -227,7 +214,7 @@ def oracle(space: StateSpace, start: np.ndarray, steps, uniforms=None):
         for u, targets in step.unitaries:
             psi = dense_operator(space, u, targets) @ psi
         for ch in step.cleanouts:
-            target = cleanout_projector(space, ch)
+            target = cleanout_mask(space, ch.ion, ch.levels, ch.fock)
             norm2 = np.vdot(psi, psi).real
             p = np.vdot(psi[target], psi[target]).real / norm2
             s = ch.selectivity
@@ -324,7 +311,7 @@ def test_a_start_with_bright_amplitude_is_refused(name, space, build, n_steps):
     steps = build(rng.normal(0.0, 0.3, size=(1, n_steps)))
     ch = qubit_cleanout(0, 0.9)
     runs = [
-        lambda: _into_register(amps[None], space),
+        lambda: _into_register(amps, space),
         lambda: run_protocol(start, steps, "branch"),
         lambda: run_protocol(start, steps, "mc", np.random.default_rng(0)),
         lambda: cleanout_branches(start, ch),
@@ -338,7 +325,7 @@ def test_a_start_with_bright_amplitude_is_refused(name, space, build, n_steps):
             run()
     # The kernel itself takes register rows only.
     with pytest.raises(ValueError, match="register rows"):
-        survivor_paths(amps[None], space, steps)
+        survivor_paths(amps, space, steps)
 
 
 # --- the runner's states on the register -------------------------------------
@@ -396,9 +383,9 @@ def test_a_top_fock_leak_raises_only_above_the_tolerance(scale, raises):
     # empty target.
     space = cz_space(3)
     leak = scale * LEAK_ATOL
-    amps = np.zeros((2, space.dim), dtype=complex)
-    amps[:, space.index([0, 1], 0)] = math.sqrt(1 - leak)
-    amps[1, space.index([1, 0], space.fock_cutoff)] = math.sqrt(leak)
+    amps = np.zeros(space.dim, dtype=complex)
+    amps[space.index([0, 1], 0)] = math.sqrt(1 - leak)
+    amps[space.index([1, 0], space.fock_cutoff)] = math.sqrt(leak)
     step = _Step((), (aux_cleanout(1),))
     inputs = (*_into_register(amps, space), [step])
     if raises:
@@ -449,9 +436,9 @@ def test_a_warm_chain_block_allocates_at_most_two_register_blocks():
     state = experiments._input_on(spec, register)
     build = experiments._block_builder(spec)
     errors, _, _ = draw_block(spec.error_model, spec.n_steps, spec.master_seed, range(spec.trials))
-    start = np.broadcast_to(state.amplitudes, (spec.trials, register.dim))
     steps = build(errors)
-    assert warm_peak(lambda: survivor_paths(start, register, steps)) <= 2 * 16 * spec.trials * 4**4
+    run = lambda: survivor_paths(state.amplitudes, register, steps, spec.trials)
+    assert warm_peak(run) <= 2 * 16 * spec.trials * 4**4
 
 
 def test_a_run_keeps_no_register_row_past_one_block():
@@ -505,7 +492,7 @@ def chain_oracle(space: StateSpace, start: np.ndarray, steps, uniforms=None):
         for u, _ in step.unitaries:
             psi = ion_by_ion(space, u.factors[0], psi)
         for ch in step.cleanouts:
-            target = cleanout_projector(space, ch)
+            target = cleanout_mask(space, ch.ion, ch.levels, ch.fock)
             norm2 = np.vdot(psi, psi).real
             p = np.vdot(psi[target], psi[target]).real / norm2
             psi = np.where(target, 0.0, psi)
@@ -569,9 +556,9 @@ def test_factor_rows_match_the_dense_oracle(n_ions, mode):
         space = StateSpace(n_ions)
         public = experiments.prepare_input(spec)
         ideal = ideal_addressed_output(public, spec.target, spec.gate)
-        start, register = _into_register(public.amplitudes[None], space)
+        start, register = _into_register(public.amplitudes, space)
         draw = (lambda col, live: uniforms[live, col]) if mode == "mc" else None
-        paths = survivor_paths(np.broadcast_to(start[0], (rows, register.dim)), register, steps, draw)
+        paths = survivor_paths(start, register, steps, rows, draw)
         # On the factors: the end rows hold each ion's Q0 and Q1 only.
         assert paths.columns.size == 2**n_ions
         finals = iter(_public_rows(paths.final, space, paths.columns))
@@ -641,57 +628,93 @@ def entangled_chain(trials: int, mode: str, tilt: float) -> tuple:
 @pytest.mark.parametrize("mode", ["branch", "mc"])
 def test_a_start_entangled_at_1e_12_runs_on_the_register(mode, monkeypatch):
     row, register, steps, draw = entangled_chain(20, mode, 1e-12)
-    start = np.broadcast_to(row, (20, register.dim))
-    paths = survivor_paths(start, register, steps, draw)
+    paths = survivor_paths(row, register, steps, 20, draw)
     assert paths.columns == slice(None)
     # The register's bits: those of a kernel that factors nothing.
-    monkeypatch.setattr(protocols, "_factored", lambda amps, _: (None, np.zeros(len(amps), bool)))
-    for amps in (start, start.copy()):
-        alone = survivor_paths(amps, register, steps, draw)
-        assert alone.columns == slice(None)
-        for name, value in vars(paths).items():
-            if name != "columns":
-                assert value.tobytes() == vars(alone)[name].tobytes(), name
+    monkeypatch.setattr(protocols, "_factored", lambda start, _: (None, False))
+    alone = survivor_paths(row, register, steps, 20, draw)
+    assert alone.columns == slice(None)
+    for name, value in vars(paths).items():
+        if name != "columns":
+            assert value.tobytes() == vars(alone)[name].tobytes(), name
     # Without the tilt the same start runs on the factors.
     row, *_ = entangled_chain(20, mode, 0.0)
     monkeypatch.undo()
-    assert survivor_paths(np.broadcast_to(row, (20, register.dim)), register, steps, draw).columns.size == 8
+    assert survivor_paths(row, register, steps, 20, draw).columns.size == 8
 
 
-@pytest.mark.parametrize("mode", ["branch", "mc"])
-def test_a_mixed_block_gives_each_row_its_bits_alone(mode):
-    product, register, steps, draw = entangled_chain(3, mode, 0.0)
-    entangled, *_ = entangled_chain(3, mode, 1e-6)
-    block = np.stack([product, entangled, product])
-    mixed = survivor_paths(block, register, steps, draw)
-    assert mixed.columns == slice(None)
-    finals = iter(mixed.final)
-    for b in range(3):
-        rows = np.array([b])
-        one_draw = None if draw is None else (lambda col, live: draw(col, rows[live]))
-        alone = survivor_paths(block[b : b + 1], register, row_steps(steps, b), one_draw)
-        assert isinstance(alone.columns, slice) == (b == 1)
-        for name in ("weight", "alive", "target", "rest", "probs", "flags", "done"):
-            assert getattr(mixed, name)[b].tobytes() == getattr(alone, name)[0].tobytes(), name
-        if alone.alive[0]:
-            row = np.zeros(register.dim, dtype=complex)
-            row[alone.columns] = alone.final[0]
-            assert next(finals).tobytes() == row.tobytes()
-
-
-@pytest.mark.parametrize("scale", [0.0, 1.01, math.nan])
-def test_a_chain_start_that_is_not_normalized_is_refused(scale):
-    # A zero row factors into zero vectors, with no division by zero, and
-    # the kernel's norm check refuses it as it does on the register. A NaN
-    # norm fails every comparison, so the check asks for a norm within
-    # its bound rather than for one outside it.
+def test_a_start_that_is_not_one_register_row_is_refused():
+    # A block of starts would broadcast into a block of blocks.
     row, register, steps, _ = entangled_chain(3, "branch", 0.0)
-    scaled = np.broadcast_to(scale * row, (3, register.dim))
+    with pytest.raises(ValueError, match="one register row"):
+        survivor_paths(np.stack([row, row, row]), register, steps, 3)
+
+
+def unnormalized_case(protocol: str) -> tuple:
+    """A normalized start, its register and steps of 3 rows: a cz start,
+    which runs on the support, or a chain start, which runs on the
+    factors."""
+    if protocol == "chain":
+        row, register, steps, _ = entangled_chain(3, "branch", 0.0)
+        return row, register, steps
+    space = cz_space(3)
+    row, register = _into_register(qubit_start(np.random.default_rng(3), space).amplitudes, space)
+    return row, register, cz_builder(0.9, space)(np.full((3, 4), 0.1))
+
+
+@pytest.mark.parametrize("protocol", ["cz", "chain"])
+@pytest.mark.parametrize("scale", [0.0, 1.01, math.nan])
+def test_a_chain_start_that_is_not_normalized_is_refused(protocol, scale):
+    # A zero chain row factors into zero vectors, with no division by zero,
+    # and the kernel's norm check refuses it as it does on the register. A
+    # NaN norm fails every comparison, so the check asks for a norm within
+    # its bound rather than for one outside it. Writable and read-only
+    # starts alike: the runner's is read-only, and a chain's is then
+    # factored through the kept result.
+    row, register, steps = unnormalized_case(protocol)
+    scaled = scale * row
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for amps in (scaled, scaled.copy()):
+        for writable in (True, False):
+            scaled.flags.writeable = writable
             with pytest.raises(ValueError, match="start from normalized states"):
-                survivor_paths(amps, register, steps)
+                survivor_paths(scaled, register, steps, 3)
+
+
+def counted_factors(monkeypatch) -> list:
+    """The row count of every ``statespace._factor`` call from now on."""
+    calls, factor = [], statespace._factor
+
+    def counted(amps, register):
+        calls.append(len(amps))
+        return factor(amps, register)
+
+    monkeypatch.setattr(statespace, "_factor", counted)
+    return calls
+
+
+def test_a_spec_factors_its_start_once(monkeypatch):
+    # Factoring the 4-ion start took 148 us against 1.16 ms for a whole
+    # 72-trial 4-ion mc ensemble (2-core AVX-512 x86-64): the runner's start
+    # is read-only and owns its memory, so a thread factors it once, over
+    # every block of both ensembles.
+    spec = replace(chain_spec(4, 3 * _block_size("addressing", StateSpace(4)) + 1), mode="mc")
+    calls = counted_factors(monkeypatch)
+    with ThreadPoolExecutor(max_workers=1) as pool:  # a thread that has kept nothing
+        pool.submit(lambda: [run_ensemble(spec) for _ in range(2)]).result()
+    assert calls == [1]
+
+
+def test_a_writable_start_is_factored_on_every_call(monkeypatch):
+    row, register, steps, _ = entangled_chain(4, "branch", 0.0)
+    calls = counted_factors(monkeypatch)
+    # A writable copy, and a read-only view that owns nothing, are factored
+    # on every call; the read-only row that owns its memory once.
+    for start, factored in ((row.copy(), 3), (row[:], 3), (row, 1)):
+        calls.clear()
+        for _ in range(3):
+            assert survivor_paths(start, register, steps, 4).columns.size == 8
+        assert calls == [1] * factored
 
 
 def warm_transient(run) -> int:
@@ -724,11 +747,11 @@ def test_a_warm_factor_block_allocates_little_beside_what_it_returns(mode):
     n_uniforms = len(cleanout_sites(build.cleanouts)) if mode == "mc" else 0
     errors, _, uniforms = draw_block(spec.error_model, 2, spec.master_seed, range(spec.trials), n_uniforms)
     draw = (lambda col, live: uniforms[live, col]) if mode == "mc" else None
-    start = np.broadcast_to(state.amplitudes, (spec.trials, register.dim))
     steps = build(errors)
-    paths = survivor_paths(start, register, steps, draw)
+    run = lambda: survivor_paths(state.amplitudes, register, steps, spec.trials, draw)
+    paths = run()
     assert paths.columns.size == 16 and 0 < paths.alive.sum() < spec.trials or mode == "branch"
-    transient = warm_transient(lambda: survivor_paths(start, register, steps, draw))
+    transient = warm_transient(run)
     assert transient < 16 * spec.trials * 4**4 / 8
 
 

@@ -2,10 +2,9 @@
 restricted to Fock indices) against a dense boolean mask over the flat
 basis, bit for bit. numpy only.
 
-The oracle builds the mask from the basis order alone: per-ion levels
-(Q0, Q1, AUX_PLUS, AUX_MINUS, BRIGHT), ion index major, Fock index last,
-so basis index i has ion j's level at (i // stride_j) % 5 with
-stride_j = 5**(n_ions - 1 - j) * fock_dim, and Fock index i % fock_dim.
+The mask is ``oracle.cleanout_mask``, built from the basis digits alone:
+per-ion levels (Q0, Q1, AUX_PLUS, AUX_MINUS, BRIGHT), ion index major,
+Fock index last.
 """
 
 import itertools
@@ -14,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import bright_mask, cleanout_mask
 
 from heraldsim.dissipation import CleanoutChannel
 from heraldsim.protocols import _Step, ideal_cz_output, survivor_paths
@@ -41,15 +41,6 @@ CLEANOUT_FOCK = [None, frozenset({0, 2}), frozenset({0, 1, 3}), frozenset({1})]
 seeds = st.integers(0, 2**32 - 1)
 
 
-def oracle_mask(space, ion, levels, fock=None):
-    stride = 5 ** (space.n_ions - 1 - ion) * space.fock_dim
-    idx = np.arange(space.dim)
-    mask = np.isin((idx // stride) % 5, sorted(int(lv) for lv in levels))
-    if fock is not None:
-        mask &= np.isin(idx % space.fock_dim, sorted(fock))
-    return mask
-
-
 def norm2(v):
     """re**2 + im**2 summed in index order along the last axis: the one
     population rule, written out."""
@@ -69,10 +60,7 @@ def random_rows(space, seed, block=1):
 def no_bright_rows(space, seed, block):
     """random_rows with 0 wherever some ion is Bright, renormalized: the
     starts the survivor kernel takes."""
-    bright = np.logical_or.reduce(
-        [oracle_mask(space, ion, {IonLevel.BRIGHT}) for ion in range(space.n_ions)]
-    )
-    v = np.where(bright, 0.0, random_rows(space, seed, block))
+    v = np.where(bright_mask(space), 0.0, random_rows(space, seed, block))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
@@ -84,7 +72,7 @@ def test_manifold_population_matches_the_mask(space, seed):
     assert len(LEVEL_SUBSETS) == 32
     for ion in range(space.n_ions):
         for levels in LEVEL_SUBSETS:
-            mask = oracle_mask(space, ion, levels)
+            mask = cleanout_mask(space, ion, levels)
             expected = float(norm2(state.amplitudes[mask]))
             assert manifold_population(state, ion, levels) == expected
 
@@ -106,7 +94,7 @@ def test_fock_population_matches_the_mask(seed):
 def test_ideal_cz_output_matches_the_mask(cutoff, seed):
     space = StateSpace(2, cutoff)
     state = PureState(space, random_rows(space, seed)[0])
-    both_excited = oracle_mask(space, 0, {IonLevel.Q1}) & oracle_mask(space, 1, {IonLevel.Q1})
+    both_excited = cleanout_mask(space, 0, {IonLevel.Q1}) & cleanout_mask(space, 1, {IonLevel.Q1})
     expected = state.amplitudes * np.where(both_excited, -1.0, 1.0)
     assert ideal_cz_output(state).amplitudes.tobytes() == expected.tobytes()
 
@@ -126,23 +114,20 @@ def _cleanout_cases():
 @settings(max_examples=2, deadline=None, derandomize=True)
 @given(seed=seeds)
 def test_cleanout_reads_and_zeroes_the_mask(space, ion, levels, fock, seed):
-    start = no_bright_rows(space, seed, block=3)
     ch = CleanoutChannel(ion, levels, fock=fock)
     # The kernel runs on register rows: the mask restricted to them.
-    amps, register = _into_register(start, space)
-    paths = survivor_paths(amps, register, (_Step((), (ch,)),))
-    mask = oracle_mask(space, ion, levels, fock)[_basis(space)]
-    # A boolean index on the second axis may hand back a column-major array,
-    # whose rows would sum in another order; each row sums contiguously.
-    target = np.ascontiguousarray(amps[:, mask])
-    pop = norm2(target)
-    assert paths.target[:, 0].tobytes() == np.minimum(pop / norm2(amps), 1.0).tobytes()
+    mask = cleanout_mask(space, ion, levels, fock)[_basis(space)]
+    for start in no_bright_rows(space, seed, block=3):
+        amps, register = _into_register(start, space)
+        paths = survivor_paths(amps, register, (_Step((), (ch,)),))
+        pop = norm2(amps[mask])
+        assert paths.target[0, 0].tobytes() == np.minimum(pop / norm2(amps), 1.0).tobytes()
 
-    zeroed = amps.copy()
-    zeroed[:, mask] = 0.0
-    left = norm2(zeroed)
-    assert paths.alive.all()
-    assert paths.final.tobytes() == (zeroed / np.sqrt(left)[:, None]).tobytes()
+        zeroed = amps.copy()
+        zeroed[mask] = 0.0
+        left = norm2(zeroed)
+        assert paths.alive.all()
+        assert paths.final[0].tobytes() == (zeroed / np.sqrt(left)).tobytes()
 
 
 @pytest.mark.parametrize("space", [StateSpace(1), StateSpace(1, 3)], ids=space_id)

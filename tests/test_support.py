@@ -24,6 +24,7 @@ import math
 
 import numpy as np
 import pytest
+from oracle import cleanout_mask
 
 from heraldsim.dissipation import PROB_FLOOR
 from heraldsim.protocols import (
@@ -61,15 +62,6 @@ CUTOFFS = range(2, 7)
 SELECTIVITY = 0.9
 
 
-def projector(space, ch) -> np.ndarray:
-    """The public basis states of a clean-out's target."""
-    index = np.indices(space.factor_dims)
-    hit = np.isin(index[ch.ion], [int(lv) for lv in ch.levels])
-    if ch.fock is not None:
-        hit &= np.isin(index[space.n_ions], sorted(ch.fock))
-    return hit.reshape(-1)
-
-
 def oracle(space, start: np.ndarray, errors: np.ndarray, cleanouts, outside: np.ndarray):
     """One row's survivor by dense matrices: its weight and its normalized
     end state (None if it drops below the floor). Asserts that the public
@@ -84,7 +76,7 @@ def oracle(space, start: np.ndarray, errors: np.ndarray, cleanouts, outside: np.
         psi = state.amplitudes.copy()
         assert not psi[outside].any()
         for ch in step_cleanouts:
-            target = projector(space, ch)
+            target = cleanout_mask(space, ch.ion, ch.levels, ch.fock)
             p = np.vdot(psi[target], psi[target]).real / np.vdot(psi, psi).real
             survive = ch.selectivity * (1.0 - p)
             if not survive > PROB_FLOOR:
@@ -119,17 +111,18 @@ def test_the_support_holds_every_nonzero_entry_of_a_qubit_start(cutoff):
     errors = rng.normal(0.0, 0.6, size=(block, 4))
     errors[0, 0] = math.pi  # one row whose first transfer leaves everything behind
     starts = qubit_starts(rng, space, block)
-    paths = survivor_paths(*_into_register(starts, space), build(errors), monitor_top_fock=True)
-    # Every qubit-manifold start reaches the same 10 register entries.
-    assert paths.columns.size == 10
-    outside = outside_support(space, paths.columns)
-    finals = iter(_public_rows(paths.final, space, paths.columns))
     for row in range(block):
+        steps = build(errors[row : row + 1])
+        paths = survivor_paths(*_into_register(starts[row], space), steps, monitor_top_fock=True)
+        # Every qubit-manifold start reaches the same 10 register entries.
+        assert paths.columns.size == 10
+        outside = outside_support(space, paths.columns)
         weight, final = oracle(space, starts[row], errors[row], build.cleanouts, outside)
-        assert paths.alive[row] == (final is not None)
-        np.testing.assert_allclose(paths.weight[row], weight, rtol=0, atol=1e-12)
+        assert paths.alive[0] == (final is not None)
+        np.testing.assert_allclose(paths.weight[0], weight, rtol=0, atol=1e-12)
         if final is not None:
-            np.testing.assert_allclose(next(finals), final, rtol=0, atol=1e-12)
+            (got,) = _public_rows(paths.final, space, paths.columns)
+            np.testing.assert_allclose(got, final, rtol=0, atol=1e-12)
 
 
 def fock_start(rng, space, k: int) -> PureState:
@@ -150,7 +143,7 @@ def test_a_start_with_motion_keeps_its_support_exact(cutoff):
         start = fock_start(rng, space, k)
         errors = rng.normal(0.0, 0.6, size=(1, 4))
         steps = build(errors)
-        register_start, register = _into_register(start.amplitudes[None], space)
+        register_start, register = _into_register(start.amplitudes, space)
         paths = survivor_paths(register_start, register, steps)
         # Weight at Fock k reaches the truncated edge, and k >= cutoff - 1
         # the top Fock state; the support reaches it too.
