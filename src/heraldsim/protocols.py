@@ -456,6 +456,9 @@ def survivor_paths(
     if start.shape != (register.dim,):
         raise ValueError(f"a start is one register row of shape ({register.dim},), got {start.shape}")
     unitaries = [(u, targets) for step in steps for u, targets in step.unitaries]
+    wrong = sorted({len(u) for u, _ in unitaries} - {block})  # one row would broadcast
+    if wrong:
+        raise ValueError(f"every step operator holds one row per trajectory, {block}, not {wrong[0]}")
     cleanouts = [ch for step in steps for ch in step.cleanouts]
     space, columns = register, slice(None)
     if all(isinstance(u, PairRotations) for u, _ in unitaries):

@@ -58,12 +58,12 @@ Each ion's transfer acts on its own vector and a clean-out zeroes levels
 of one vector, so a product stays a product: the bond-dimension-1 case of
 a matrix product state (Vidal, PRL 91, 147902 (2003)). :func:`_factor`
 factors a register row through its largest entry and accepts it only if
-the product of the vectors gives it back to rounding. The transfers
-(:func:`_apply_factors`), the populations and the end rows
-(:func:`_product_planes`) are split real arithmetic with no BLAS call. End
-rows are register rows over the levels that no clean-out after the last
-transfer zeroes, Q0 and Q1 of every ion for a chain, and carry those
-entries as a support's rows do.
+the product of the vectors gives it back to rounding. A transfer
+(:func:`_apply_factors`) is single's matmul on one-ion rows; the
+populations and the end rows (:func:`_product_planes`) are split real
+arithmetic with no BLAS call. End rows are register rows over the levels
+that no clean-out after the last transfer zeroes, Q0 and Q1 of every ion
+for a chain, and carry those entries as a support's rows do.
 
 Each reduction has one row-wise rule in split real arithmetic, with no BLAS
 call: :func:`_row_norm2` (norms, populations), :func:`_normalized` and
@@ -76,11 +76,12 @@ amplitude has the bits of the same row written back into the public
 layout and scored against the whole ideal.
 
 The kernel's block-sized arrays (the survivor block, on any layout, the
-product pass's scratch, and on the factors the transfer's planes, the
-compacted block and the end rows' partial products) are views of work
-arrays that each thread keeps between runs, one per role, so repeated
-blocks reuse the same memory; see :func:`_work`. A pair rotation's gather
-and products, which run on a support's few entries, are allocated afresh.
+product pass's scratch, and on the factors the live rows' gathered
+operators, the compacted block and the end rows' partial products) are
+views of work arrays that each thread keeps between runs, one per role,
+so repeated blocks reuse the same memory; see :func:`_work`. A pair
+rotation's gather and products, which run on a support's few entries,
+are allocated afresh.
 """
 
 from __future__ import annotations
@@ -347,11 +348,11 @@ class PairRotations:
     and ``off`` its ``(lowering, raising)``, with the pairs first and any
     trailing axis (one entry per row of a block) last, so ``c`` has shape
     ``(pairs,)`` or ``(pairs, block)`` and ``off`` ``(2,) + c.shape``.
-    Indexing selects rows, as it does for a stack of matrices, and
-    ``np.asarray`` gives the dense matrices, level-major over (ion level,
-    Fock). The kernel applies only the pairs a :class:`_Support` holds,
-    each with the coefficients of its number; a pair it leaves out joins
-    two entries that stay exactly 0.
+    Indexing selects rows and ``len`` counts them, as for a stack of
+    matrices, and ``np.asarray`` gives the dense matrices, level-major over
+    (ion level, Fock). The kernel applies only the pairs a
+    :class:`_Support` holds, each with the coefficients of its number; a
+    pair it leaves out joins two entries that stay exactly 0.
     """
 
     tones: tuple[tuple[int, int, int, int, int], ...]
@@ -361,6 +362,9 @@ class PairRotations:
 
     def __getitem__(self, rows) -> PairRotations:
         return PairRotations(self.tones, self.fock_dim, self.c[:, rows], self.off[:, :, rows])
+
+    def __len__(self) -> int:
+        return len(self.c[0])
 
     @property
     def nbytes(self) -> int:
@@ -386,15 +390,18 @@ class IonProduct:
     applied at once: their tensor product.
 
     ``factors`` has shape ``(..., n_ions, 5, 5)``, ion 0 first; any leading
-    axes are rows of a block. Indexing selects rows, as it does for a stack
-    of matrices, and ``np.asarray`` gives the dense Kronecker products,
-    with ion 0 the most significant factor.
+    axes are rows of a block. Indexing selects rows and ``len`` counts
+    them, as for a stack of matrices, and ``np.asarray`` gives the dense
+    Kronecker products, with ion 0 the most significant factor.
     """
 
     factors: np.ndarray
 
     def __getitem__(self, rows) -> IonProduct:
         return IonProduct(self.factors[rows])
+
+    def __len__(self) -> int:
+        return len(self.factors[..., 0, 0, 0])
 
     @property
     def nbytes(self) -> int:
@@ -485,7 +492,9 @@ def _apply_product(amps: np.ndarray, space: StateSpace, op: IonProduct) -> np.nd
     L) @ (L, L)`` product for the whole row, which leaves the ion's level
     last. After the last ion the axes are back in basis order, so no axis
     is moved. The ions write in turn into one scratch work array and into
-    ``amps``, and an odd ion count copies the scratch back once."""
+    ``amps``, and an odd ion count copies the scratch back once. One-ion
+    rows, single's and a chain's factors (:func:`_apply_factors`), take one
+    ``(1, 4) @ (4, 4)`` product each, whose bits no OpenBLAS kernel moves."""
     block, levels = amps.shape[0], space.levels
     factors = op.factors[..., :levels, :levels]
     src, dst = amps, _work("product", amps.shape)
@@ -983,47 +992,17 @@ def _factored(start: np.ndarray, register: _Register) -> tuple[np.ndarray, bool]
 
 def _apply_factors(amps: np.ndarray, op: IonProduct, rows: slice | np.ndarray) -> np.ndarray:
     """Apply the product ``op[rows][b]`` to the ion vectors of row b of a
-    ``(block, n_ions, 4)`` array, in place: each ion's vector times the 4x4
-    block of its factor, sum_j u[i, j] * x[j], in split real arithmetic, j
-    in order, every real product rounded once.
-
-    The real and imaginary planes of the blocks (of the rows ``rows``) and
-    of the vectors are first copied level-major into work arrays, ``(j, i,
-    block, n_ions)`` and ``(j, block, n_ions)``, so each operation runs
-    over every row and ion at once along contiguous memory, and no row's
-    operator is copied whole."""
-    levels = amps.shape[-1]
-    u = op.factors[..., :levels, :levels]
-    planes = (levels,) + amps.shape[:-1]
-    ur = _work("factor-ur", (levels,) + planes, np.float64)
-    ui = _work("factor-ui", (levels,) + planes, np.float64)
-    xr = _work("factor-xr", planes, np.float64)
-    xi = _work("factor-xi", planes, np.float64)
-    re = _work("factor-re", planes, np.float64)
-    im = _work("factor-im", planes, np.float64)
-    term = _work("factor-term", planes, np.float64)
-    for plane, part in ((ur, u.real), (ui, u.imag)):
-        if isinstance(rows, slice):
-            np.copyto(plane, part[rows].transpose(3, 2, 0, 1))
-        else:
-            # Every row's plane, then the live rows' gathered from it; take
-            # copies a strided source whole first, and mode="clip" writes
-            # its output unbuffered.
-            whole = _work("factor-whole", (levels, levels) + u.shape[:2], np.float64)
-            np.copyto(whole, part.transpose(3, 2, 0, 1))
-            np.take(whole, rows, axis=2, out=plane, mode="clip")
-    np.copyto(xr, amps.real.transpose(2, 0, 1))
-    np.copyto(xi, amps.imag.transpose(2, 0, 1))
-    for j in range(levels):
-        if j == 0:
-            np.multiply(ur[0], xr[0], out=re)
-            np.multiply(ur[0], xi[0], out=im)
-        else:
-            re += np.multiply(ur[j], xr[j], out=term)
-            im += np.multiply(ur[j], xi[j], out=term)
-        re -= np.multiply(ui[j], xi[j], out=term)
-        im += np.multiply(ui[j], xr[j], out=term)
-    amps.real, amps.imag = re.transpose(1, 2, 0), im.transpose(1, 2, 0)
+    C-contiguous ``(block, n_ions, 4)`` array, in place: as the ``block *
+    n_ions`` one-ion register rows it also is, each under its ion's factor,
+    through :func:`_apply_product`, so each vector has the bits of single's
+    row. The live rows' operators are gathered into a work array."""
+    u = op.factors
+    if isinstance(rows, slice):
+        u = u[rows]
+    else:  # mode="clip" writes its output unbuffered
+        u = np.take(u, rows, axis=0, out=_work("factor-ops", (rows.size,) + u.shape[1:]), mode="clip")
+    one_ion = IonProduct(u.reshape((-1, 1) + u.shape[-2:]))
+    _apply_product(amps.reshape(-1, amps.shape[-1]), _Register(1), one_ion)
     return amps
 
 

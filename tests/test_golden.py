@@ -11,28 +11,38 @@ and the amplitude bytes of ``ideal_cz_output`` and ``no_flag_branch``.
 
 Generated with numpy 2.4.6 and OpenBLAS 0.3.31 (scipy-openblas64,
 DYNAMIC_ARCH) on an AVX-512 CPU, whose default OpenBLAS kernel is SkylakeX.
-Every entry but one uses no BLAS call and passes unchanged under
-``OPENBLAS_CORETYPE=Haswell``, ``Sandybridge`` and ``Nehalem``, and with
-numpy's ``X86_V3 X86_V4 AVX512_ICL AVX512_SPR`` dispatch disabled
-(``NPY_DISABLE_CPU_FEATURES``; every entry passes then): every
-norm, population and overlap is a split real row rule, the chain runs'
-product starts run on one vector per ion in split real arithmetic, and the
-addressed ideal is a split real 2x2 on the target. The one BLAS entry is
-``api/no_flag_branch/addressing``: its 3-ion start is entangled, so it runs
-on the register, which applies each transfer as one BLAS product per ion;
-its last bits depend on the OpenBLAS kernel, and each of the three kernels
-moves it. A failure of only that entry on another CPU says the kernel
+Every entry but one passes unchanged under ``OPENBLAS_CORETYPE=Haswell``,
+``Sandybridge`` and ``Nehalem``, and with numpy's ``X86_V3 X86_V4
+AVX512_ICL AVX512_SPR`` dispatch disabled (``NPY_DISABLE_CPU_FEATURES``;
+every entry passes then): every norm, population and overlap is a split
+real row rule, the transfers of single's rows and of the chain runs'
+per-ion vectors are one ``(1, 4) @ (4, 4)`` product per one-ion row, whose
+bits none of these kernels moves, and the addressed ideal is a split real
+2x2 on the target. The one entry that moves is
+``api/no_flag_branch/addressing``: its 3-ion start is entangled, so it
+runs on the register, which applies each transfer as one BLAS product per
+ion over the other ions' levels; its last bits depend on the OpenBLAS
+kernel, and each of the three kernels moves it. A failure of only that entry on another CPU says the kernel
 differs, not the code. ``test_entries_without_blas_hold_under_haswell``
 reruns this file under ``OPENBLAS_CORETYPE=Haswell`` with that one entry
 deselected, on a CPU with AVX2.
 
-Last regenerated when chain runs from product starts moved onto one vector
-per ion (``statespace._Factors``) and the addressed ideal out of BLAS:
-``api/ensemble/chain4-mc``, ``cli/chain4-mc/run_summary.json`` and the
-summary, trajectory and branch tables of ``cli/chain4-branch`` moved, 5 of
-the 52 hashes; their step tables, and every single and cz entry, did not.
-That took four chain entries out of the Haswell rerun's deselection. Before
-that, when trajectories began to draw in 64-row RNG blocks,
+Last regenerated when a chain's per-ion transfers moved from split real
+planes to single's one-ion matmul (``statespace._apply_factors`` calls
+``_apply_product``): the summary, trajectory and branch tables of
+``cli/chain4-branch`` and ``cli/chain4-mc/run_summary.json`` moved, 4 of
+the 52 hashes; ``api/ensemble/chain4-mc``, the chain step tables, and every
+single and cz entry did not. Over 20 000 chain4 trials per mode, row
+values moved by at most 8.9e-16 (fidelities) and 2.2e-16 (weights), and
+no mc flag changed. The Haswell
+rerun's deselection is unchanged. Before that, when chain runs from
+product starts moved onto one vector per ion (``statespace._Factors``) and
+the addressed ideal out of BLAS: ``api/ensemble/chain4-mc``,
+``cli/chain4-mc/run_summary.json`` and the summary, trajectory and branch
+tables of ``cli/chain4-branch`` moved, 5 of the 52 hashes; their step
+tables, and every single and cz entry, did not. That took four chain
+entries out of the Haswell rerun's deselection. Before that, when
+trajectories began to draw in 64-row RNG blocks,
 keyed by the block index instead of the trajectory index: 40 of the 52
 hashes moved, the same 40 as at the first Philox streams below. Before
 that, when an overlap began to sum only the entries where the
